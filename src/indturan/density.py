@@ -15,14 +15,9 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import EmptyQuery, TooLarge
-from .families import RootedGraph, attach_ktt_rooted, Parts
-from .graph import Graph
+from .families import Parts, RootedGraph, as_graph, attach_ktt_rooted
 
 BALANCE_BUDGET = 30
-
-
-def _graph_of(f) -> Graph:
-    return f.graph if isinstance(f, RootedGraph) else f
 
 
 def edges_incident(f, s: Iterable[int]) -> int:
@@ -30,7 +25,7 @@ def edges_incident(f, s: Iterable[int]) -> int:
     sv = set(s)
     if not sv:
         raise EmptyQuery("edges_incident needs a nonempty set")
-    g = _graph_of(f)
+    g = as_graph(f)
     for v in sv:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")

@@ -33,6 +33,7 @@ from .graph import (
     Host,
     VertexMap,
     bits,
+    common_neighborhood_mask,
     degree_stats,
     induced_subgraph,
     mask_of,
@@ -43,58 +44,40 @@ from .oracles import contains_kss, verify_bip_induced_map, verify_induced_map
 # --- edge/vertex subgraphs of an ambient host ----------------------------------
 
 
-@dataclass(frozen=True)
-class Subgraph:
-    """A subset of vertices and edges of an ambient graph on n vertices."""
+class Subgraph(Graph):
+    """A subset of vertices and edges of an ambient graph on n vertices.
 
-    n: int
-    vertices: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-    adj: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    It is a Graph on the ambient vertex ids 0..n-1 whose edges lie inside
+    `vertices`; equality compares `vertices` too.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        norm = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError("loop edge")
-            if u not in self.vertices or v not in self.vertices:
-                raise ValueError(f"edge {(u, v)} leaves the vertex set")
-            norm.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "edges", frozenset(norm))
-        adj = [0] * self.n
-        for u, v in norm:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        object.__setattr__(self, "adj", tuple(adj))
+    __slots__ = ("vertices",)
 
-    @staticmethod
-    def of(g: Graph, vertices: Optional[Iterable[int]] = None,
+    def __init__(self, n: int, vertices: Iterable[int], edges: Iterable[Sequence[int]]):
+        super().__init__(n, edges)
+        self.vertices = frozenset(vertices)
+        for v in bits(self.vertex_mask() & ~mask_of(self.vertices)):
+            if self.adj[v]:
+                raise ValueError(f"edge {(v, self.neighbors(v)[0])} leaves the vertex set")
+
+    @classmethod
+    def of(cls, g: Graph, vertices: Optional[Iterable[int]] = None,
            edges: Optional[Iterable[Sequence[int]]] = None) -> "Subgraph":
         verts = frozenset(range(g.n)) if vertices is None else frozenset(vertices)
         if edges is None:
-            es = {e for e in g.edges if e[0] in verts and e[1] in verts}
-        else:
-            es = set()
-            for u, v in edges:
-                e = (u, v) if u < v else (v, u)
-                if e not in g.edges:
-                    raise ValueError(f"edge {e} is not an edge of the ambient graph")
-                es.add(e)
-        return Subgraph(g.n, verts, frozenset(es))
+            return cls(g.n, verts, [e for e in g.edges if e[0] in verts and e[1] in verts])
+        es = [(u, v) if u < v else (v, u) for u, v in edges]
+        for e in es:
+            if e not in g.edges:
+                raise ValueError(f"edge {e} is not an edge of the ambient graph")
+        return cls(g.n, verts, es)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
+    def __eq__(self, other):
+        return isinstance(other, Subgraph) and self.vertices == other.vertices \
+            and self.adj == other.adj
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits(self.adj[v]))
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
+    def __hash__(self):
+        return hash((self.vertices, self.adj))
 
 
 def cross_subgraph(host: Host) -> Subgraph:
@@ -105,15 +88,6 @@ def cross_subgraph(host: Host) -> Subgraph:
     edges = {e for e in host.graph.edges
              if bool(xm >> e[0] & 1) != bool(xm >> e[1] & 1)}
     return Subgraph.of(host.graph, edges=edges)
-
-
-def _common_sub_mask(l: Subgraph, s: Iterable[int]) -> int:
-    mask = (1 << l.n) - 1
-    got = 0
-    for v in s:
-        mask &= l.adj[v]
-        got |= 1 << v
-    return mask & ~got
 
 
 # --- thresholds and the source formulas -----------------------------------------
@@ -140,14 +114,8 @@ class Thresholds:
     c3: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "c", Fraction(self.c))
-        object.__setattr__(self, "k", Fraction(self.k))
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "c_big", Fraction(self.c_big))
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
-        object.__setattr__(self, "c1", Fraction(self.c1))
-        object.__setattr__(self, "c2", Fraction(self.c2))
-        object.__setattr__(self, "c3", Fraction(self.c3))
+        for name in ("c", "k", "alpha", "c_big", "gamma", "c1", "c2", "c3"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
         if not 0 < self.c < 1:
             raise ValueError("c must lie in (0, 1)")
         if not 0 < self.gamma < 1:
@@ -335,8 +303,7 @@ def regularize(g: Graph, alpha: Fraction, c_big: Fraction) -> tuple[Graph, tuple
     if not _ge_coeff_pow(g.m, c_big, g.n, 1 + alpha):
         raise HypothesisUnmet(f"e(G) = {g.m} below C n^(1+alpha)")
     exponent = almost_regular_exponent(alpha)
-    k_exact = Fraction(2) ** int(exponent) if exponent.denominator == 1 \
-        else Fraction(2) ** math.ceil(exponent)
+    k_exact = almost_regular_factor(alpha)
 
     def is_almost_regular(sub: Graph) -> bool:
         dmin, dmax, _ = degree_stats(sub)
@@ -401,14 +368,13 @@ def tree_bad_sets(g: Graph, l: Subgraph, t_count: int, d: int) -> dict[int, int]
     thresh = Fraction(d, 4 * t_count)
     out = {}
     lverts = sorted(l.vertices)
-    lmask = mask_of(lverts)
     for x in lverts:
         nl = l.adj[x]
         m = 0
         for y in lverts:
             if Fraction((g.adj[y] & nl).bit_count()) >= thresh:
                 m |= 1 << y
-        out[x] = m & lmask
+        out[x] = m
     return out
 
 
@@ -492,7 +458,7 @@ def admissible_tree_copies(l: Subgraph, t: Graph, stream: Iterable[VertexMap],
             if len(nbrs) < star_leaves:
                 continue
             for leaves in combinations(sorted(nbrs), star_leaves):
-                if _common_sub_mask(l, leaves).bit_count() >= threshold:
+                if common_neighborhood_mask(l.adj, leaves).bit_count() >= threshold:
                     heavy = True
                     break
             if heavy:
@@ -512,7 +478,7 @@ def heavy_star_classify(l: Subgraph, leaves: Iterable[int], threshold: int) -> b
     for v in leaf_list:
         if v not in l.vertices:
             raise ValueError(f"leaf {v} outside L")
-    return _common_sub_mask(l, leaf_list).bit_count() >= threshold
+    return common_neighborhood_mask(l.adj, leaf_list).bit_count() >= threshold
 
 
 def heavy_star_count(l: Subgraph, p: int, threshold: int) -> tuple[int, int]:
@@ -525,7 +491,7 @@ def heavy_star_count(l: Subgraph, p: int, threshold: int) -> tuple[int, int]:
         nbrs = l.neighbors(center)
         for leaves in combinations(nbrs, p):
             total += 1
-            if _common_sub_mask(l, leaves).bit_count() >= threshold:
+            if common_neighborhood_mask(l.adj, leaves).bit_count() >= threshold:
                 heavy += 1
     return total, heavy
 
@@ -536,7 +502,7 @@ def heavy_path_classify(l: Subgraph, x: int, y: int, z: int, threshold: int) -> 
         raise ValueError("path endpoints must differ")
     if not (l.has_edge(x, y) and l.has_edge(y, z)):
         raise ValueError("x-y-z is not a path in L")
-    return _common_sub_mask(l, (x, z)).bit_count() >= threshold
+    return common_neighborhood_mask(l.adj, (x, z)).bit_count() >= threshold
 
 
 def heavy_path_count(l: Subgraph, threshold: int, g: Optional[Graph] = None) -> tuple[int, int]:
@@ -549,7 +515,7 @@ def heavy_path_count(l: Subgraph, threshold: int, g: Optional[Graph] = None) -> 
             if g is not None and g.has_edge(x, z):
                 continue
             total += 1
-            if _common_sub_mask(l, (x, z)).bit_count() >= threshold:
+            if common_neighborhood_mask(l.adj, (x, z)).bit_count() >= threshold:
                 heavy += 1
     return total, heavy
 
@@ -570,18 +536,28 @@ def hall_disjoint_sets(sets: Sequence[Iterable[int]], t: int) -> Optional[list[t
     for i in range(len(adj)):
         slot_set.extend([i] * t)
 
-    def augment(slot: int, seen: set[int]) -> bool:
-        for w in adj[slot_set[slot]]:
-            if w in seen:
+    def augment(root: int) -> bool:
+        """Depth-first search for an augmenting path from slot root.  A stack
+        frame is (slot, its untried elements, the element it was entered by)."""
+        seen: set[int] = set()
+        stack = [(root, iter(adj[slot_set[root]]), None)]
+        while stack:
+            w = next((w for w in stack[-1][1] if w not in seen), None)
+            if w is None:
+                stack.pop()
                 continue
             seen.add(w)
-            if w not in owner or augment(owner[w], seen):
+            if w in owner:
+                stack.append((owner[w], iter(adj[slot_set[owner[w]]]), w))
+                continue
+            for slot, _, via in reversed(stack):
                 owner[w] = slot
-                return True
+                w = via
+            return True
         return False
 
     for slot in range(len(slot_set)):
-        if not augment(slot, set()):
+        if not augment(slot):
             return None
     result = [[] for _ in adj]
     for w, slot in sorted(owner.items()):
@@ -695,7 +671,7 @@ def key_lemma_embed(host: Host, l: Subgraph, template: BipartiteTemplate,
         commons = []
         ok = True
         for e in fa.hyperedges:
-            w_mask = _common_sub_mask(l, [img[v] for v in e])
+            w_mask = common_neighborhood_mask(l.adj, [img[v] for v in e])
             if w_mask == 0:
                 entry["stage"] = "empty-common"
                 ok = False
@@ -813,7 +789,7 @@ def asymmetric_embed(host: Host, m_sub: Subgraph, template: BipartiteTemplate,
     trace: list = [{"e_m": e_m, "delta": delta, "p": p, "c3_guarantee": guarantee}]
 
     def rich(sset: frozenset) -> bool:
-        return _common_sub_mask(m_sub, sset).bit_count() >= th.c_hs
+        return common_neighborhood_mask(m_sub.adj, sset).bit_count() >= th.c_hs
 
     for y in sorted(y_side):
         t_vertices = sorted(w for w in bits(m_sub.adj[y]) if w in xset)

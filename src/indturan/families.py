@@ -19,7 +19,7 @@ t = 1).  Descriptor strings like "Trt:r=3,t=1" name all of these for the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .errors import (
     DegenerateRoot,
@@ -291,11 +291,10 @@ def complete_bipartite_template(s: int, t: int) -> BipartiteTemplate:
 
 
 def as_graph(obj) -> Graph:
+    """The underlying graph of a Graph, RootedGraph or BipartiteTemplate."""
     if isinstance(obj, Graph):
         return obj
-    if isinstance(obj, RootedGraph):
-        return obj.graph
-    if isinstance(obj, BipartiteTemplate):
+    if isinstance(obj, (RootedGraph, BipartiteTemplate)):
         return obj.graph
     raise TypeError(f"no graph view for {type(obj).__name__}")
 
@@ -360,13 +359,16 @@ def parse_descriptor(desc: str):
             raise ValueError(f"descriptor {kind!r} needs {name}=")
         return int(args[name])
 
-    def subarg(name: str):
+    def rooted_subarg(name: str) -> RootedGraph:
         if name not in args:
             raise ValueError(f"descriptor {kind!r} needs {name}=")
         value = args[name]
         if value.startswith("(") and value.endswith(")"):
             value = value[1:-1]
-        return parse_descriptor(value)
+        base = parse_descriptor(value)
+        if not isinstance(base, RootedGraph):
+            raise ValueError(f"{kind} base must be a rooted descriptor")
+        return base
 
     if kind == "Trt":
         return height_two_tree(intarg("r"), intarg("t"))
@@ -381,19 +383,8 @@ def parse_descriptor(desc: str):
     if kind == "Kst":
         return complete_bipartite_template(intarg("s"), intarg("t"))
     if kind == "power":
-        base = subarg("base")
-        if not isinstance(base, RootedGraph):
-            raise ValueError("power base must be a rooted descriptor")
-        return rooted_power(base, intarg("l"))
+        return rooted_power(rooted_subarg("base"), intarg("l"))
     if kind == "f1":
-        base = subarg("base")
-        if not isinstance(base, RootedGraph):
-            raise ValueError("f1 base must be a rooted descriptor")
-        parts = bipartition(base.graph)
-        if parts is None:
-            raise NotBipartite("f1 base must be bipartite")
-        a, b = parts
-        if 0 in b:
-            a, b = b, a
-        return attach_ktt_rooted(base, (a, b), 1)
+        base = rooted_subarg("base")
+        return attach_ktt_rooted(base, as_template(base).parts, 1)
     raise ValueError(f"unknown descriptor kind {kind!r}")

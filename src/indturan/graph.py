@@ -36,42 +36,60 @@ def bits(mask: int):
 
 
 class Graph:
-    """Immutable simple graph with per-vertex bitset adjacency."""
+    """Immutable simple graph with per-vertex bitset adjacency.
 
-    __slots__ = ("n", "edges", "adj")
+    The adjacency rows are the graph; `edges` is derived from them on first
+    use.  `Graph(n, edges)` validates outside input; `Graph.from_rows` wraps
+    rows that the caller already knows to be symmetric and loop-free.
+    """
+
+    __slots__ = ("n", "adj", "_edges")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        norm = set()
-        for e in edges:
-            u, v = e
+        adj = [0] * n
+        for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {(u, v)} out of range for n={n}")
             if u == v:
                 raise Multigraph(f"loop at vertex {u}")
-            norm.add((u, v) if u < v else (v, u))
-        adj = [0] * n
-        for u, v in norm:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.n = n
-        self.edges = frozenset(norm)
         self.adj = tuple(adj)
+        self._edges = None
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[int]) -> Graph:
+        """The graph whose vertex v has adjacency bitset rows[v], unchecked."""
+        g = cls.__new__(cls)
+        g.adj = tuple(rows)
+        g.n = len(g.adj)
+        g._edges = None
+        return g
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Edges as (u, v) pairs with u < v."""
+        if self._edges is None:
+            self._edges = frozenset((u, w) for u, row in enumerate(self.adj)
+                                    for w in bits(row >> (u + 1) << (u + 1)))
+        return self._edges
 
     # Graphs compare by labeled structure, not isomorphism.
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self.adj == other.adj
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash(self.adj)
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={self.m})"
+        return f"{type(self).__name__}(n={self.n}, m={self.m})"
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(row.bit_count() for row in self.adj) >> 1
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -94,16 +112,13 @@ def common_neighborhood(g: Graph, s: Iterable[int]) -> set[int]:
     sv = list(s)
     if not sv:
         raise EmptyQuery("common neighborhood of the empty set is not defined")
-    mask = g.vertex_mask()
-    for v in sv:
-        mask &= g.adj[v]
-    mask &= ~mask_of(sv)
-    return set(bits(mask))
+    return set(bits(common_neighborhood_mask(g.adj, sv)))
 
 
-def common_neighborhood_mask(adj: Sequence[int], s: Iterable[int], universe: int) -> int:
-    """Bitset form of common_neighborhood against explicit adjacency rows."""
-    mask = universe
+def common_neighborhood_mask(adj: Sequence[int], s: Iterable[int]) -> int:
+    """Bitset form of common_neighborhood against adjacency rows; the empty
+    set's common neighborhood is every vertex."""
+    mask = (1 << len(adj)) - 1
     got = 0
     for v in s:
         mask &= adj[v]
@@ -249,19 +264,15 @@ def to_dot(g: Graph, roots: Iterable[int] | None = None,
     """GraphViz text; roots drawn as double circles, partition as two ranks."""
     rootset = set(roots) if roots else set()
     lines = ["graph g {"]
-    if partition is not None:
-        xs, ys = (sorted(partition[0]), sorted(partition[1]))
-        lines.append("  // partition X then Y")
-        for v in xs:
-            shape = "doublecircle" if v in rootset else "circle"
-            lines.append(f'  {v} [shape={shape}, color=blue];')
-        for v in ys:
-            shape = "doublecircle" if v in rootset else "circle"
-            lines.append(f'  {v} [shape={shape}, color=red];')
+    if partition is None:
+        groups = [(range(g.n), "")]
     else:
-        for v in range(g.n):
+        lines.append("  // partition X then Y")
+        groups = [(sorted(partition[0]), ", color=blue"), (sorted(partition[1]), ", color=red")]
+    for vertices, color in groups:
+        for v in vertices:
             shape = "doublecircle" if v in rootset else "circle"
-            lines.append(f"  {v} [shape={shape}];")
+            lines.append(f"  {v} [shape={shape}{color}];")
     for u, v in g.edge_list():
         lines.append(f"  {u} -- {v};")
     lines.append("}")

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import InvalidPartition, NoPartition, NotKssFree, TooLarge
-from .families import BipartiteTemplate
+from .errors import DisprovesLemma, InvalidPartition, NoPartition, NotKssFree, TooLarge
+from .families import BipartiteTemplate, Parts
 from .graph import (
     Graph,
     Host,
@@ -23,6 +23,7 @@ from .graph import (
     bipartite_between,
     bits,
     common_neighborhood_mask,
+    graph_to_json_dict,
     mask_of,
 )
 
@@ -40,10 +41,9 @@ def contains_kss(g: Graph, s: int) -> Optional[tuple[tuple[int, ...], tuple[int,
         raise ValueError("s must be positive")
     if 2 * s > g.n:
         return None
-    full = g.vertex_mask()
     good = [v for v in range(g.n) if g.degree(v) >= s]
     for side1 in combinations(good, s):
-        common = common_neighborhood_mask(g.adj, side1, full)
+        common = common_neighborhood_mask(g.adj, side1)
         if common.bit_count() >= s:
             side2 = []
             for w in bits(common):
@@ -54,27 +54,14 @@ def contains_kss(g: Graph, s: int) -> Optional[tuple[tuple[int, ...], tuple[int,
     return None
 
 
-def _kss_through_vertex(adj: Sequence[int], universe: int, v: int, s: int) -> bool:
+def _kss_through_vertex(adj: Sequence[int], v: int, s: int) -> bool:
     """K_{s,s} using vertex v, given adjacency rows (v in the side opposite T)."""
     nv = list(bits(adj[v]))
     if len(nv) < s:
         return False
     for t_side in combinations(nv, s):
-        common = common_neighborhood_mask(adj, t_side, universe)
+        common = common_neighborhood_mask(adj, t_side)
         if common.bit_count() >= s:  # v itself is in the common set
-            return True
-    return False
-
-
-def _kss_through_edge(adj: Sequence[int], universe: int, u: int, v: int, s: int) -> bool:
-    """K_{s,s} using the edge uv (u grouped with s-1 other neighbors of v)."""
-    others = [w for w in bits(adj[v]) if w != u]
-    if len(others) < s - 1:
-        return False
-    for extra in combinations(others, s - 1):
-        side = (u,) + extra
-        common = common_neighborhood_mask(adj, side, universe)
-        if common.bit_count() >= s:
             return True
     return False
 
@@ -107,7 +94,6 @@ def _embed(g: Graph, h: Graph, induced: bool,
         return ()
     full = g.vertex_mask()
     cand = [full] * h.n if initial is None else [m & full for m in initial]
-    cand = list(cand)
     for p in range(h.n):
         dp = h.degree(p)
         m = cand[p]
@@ -240,11 +226,10 @@ def verify_bip_induced_map(g: Graph, x: Sequence[int], y: Sequence[int],
 
 
 def _extend(g: Graph, mask: int) -> Graph:
-    edges = list(g.edges)
-    k = g.n
-    for v in bits(mask):
-        edges.append((v, k))
-    return Graph(k + 1, edges)
+    """g plus a new vertex g.n adjacent to the vertices in mask."""
+    bit = 1 << g.n
+    return Graph.from_rows([row | bit if mask >> v & 1 else row
+                            for v, row in enumerate(g.adj)] + [mask])
 
 
 def _iso_key(g: Graph) -> tuple:
@@ -288,14 +273,24 @@ class ExtremalResult:
     value: int
     witness: Graph
     explored: int
-    partition: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+    partition: Optional[Parts] = None
 
     def as_json_dict(self) -> dict:
-        from .graph import graph_to_json_dict
+        return {"value": self.value, "explored": self.explored,
+                "witness": graph_to_json_dict(self.witness, partition=self.partition)}
 
-        d = {"value": self.value, "explored": self.explored,
-             "witness": graph_to_json_dict(self.witness, partition=self.partition)}
-        return d
+
+def _extremal_result(candidates: Iterable[tuple[tuple, Graph, Optional[Parts]]], explored: int,
+                     is_free: Callable[[Graph, Optional[Parts]], bool]) -> ExtremalResult:
+    """The (key, graph, partition) candidate with the least key, whose first
+    entry is minus the value; the winner is re-checked with is_free."""
+    best = min(candidates, key=lambda c: c[0], default=None)
+    if best is None:
+        raise ValueError("no graph of this order avoids the pattern")
+    key, witness, partition = best
+    if not is_free(witness, partition):
+        raise DisprovesLemma("the extremal witness contains a forbidden pattern")
+    return ExtremalResult(-key[0], witness, explored, partition=partition)
 
 
 def extremal_star(n: int, h: Graph, s: int, budget: int = STAR_BUDGET) -> ExtremalResult:
@@ -310,20 +305,14 @@ def extremal_star(n: int, h: Graph, s: int, budget: int = STAR_BUDGET) -> Extrem
         raise ValueError("pattern must have at least one vertex")
 
     def ok(g2: Graph, k: int) -> bool:
-        if _kss_through_vertex(g2.adj, g2.vertex_mask(), k, s):
+        if _kss_through_vertex(g2.adj, k, s):
             return False
         return not _contains_using(g2, h, k, induced=True)
 
     reps, explored = _generate_classes(n, ok)
-    best = None
-    for g in reps:
-        key = (-g.m, g.edge_list())
-        if best is None or key < best[0]:
-            best = (key, g)
-    assert best is not None  # the edgeless graph always survives
-    witness = best[1]
-    assert contains_kss(witness, s) is None and contains_induced(witness, h) is None
-    return ExtremalResult(witness.m, witness, explored)
+    return _extremal_result((((-g.m, g.edge_list()), g, None) for g in reps), explored,
+                            lambda w, _: contains_kss(w, s) is None
+                            and contains_induced(w, h) is None)
 
 
 def extremal_classical(n: int, h: Graph, budget: int = STAR_BUDGET) -> ExtremalResult:
@@ -337,15 +326,8 @@ def extremal_classical(n: int, h: Graph, budget: int = STAR_BUDGET) -> ExtremalR
         return not _contains_using(g2, h, k, induced=False)
 
     reps, explored = _generate_classes(n, ok)
-    best = None
-    for g in reps:
-        key = (-g.m, g.edge_list())
-        if best is None or key < best[0]:
-            best = (key, g)
-    assert best is not None
-    witness = best[1]
-    assert contains_subgraph(witness, h) is None
-    return ExtremalResult(witness.m, witness, explored)
+    return _extremal_result((((-g.m, g.edge_list()), g, None) for g in reps), explored,
+                            lambda w, _: contains_subgraph(w, h) is None)
 
 
 def extremal_bip_star(n: int, h: BipartiteTemplate, s: int,
@@ -363,29 +345,26 @@ def extremal_bip_star(n: int, h: BipartiteTemplate, s: int,
         return ExtremalResult(0, Graph(0, []), 0, partition=((), ()))
 
     def ok(g2: Graph, k: int) -> bool:
-        return not _kss_through_vertex(g2.adj, g2.vertex_mask(), k, s)
+        return not _kss_through_vertex(g2.adj, k, s)
+
+    def candidates(reps: list[Graph]):
+        for g in reps:
+            edge_list = g.edge_list()
+            for sub in range(1 << (n - 1)):
+                xm = (sub << 1) | 1
+                x = tuple(bits(xm))
+                y = tuple(v for v in range(n) if not xm >> v & 1)
+                if contains_bip_induced(Host(g, s, (x, y)), h) is None:
+                    cross = sum((g.adj[v] & ~xm).bit_count() for v in x)
+                    yield (-cross, edge_list, x), g, (x, y)
+
+    def is_free(w: Graph, partition: Parts) -> bool:
+        return contains_kss(w, s) is None \
+            and contains_bip_induced(Host(w, s, partition), h) is None
 
     reps, explored = _generate_classes(n, ok)
-    best = None
-    for g in reps:
-        for sub in range(1 << (n - 1)):
-            xm = (sub << 1) | 1
-            x = tuple(bits(xm))
-            y = tuple(v for v in range(n) if not xm >> v & 1)
-            explored += 1
-            cross = 0
-            ymask = mask_of(y)
-            for v in x:
-                cross += (g.adj[v] & ymask).bit_count()
-            host = Host(g, s, (x, y))
-            if contains_bip_induced(host, h) is not None:
-                continue
-            key = (-cross, g.edge_list(), x)
-            if best is None or key < best[0]:
-                best = (key, g, (x, y), cross)
-    assert best is not None  # the edgeless graph admits every partition
-    _, witness, partition, value = best
-    return ExtremalResult(value, witness, explored, partition=partition)
+    # each representative's 2^(n-1) partitions count as explored states
+    return _extremal_result(candidates(reps), explored + (len(reps) << (n - 1)), is_free)
 
 
 # --- Kovari-Sos-Turan check -----------------------------------------------------
@@ -433,16 +412,13 @@ def random_kss_free_bipartite(nx: int, ny: int, s: int, rng, keep: float = 1.0) 
 
 def _greedy_kss_free(n: int, pairs, s: int, rng, keep: float) -> Graph:
     adj = [0] * n
-    universe = (1 << n) - 1
-    edges = []
     for u, v in pairs:
         if keep < 1.0 and rng.random() > keep:
             continue
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        if _kss_through_edge(adj, universe, u, v, s):
+        # The graph was K_{s,s}-free before uv, so a K_{s,s} through v uses uv.
+        if _kss_through_vertex(adj, v, s):
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
-        else:
-            edges.append((u, v))
-    return Graph(n, edges)
+    return Graph.from_rows(adj)

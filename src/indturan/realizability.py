@@ -28,6 +28,7 @@ from .errors import CertificateInvalid, NotQualified, TooLarge
 from .families import (
     Parts,
     RootedGraph,
+    as_template,
     attach_ktt_rooted,
     height_two_tree,
     leaf_rooted_star,
@@ -36,7 +37,7 @@ from .families import (
     rooted_power,
     tree_r11,
 )
-from .graph import bipartition
+from .graph import Graph, bipartition
 
 S0_RULE = "s0 = |V(H)|"
 
@@ -67,6 +68,21 @@ class ReducedRational:
         return 2 - Fraction(self.a, self.b)
 
 
+# kind -> (constructor, its arguments as (field, JSON key) pairs)
+_BASE_KINDS = {
+    "ktl": (leaf_rooted_star, (("t", "t"),)),
+    "theta": (rooted_path, (("length", "len"),)),
+    "tr11": (tree_r11, (("r", "r"),)),
+    "height_two": (height_two_tree, (("r", "r"), ("t", "t"))),
+}
+
+
+def _base_kind(kind: str):
+    if kind not in _BASE_KINDS:
+        raise ValueError(f"unknown base kind {kind!r}")
+    return _BASE_KINDS[kind]
+
+
 @dataclass(frozen=True)
 class BaseFamily:
     kind: str  # "ktl" | "theta" | "tr11" | "height_two"
@@ -75,41 +91,17 @@ class BaseFamily:
     length: Optional[int] = None
 
     def rooted_graph(self) -> RootedGraph:
-        if self.kind == "ktl":
-            return leaf_rooted_star(self.t)
-        if self.kind == "theta":
-            return rooted_path(self.length)
-        if self.kind == "tr11":
-            return tree_r11(self.r)
-        if self.kind == "height_two":
-            return height_two_tree(self.r, self.t)
-        raise ValueError(f"unknown base kind {self.kind!r}")
+        build, args = _base_kind(self.kind)
+        return build(*(getattr(self, name) for name, _ in args))
 
     def as_json_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.kind == "ktl":
-            d["t"] = self.t
-        elif self.kind == "theta":
-            d["len"] = self.length
-        elif self.kind == "tr11":
-            d["r"] = self.r
-        elif self.kind == "height_two":
-            d["r"] = self.r
-            d["t"] = self.t
-        return d
+        _, args = _base_kind(self.kind)
+        return {"kind": self.kind, **{key: getattr(self, name) for name, key in args}}
 
     @staticmethod
     def from_json_dict(d: dict) -> "BaseFamily":
-        kind = d["kind"]
-        if kind == "ktl":
-            return BaseFamily("ktl", t=d["t"])
-        if kind == "theta":
-            return BaseFamily("theta", length=d["len"])
-        if kind == "tr11":
-            return BaseFamily("tr11", r=d["r"])
-        if kind == "height_two":
-            return BaseFamily("height_two", r=d["r"], t=d["t"])
-        raise ValueError(f"unknown base kind {kind!r}")
+        _, args = _base_kind(d["kind"])
+        return BaseFamily(d["kind"], **{name: d[key] for name, key in args})
 
 
 @dataclass(frozen=True)
@@ -188,12 +180,7 @@ def build_witness(cert: RealizabilityCertificate, l: Optional[int] = None) -> Wi
     if l < 1:
         raise ValueError("power needs l >= 1")
     f = rooted_power(cert.base.rooted_graph(), l)
-    parts = bipartition(f.graph)
-    assert parts is not None, "glued base families stay bipartite"
-    a, b = parts
-    if 0 in b:
-        a, b = b, a
-    parts = (a, b)
+    parts = as_template(f).parts
     for _ in range(cert.reductions):
         n_before = f.graph.n
         f = attach_ktt_rooted(f, parts, 1)
@@ -240,7 +227,11 @@ def verify_certificate(cert: RealizabilityCertificate) -> VerificationResult:
 
 
 def derive(a: int, b: int, l: int = 2) -> RealizabilityCertificate:
-    """Certificate for 2 - a/b via the residue of b mod a (after reduction)."""
+    """Certificate for 2 - a/b via the residue of b mod a (after reduction).
+
+    Every certificate returned has passed verify_certificate here, so callers
+    need not verify it again; a failure raises CertificateInvalid.
+    """
     if a < 1 or b < 1:
         raise NotQualified(f"({a}, {b}) must be positive")
     if not qualifies(a, b):
@@ -263,10 +254,12 @@ def derive(a: int, b: int, l: int = 2) -> RealizabilityCertificate:
             red = (b0 - res) // a0 - (a0 - 1 - res)
     if red < 0:
         raise CertificateInvalid(f"negative reduction count for ({a0}, {b0})")
+    if l < 1:
+        raise ValueError("power needs l >= 1")
     target = ReducedRational(a0, b0)
-    # s0 needs the reconstruction; build once and reuse for the self-check.
-    draft = RealizabilityCertificate(target, base, red, l, s0=0, exponent=target.exponent)
-    s0 = build_witness(draft).s0
+    # |V(H)|: the shared roots, l copies of the non-roots, two vertices per reduction.
+    f = base.rooted_graph()
+    s0 = len(f.roots) + l * len(f.non_roots()) + 2 * red
     cert = RealizabilityCertificate(target, base, red, l, s0=s0, exponent=target.exponent)
     check = verify_certificate(cert)
     if not check:

@@ -415,6 +415,18 @@ class TestHall:
                     assert not set(u) & seen
                     seen |= set(u)
 
+    def test_long_augmenting_chain(self):
+        # Each new slot's augmenting path walks back along the whole chain;
+        # 1,000 sets is deeper than the default recursion limit.
+        sets = [[0]] + [[i - 1, i] for i in range(1, 1000)]
+        got = hall_disjoint_sets(sets, 1)
+        assert got is not None
+        seen = set()
+        for i, u in enumerate(got):
+            assert len(u) == 1 and set(u) <= set(sets[i])
+            assert not set(u) & seen
+            seen |= set(u)
+
 
 class TestKeyLemma:
     def test_planted_success(self):

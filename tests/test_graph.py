@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from indturan.embeddings import Subgraph
 from indturan.errors import (
     EmptyGraph,
     EmptyQuery,
@@ -32,6 +35,27 @@ from indturan.graph import (
 
 def path(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+@st.composite
+def graphs(draw, max_n=9):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def subgraph_args(draw):
+    """(g, vertices, edges): edges is None or a list of g's edges inside vertices,
+    each in either orientation."""
+    g = draw(graphs())
+    vertices = draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    inside = [e for e in g.edge_list() if e[0] in vertices and e[1] in vertices]
+    if draw(st.booleans()):
+        return g, vertices, None
+    chosen = draw(st.lists(st.sampled_from(inside))) if inside else []
+    return g, vertices, [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
 
 
 class TestGraphBasics:
@@ -182,3 +206,46 @@ class TestDot:
     def test_roots_doublecircled(self):
         text = to_dot(path(3), roots=[0])
         assert "doublecircle" in text and text.startswith("graph")
+
+
+class TestAdjacencyCore:
+    @given(graphs())
+    def test_from_rows_round_trip(self, g):
+        h = Graph.from_rows(g.adj)
+        assert h == g and hash(h) == hash(g)
+        assert h.n == g.n and h.edges == g.edges
+
+    @given(graphs())
+    def test_edges_agree_with_rows(self, g):
+        assert g.m == len(g.edges)
+        assert all(u < v for u, v in g.edges)
+        for u in range(g.n):
+            for v in range(g.n):
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in g.edges)
+
+    @given(subgraph_args())
+    def test_subgraph_matches_set_build(self, args):
+        g, vertices, edges = args
+        sub = Subgraph.of(g, vertices, edges)
+        if edges is None:
+            want = {(u, v) for u, v in g.edges if u in vertices and v in vertices}
+        else:
+            want = {(min(e), max(e)) for e in edges}
+        assert isinstance(sub, Graph)
+        assert sub.n == g.n and sub.vertices == frozenset(vertices)
+        assert sub.edges == want and sub.m == len(want)
+        for v in range(g.n):
+            assert sub.neighbors(v) == tuple(sorted(
+                w for w in range(g.n) if (min(v, w), max(v, w)) in want))
+
+    @given(subgraph_args())
+    def test_subgraph_equality_counts_vertices(self, args):
+        g, vertices, edges = args
+        sub = Subgraph.of(g, vertices, edges)
+        same = Subgraph(g.n, vertices, sub.edges)
+        assert same == sub and hash(same) == hash(sub)
+        plain = Graph(g.n, sub.edges)
+        assert sub != plain and plain != sub
+        for w in range(g.n):
+            if w not in vertices:
+                assert Subgraph(g.n, vertices | {w}, sub.edges) != sub

@@ -3,7 +3,14 @@ from itertools import combinations, permutations
 
 import pytest
 
-from indturan.errors import InvalidPartition, NoPartition, NotKssFree, TooLarge
+from indturan import oracles
+from indturan.errors import (
+    DisprovesLemma,
+    InvalidPartition,
+    NoPartition,
+    NotKssFree,
+    TooLarge,
+)
 from indturan.families import as_template, complete_bipartite_template, theta
 from indturan.graph import Graph, Host
 from indturan.oracles import (
@@ -210,6 +217,11 @@ class TestExtremalBip:
     def test_budget(self):
         with pytest.raises(TooLarge):
             extremal_bip_star(8, as_template(p4()), 2)
+
+    def test_witness_recheck_raises(self, monkeypatch):
+        monkeypatch.setattr(oracles, "contains_kss", lambda g, s: ((0,), (1,)))
+        with pytest.raises(DisprovesLemma):
+            extremal_bip_star(4, as_template(p4()), 2)
 
 
 class TestKst:

@@ -1,9 +1,11 @@
 import json
 import math
+import typing
 from fractions import Fraction
 
 import pytest
 
+from indturan import realizability
 from indturan.density import is_balanced, rho
 from indturan.errors import NotQualified, TooLarge
 from indturan.families import theta
@@ -188,3 +190,7 @@ class TestReducedRational:
                      BaseFamily("height_two", r=4, t=2), BaseFamily("ktl", t=5)):
             assert BaseFamily.from_json_dict(base.as_json_dict()) == base
             assert base.rooted_graph().graph.n > 0
+
+
+def test_witness_type_hints_resolve():
+    assert typing.get_type_hints(realizability.Witness)["h"] is Graph
