@@ -2,7 +2,9 @@
 
 All results are printed as JSON with sorted keys so identical invocations are
 byte-identical.  Exit codes: 0 success, 1 domain error (printed as an
-{"error", "message"} object), 2 usage error (argparse).
+{"error", "message"} object), 2 usage error (argparse), 3 internal fault: a
+re-check failed (DisprovesLemma), which means a bug, printed like a domain
+error.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import density, embeddings, oracles, realizability
-from .errors import IndturanError
+from .errors import DisprovesLemma, IndturanError
 from .families import BipartiteTemplate, RootedGraph, as_graph, as_template, parse_descriptor
 from .graph import (Graph, Host, common_neighborhood_mask, graph_from_json_dict,
                     graph_to_json_dict, to_dot)
@@ -342,12 +344,9 @@ def main(argv=None) -> int:
     random.seed(args.seed)
     try:
         return args.func(args)
-    except IndturanError as exc:
+    except (IndturanError, ValueError, KeyError, TypeError, OSError) as exc:
         _dump({"error": type(exc).__name__, "message": str(exc)})
-        return 1
-    except (ValueError, KeyError, TypeError, OSError) as exc:
-        _dump({"error": type(exc).__name__, "message": str(exc)})
-        return 1
+        return 3 if isinstance(exc, DisprovesLemma) else 1
 
 
 if __name__ == "__main__":

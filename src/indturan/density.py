@@ -4,8 +4,12 @@ For a rooted graph F with roots R and a nonempty S of vertices, e_S counts the
 edges with at least one endpoint in S and rho_F(S) = e_S / |S|.  The density
 rho(F) is rho_F(V \\ R), and F is balanced when no nonempty subset of the
 non-roots beats it from below.  Everything is computed with Fraction, never
-floats, and balancedness is settled by exhaustive subset enumeration under a
-hard budget.
+floats.  Balancedness is decided exactly in polynomial time: the minimum of
+e_S - lam*|S| is a minimum cut (a maximum-closure problem: Picard 1976,
+Picard-Queyranne 1982), Dinkelbach iteration (1967) finds the minimum ratio,
+and the lexicographically least minimizing subset is read off the residual
+network of the last cut.  All capacities are ints, and a hard budget on the
+number of non-roots still bounds the work.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Iterable, Optional
 from .errors import EmptyQuery, TooLarge
 from .families import Parts, RootedGraph, as_graph, attach_ktt_rooted
 
-BALANCE_BUDGET = 30
+BALANCE_BUDGET = 400
 
 
 def edges_incident(f, s: Iterable[int]) -> int:
@@ -58,47 +62,152 @@ class DensityReport:
         }
 
 
-def is_balanced(f: RootedGraph, budget: int = BALANCE_BUDGET) -> DensityReport:
-    """Exhaustive check of rho_F(S) >= rho(F) over nonempty S of non-roots.
+class _ClosureNetwork:
+    """The min-cut network of min_S (e_S - lam*|S|) over S ⊆ non-roots, solved.
 
-    When unbalanced, the witness is the minimum-rho subset, ties broken by the
-    lexicographically least sorted vertex tuple, so tests are deterministic.
+    Node v < q is non-root v and node q + j the j-th edge meeting the
+    non-roots (`ends[j]` lists its non-root ends); then come the source and
+    the sink.  For lam = p/r the arcs are source -> vertex (capacity p),
+    vertex -> incident edge (uncuttable) and edge -> sink (r), so a cut whose
+    source side holds S and the edges meeting S costs p*(q - |S|) + r*e_S.
+    The uncuttable capacity is a finite int above the sum of all the others,
+    so no minimum cut takes another form, and every capacity is an int.
+
+    After the max-flow, `value` is min_S (r*e_S - p*|S|).  The minimizing S
+    are closed under union and intersection: the least is what the source
+    reaches in the residual network, the greatest is every non-root that
+    cannot reach the sink.
+    """
+
+    def __init__(self, ends: list, q: int, lam: Fraction):
+        p, r = lam.numerator, lam.denominator
+        uncut = p * q + r * len(ends) + 1
+        self.q = q
+        self.source, self.sink = q + len(ends), q + len(ends) + 1
+        self.adj: list[list[int]] = [[] for _ in range(self.sink + 1)]
+        self.head: list[int] = []  # arc a runs to head[a]; a ^ 1 is its reverse
+        self.cap: list[int] = []   # residual capacities once solved
+        for v in range(q):
+            self._arc(self.source, v, p)
+        for j, vs in enumerate(ends):
+            for v in vs:
+                self._arc(v, q + j, uncut)
+            self._arc(q + j, self.sink, r)
+        self.value = self._max_flow() - p * q
+
+    def _arc(self, u: int, v: int, c: int) -> None:
+        for x, y, cy in ((u, v, c), (v, u, 0)):
+            self.adj[x].append(len(self.head))
+            self.head.append(y)
+            self.cap.append(cy)
+
+    def _max_flow(self) -> int:
+        """Dinic's algorithm with an explicit path stack."""
+        adj, head, cap, s, t = self.adj, self.head, self.cap, self.source, self.sink
+        flow = 0
+        while True:
+            level = [-1] * len(adj)
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                for a in adj[u]:
+                    if cap[a] and level[head[a]] < 0:
+                        level[head[a]] = level[u] + 1
+                        queue.append(head[a])
+            if level[t] < 0:
+                return flow
+            nxt = [0] * len(adj)
+            path: list[int] = []
+            u = s
+            while True:
+                if u == t:
+                    push = min(cap[a] for a in path)
+                    for a in path:
+                        cap[a] -= push
+                        cap[a ^ 1] += push
+                    flow += push
+                    path.clear()
+                    u = s
+                    continue
+                arcs, i = adj[u], nxt[u]
+                while i < len(arcs) and not (cap[arcs[i]] and level[head[arcs[i]]] == level[u] + 1):
+                    i += 1
+                nxt[u] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    u = head[arcs[i]]
+                elif u == s:
+                    break
+                else:
+                    level[u] = -1  # a dead end for the rest of this phase
+                    u = head[path.pop() ^ 1]
+                    nxt[u] += 1
+
+    def spread(self, seen: list, start: int, backward: bool = False) -> int:
+        """Mark every node that `start` reaches (or, backward, that reaches
+        `start`) in the residual network; return how many non-roots were
+        newly marked."""
+        if seen[start]:
+            return 0
+        seen[start] = True
+        stack, fresh = [start], 0
+        while stack:
+            u = stack.pop()
+            fresh += u < self.q
+            for a in self.adj[u]:
+                if self.cap[a ^ backward] and not seen[self.head[a]]:
+                    seen[self.head[a]] = True
+                    stack.append(self.head[a])
+        return fresh
+
+    def greatest(self) -> list[int]:
+        """The sorted non-roots that cannot reach the sink in the residual network."""
+        reaches = [False] * len(self.adj)
+        self.spread(reaches, self.sink, backward=True)
+        return [v for v in range(self.q) if not reaches[v]]
+
+
+def is_balanced(f: RootedGraph, budget: int = BALANCE_BUDGET) -> DensityReport:
+    """Exact check of rho_F(S) >= rho(F) over nonempty S of non-roots.
+
+    F is balanced iff min_S (e_S - rho(F)|S|) is 0, which one min-cut settles.
+    When unbalanced, Dinkelbach steps (lam <- e_S/|S| of a minimizing S) reach
+    the minimum ratio lam*, and the witness is the minimum-ratio subset with
+    ties broken by the lexicographically least sorted vertex tuple, so tests
+    are deterministic.
+
+    At lam* the minimizers form a lattice whose greatest element U holds every
+    minimum-ratio subset.  Forcing vertices of U into the source side keeps
+    the flow maximum, so the least minimizer containing a chosen set is its
+    closure in the residual network.  The lexicographically least minimizer
+    is then the shortest nonempty prefix of sorted(U) that is closed.
     """
     non = f.non_roots()
     q = len(non)
     if q > budget:
         raise TooLarge(f"{q} non-roots exceed the balance budget of {budget}")
-    g = f.graph
-    edge_list = sorted(g.edges)
-    # incidence bitmask over edge indices, per non-root vertex
-    inc = []
-    for v in non:
-        m = 0
-        for i, (a, b) in enumerate(edge_list):
-            if a == v or b == v:
-                m |= 1 << i
-        inc.append(m)
     target = rho(f)
-    best: Optional[Fraction] = None
-    best_set: Optional[tuple[int, ...]] = None
-    for mask in range(1, 1 << q):
-        em = 0
-        size = 0
-        mm = mask
-        while mm:
-            low = mm & -mm
-            em |= inc[low.bit_length() - 1]
-            size += 1
-            mm ^= low
-        value = Fraction(em.bit_count(), size)
-        subset = tuple(non[i] for i in range(q) if mask >> i & 1)
-        if best is None or value < best or (value == best and subset < best_set):
-            best, best_set = value, subset
-    assert best is not None
-    balanced = best >= target
-    witness = None if balanced else best_set
-    exponent = 2 - Fraction(1, 1) / target if target > 0 else None
-    return DensityReport(target, balanced, witness, exponent)
+    index = {v: i for i, v in enumerate(non)}
+    ends = [tuple(index[w] for w in e if w in index)
+            for e in sorted(f.graph.edges) if e[0] in index or e[1] in index]
+    lam = target
+    cut = _ClosureNetwork(ends, q, lam)
+    while cut.value < 0:
+        seen = [False] * len(cut.adj)
+        size = cut.spread(seen, cut.source)
+        lam = Fraction(sum(1 for e in ends if any(seen[v] for v in e)), size)
+        cut = _ClosureNetwork(ends, q, lam)
+    exponent = 2 - 1 / target if target > 0 else None
+    if lam == target:
+        return DensityReport(target, True, None, exponent)
+    order = cut.greatest()
+    seen = [False] * len(cut.adj)
+    reached, k = cut.spread(seen, cut.source), 0
+    # order[:k] is marked, so reached >= k; equality means the prefix is closed
+    while k == 0 or reached > k:
+        reached += cut.spread(seen, order[k])
+        k += 1
+    return DensityReport(target, False, tuple(non[i] for i in order[:k]), exponent)
 
 
 def verify_reduction_rho(f: RootedGraph, parts: Parts, budget: int = BALANCE_BUDGET) -> bool:

@@ -201,7 +201,7 @@ def bad_set(g: Graph, w: Iterable[int], c: Fraction, s: Optional[int] = None) ->
     """B(W): vertices outside W with at least c|W| neighbors inside W.
 
     When s is given, the instance verifies K_{s,s}-free, and |W| >= s (2/c)^s,
-    the bound |B(W)| < 2s/c is asserted; it is guaranteed under those
+    the bound |B(W)| < 2s/c is checked; it is guaranteed under those
     hypotheses, so a failure raises DisprovesLemma.
     """
     wset = set(w)
@@ -323,7 +323,8 @@ def regularize(g: Graph, alpha: Fraction, c_big: Fraction) -> tuple[Graph, tuple
         if regular and dense:
             break
         if sub.n <= 1:
-            assert fallback is not None  # a single vertex is always almost-regular
+            if fallback is None:
+                raise DisprovesLemma("no almost-regular subgraph, though a single vertex is one")
             _, sub, idx = fallback
             dense = _ge_coeff_pow(sub.m, c_big / 4, sub.n, 1 + alpha)
             break
@@ -419,8 +420,10 @@ def greedy_tree_embed(host: Host, l: Subgraph, t: Graph, d: int) -> Iterator[Ver
     def rec(i: int, assign: dict[int, int], used: int, badmask: int):
         if i == t.n:
             vm = tuple(assign[p] for p in range(t.n))
-            assert verify_induced_map(g, t, vm)
-            assert all(l.has_edge(vm[a], vm[b]) for a, b in t.edges)
+            if not verify_induced_map(g, t, vm):
+                raise DisprovesLemma("tree copy failed the induced re-check")
+            if not all(l.has_edge(vm[a], vm[b]) for a, b in t.edges):
+                raise DisprovesLemma("tree copy uses an edge outside l")
             yield vm
             return
         v = order[i]
@@ -717,7 +720,8 @@ def key_lemma_embed(host: Host, l: Subgraph, template: BipartiteTemplate,
         for b, w in zip(b_order, placement):
             vm[b] = w
         vm = tuple(vm)
-        assert verify_bip_induced_map(g, x_side, y_side, template, vm, l_edges=l.edges)
+        if not verify_bip_induced_map(g, x_side, y_side, template, vm, l_edges=l.edges):
+            raise DisprovesLemma("key-lemma embedding failed the induced re-check")
         entry["stage"] = "success"
         return EmbeddingOutcome(True, vm, trace)
     return EmbeddingOutcome(False, None, trace)
@@ -909,7 +913,8 @@ def extract_induced_power(g: Graph, copies: Sequence[VertexMap], f: RootedGraph,
                 a_idx, b_idx = color
                 side1 = tuple(copies[i][non[a_idx]] for i in clique[:s])
                 side2 = tuple(copies[j][non[b_idx]] for j in clique[s:])
-                assert all(g.has_edge(u, v) for u in side1 for v in side2)
+                if not all(g.has_edge(u, v) for u in side1 for v in side2):
+                    raise DisprovesLemma("monochromatic clique gave no K_{s,s}")
                 trace.append({"stage": "kss", "color": list(color),
                               "clique": list(clique)})
                 return EmbeddingOutcome(False, None, trace,

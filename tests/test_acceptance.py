@@ -5,6 +5,7 @@ PASS/FAIL line to the real stdout (bypassing capture) so the run log shows a
 scoreboard even when pytest swallows per-test output.
 """
 
+import ast
 import json
 import math
 import os
@@ -378,3 +379,14 @@ def test_cli_determinism(capsys):
         a = subprocess.run(emb, capture_output=True, cwd=ROOT, env=ENV)
         b = subprocess.run(emb, capture_output=True, cwd=ROOT, env=ENV)
         assert a.stdout == b.stdout and a.returncode == b.returncode == 0
+
+
+def test_no_assert_in_source(capsys):
+    # Re-checks must be explicit raises: `python -O` strips assert statements.
+    with scoreboard("re-checks survive python -O (no assert in src)", capsys):
+        found = []
+        for path in sorted((ROOT / "src" / "indturan").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+        assert not found, found

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from indturan import cli
+from indturan import cli, density
+from indturan.errors import DisprovesLemma
 
 # Subprocess runs start in the repository root and import the package from
 # its absolute src directory, whatever the caller's working directory.
@@ -108,6 +109,16 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["realize", "3"])  # missing b
         assert exc.value.code == 2
+
+    def test_internal_fault_exit_code(self, capsys, monkeypatch):
+        # a failed internal re-check is a bug, reported apart from bad input
+        def fail(*args, **kwargs):
+            raise DisprovesLemma("re-check failed")
+
+        monkeypatch.setattr(density, "is_balanced", fail)
+        code, d = run_json(capsys, "balanced", "path:len=3")
+        assert code == 3
+        assert d == {"error": "DisprovesLemma", "message": "re-check failed"}
 
 
 class TestEmbedCommands:
@@ -225,10 +236,12 @@ class TestExport:
         assert d["graph"]["n"] == 3
 
     def test_dot_needs_no_balance_check(self, capsys):
-        # 31 non-roots exceed the balance budget; DOT output never needs it.
-        code, out = run_cli(capsys, "export", "power:base=(path:len=2),l=31",
+        # one non-root per copy: l copies exceed the balance budget, and DOT
+        # output never needs it.
+        l = density.BALANCE_BUDGET + 1
+        code, out = run_cli(capsys, "export", f"power:base=(path:len=2),l={l}",
                             "--format", "dot")
-        assert code == 0 and out.count(" -- ") == 62
+        assert code == 0 and out.count(" -- ") == 2 * l
 
 
 class TestDeterminism:

@@ -3,9 +3,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indturan.density import (
     BALANCE_BUDGET,
+    DensityReport,
     edges_incident,
     is_balanced,
     rho,
@@ -17,6 +20,7 @@ from indturan.families import (
     RootedGraph,
     height_two_tree,
     leaf_rooted_star,
+    parse_descriptor,
     rooted_path,
     rooted_power,
     tree_r11,
@@ -37,6 +41,83 @@ def naive_min_density(f):
             if best is None or val < best or (val == best and sub < best_set):
                 best, best_set = val, sub
     return best, best_set
+
+
+def enumerate_balance(f):
+    """Reference: the definitional 2^q scan of nonempty non-root subsets, with
+    edge sets as bitmasks; ties go to the lexicographically least subset."""
+    non = f.non_roots()
+    q = len(non)
+    edge_list = sorted(f.graph.edges)
+    inc = []
+    for v in non:
+        m = 0
+        for i, (a, b) in enumerate(edge_list):
+            if a == v or b == v:
+                m |= 1 << i
+        inc.append(m)
+    target = rho(f)
+    best = None
+    best_set = None
+    for mask in range(1, 1 << q):
+        em = 0
+        size = 0
+        mm = mask
+        while mm:
+            low = mm & -mm
+            em |= inc[low.bit_length() - 1]
+            size += 1
+            mm ^= low
+        value = Fraction(em.bit_count(), size)
+        subset = tuple(non[i] for i in range(q) if mask >> i & 1)
+        if best is None or value < best or (value == best and subset < best_set):
+            best, best_set = value, subset
+    balanced = best >= target
+    return DensityReport(target, balanced, None if balanced else best_set,
+                         2 - 1 / target if target > 0 else None)
+
+
+@st.composite
+def rooted_pieces(draw):
+    """A small piece: k non-roots 0..k-1 and one root k, with random edges."""
+    k = draw(st.integers(1, 3))
+    pairs = [(u, v) for u in range(k + 1) for v in range(u + 1, k + 1)]
+    return k, draw(st.lists(st.sampled_from(pairs), unique=True))
+
+
+@st.composite
+def rooted_graphs(draw, max_q=16):
+    """Rooted graphs with 1..max_q non-roots: random, edgeless (every subset
+    ties at 0), or tie-heavy (relabelled disjoint copies of one or two small
+    rooted pieces, so many subsets share the minimum ratio).  Roots may be
+    empty."""
+    style = draw(st.sampled_from(["random", "edgeless", "ties"]))
+    if style == "ties":
+        n, edges, roots = 0, [], set()
+        for k, piece in draw(st.lists(rooted_pieces(), min_size=1, max_size=2)):
+            for _ in range(draw(st.integers(1, 4))):
+                edges += [(n + u, n + v) for u, v in piece]
+                roots.add(n + k)
+                n += k + 1
+        if draw(st.booleans()):  # rootless: the roots become non-roots
+            n = min(n, max_q)
+            edges = [(u, v) for u, v in edges if v < n]
+            roots = set()
+        while n - len(roots) > max_q:  # drop trailing vertices
+            n -= 1
+            edges = [(u, v) for u, v in edges if v < n]
+            roots.discard(n)
+        perm = draw(st.permutations(range(n)))
+        edges = [tuple(sorted((perm[u], perm[v]))) for u, v in edges]
+        roots = {perm[v] for v in roots}
+    else:
+        n = draw(st.integers(1, max_q + 4))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [] if style == "edgeless" or not pairs else \
+            draw(st.lists(st.sampled_from(pairs), unique=True))
+        roots = draw(st.sets(st.integers(0, n - 1), min_size=max(0, n - max_q),
+                             max_size=n - 1))
+    return RootedGraph(Graph(n, edges), frozenset(roots))
 
 
 class TestEdgesIncident:
@@ -145,6 +226,46 @@ class TestBalanced:
             if not rep.balanced:
                 assert rep.witness == best_set
                 assert rho_subset(f, rep.witness) == best
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(rooted_graphs())
+    def test_matches_enumerator(self, f):
+        rep = is_balanced(f)
+        ref = enumerate_balance(f)
+        assert (rep.rho, rep.balanced, rep.witness, rep.exponent) == \
+            (ref.rho, ref.balanced, ref.witness, ref.exponent)
+        if len(f.non_roots()) <= 10:
+            best, best_set = naive_min_density(f)
+            assert rep.balanced == (best >= rep.rho)
+            if not rep.balanced:
+                assert rep.witness == best_set
+
+    def test_witness_extends_past_forced_vertices(self):
+        # vertex 0 needs z = k+1 (together they reach ratio 1) and each of
+        # 1..k joins at ratio 1 by its own choice; the lexicographically least
+        # minimizer takes every one of them, and h = k+3 lifts rho above 1
+        k = 5
+        z, r, h = k + 1, k + 2, k + 3
+        edges = [(0, z), (0, r)] + [(i, r) for i in range(1, k + 1)] + \
+            [(h, r), (h, k + 4), (h, k + 5)]
+        f = RootedGraph(Graph(k + 6, edges), frozenset({r, k + 4, k + 5}))
+        rep = is_balanced(f)
+        assert rep == enumerate_balance(f)
+        assert rep.witness == tuple(range(k + 2))
+
+    def test_large_balanced_power(self):
+        f = parse_descriptor("power:base=(path:len=4),l=60")
+        assert len(f.non_roots()) == 180
+        rep = is_balanced(f)
+        assert rep.balanced and rep.witness is None and rep.rho == Fraction(4, 3)
+
+    def test_large_unbalanced_power(self):
+        f = parse_descriptor("power:base=(Trt:r=2,t=3),l=30")
+        assert len(f.non_roots()) == 90
+        rep = is_balanced(f)
+        assert not rep.balanced and rep.witness == (6,)
+        assert rho_subset(f, rep.witness) < rep.rho
 
 
 class TestReduction:

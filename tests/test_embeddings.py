@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -261,7 +265,32 @@ def naive_good_copies(g, l, t, d):
     return out
 
 
+OPTIMIZED_RECHECK = """
+import indturan.embeddings as emb
+from indturan.errors import DisprovesLemma
+from indturan.families import theta
+from indturan.graph import Graph, Host
+
+emb.verify_induced_map = lambda *args: False
+g = theta(3, 2)
+try:
+    next(emb.greedy_tree_embed(Host(g, 2), emb.Subgraph.of(g), Graph(3, [(0, 1), (1, 2)]), 24))
+except DisprovesLemma:
+    print("raised")
+"""
+
+
 class TestGreedyTreeEmbed:
+    def test_failed_recheck_raises_under_optimize(self):
+        # `python -O` strips asserts; the re-check of every emitted copy must
+        # still run there and raise DisprovesLemma.
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_RECHECK],
+                             capture_output=True, text=True, env=env, cwd=root)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
+
     def test_c6_p3_matches_reference(self):
         g = theta(3, 2)
         host = Host(g, 2)
