@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -68,16 +67,31 @@ def _subgraph_from(host: Host, edge_rows: Optional[list]) -> embeddings.Subgraph
     return embeddings.Subgraph.of(host.graph, edges=[tuple(e) for e in edge_rows])
 
 
+def _object(value, name: str) -> dict:
+    """value, which the input must give as a JSON object."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} must be a JSON object")
+    return value
+
+
+def _fraction(value) -> Fraction:
+    """An exact rational from a JSON number or a "p/q" string."""
+    try:
+        return Fraction(str(value))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+
+
 def _thresholds_from(d: Optional[dict]) -> embeddings.Thresholds:
-    if not d:
+    if d is None:
         return embeddings.Thresholds()
     kwargs = {}
-    for key, val in d.items():
+    for key, val in _object(d, "thresholds").items():
         name = "lam" if key == "lambda" else key
         if name in ("c_hs", "m_blow", "lam"):
             kwargs[name] = int(val)
         else:
-            kwargs[name] = Fraction(str(val))
+            kwargs[name] = _fraction(val)
     return embeddings.Thresholds(**kwargs)
 
 
@@ -177,7 +191,7 @@ def _cmd_embed_keylemma(args) -> int:
     l_sub = _subgraph_from(host, spec.get("l_edges"))
     template = _template_from(spec["template"])
     th = _thresholds_from(spec.get("thresholds"))
-    parts = {int(k): tuple(v) for k, v in spec["parts"].items()}
+    parts = {int(k): tuple(v) for k, v in _object(spec["parts"], "parts").items()}
     if "rich_sets" in spec:
         d_sets = {frozenset(s) for s in spec["rich_sets"]}
     else:
@@ -217,7 +231,7 @@ def _cmd_embed_asym(args) -> int:
 def _cmd_check_badset(args) -> int:
     spec = _load_input(args.input)
     g = _graph_from(spec["graph"])
-    bad = embeddings.bad_set(g, spec["w"], Fraction(str(spec["c"])),
+    bad = embeddings.bad_set(g, spec["w"], _fraction(spec["c"]),
                              s=spec.get("s"))
     _dump({"bad": sorted(bad), "size": len(bad)})
     return 0
@@ -227,7 +241,7 @@ def _cmd_check_rich(args) -> int:
     spec = _load_input(args.input)
     g = _graph_from(spec["graph"])
     rich = embeddings.rich_s_set(g, spec["x"], spec["y"],
-                                 Fraction(str(spec["c"])), int(spec["s"]))
+                                 _fraction(spec["c"]), int(spec["s"]))
     _dump({"rich_set": list(rich)})
     return 0
 
@@ -243,7 +257,7 @@ def _cmd_check_regularize(args) -> int:
     spec = _load_input(args.input)
     g = _graph_from(spec["graph"])
     sub, idx, k, report = embeddings.regularize(
-        g, Fraction(str(spec["alpha"])), Fraction(str(spec["c"])))
+        g, _fraction(spec["alpha"]), _fraction(spec["c"]))
     _dump({"m": report.m, "e": report.e, "k": str(k),
            "k_log2": str(report.k_log2),
            "edge_guarantee": report.edge_guarantee,
@@ -341,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    random.seed(args.seed)
     try:
         return args.func(args)
     except (IndturanError, ValueError, KeyError, TypeError, OSError) as exc:

@@ -12,8 +12,10 @@ roots.  The families built here are the bases of the realizability chains:
   bipartite graphs).
 
 rooted_power glues l copies along the shared roots; attach_ktt adds a crossed
-K_{t,t} to a bipartite graph (the "reduction" that raises density by one when
-t = 1).  Descriptor strings like "Trt:r=3,t=1" name all of these for the CLI.
+K_{t,t} to a bipartite graph.  With the new vertices as roots this is t
+"reductions" at once: it raises the density by exactly t, and equals t crossed
+K_{1,1}s attached one after another up to relabelling.  Descriptor strings like
+"Trt:r=3,t=1" name all of these for the CLI.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     RootEdgeCollision,
     TooLarge,
 )
-from .graph import Graph, bipartition
+from .graph import Graph, bipartition, bits, check_partition, mask_of
 
 Parts = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -68,16 +70,14 @@ class BipartiteTemplate:
     parts: Parts
 
     def __post_init__(self):
-        a, b = self.parts
-        sa, sb = set(a), set(b)
-        if sa & sb or len(sa) != len(a) or len(sb) != len(b):
-            raise NotBipartite("parts must be disjoint and duplicate-free")
-        if sa | sb != set(range(self.graph.n)):
-            raise NotBipartite("parts must cover all vertices")
-        for u, v in self.graph.edges:
-            if (u in sa) == (v in sa):
-                raise NotBipartite(f"edge {(u, v)} lies inside one part")
-        object.__setattr__(self, "parts", (tuple(sorted(sa)), tuple(sorted(sb))))
+        parts = check_partition(self.graph.n, self.parts, NotBipartite)
+        for side in parts:
+            inside = mask_of(side)
+            for u in side:
+                clash = self.graph.adj[u] & inside
+                if clash:  # u is the least vertex of an inside edge
+                    raise NotBipartite(f"edge {(u, next(bits(clash)))} lies inside one part")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def a_side(self) -> tuple[int, ...]:
@@ -206,7 +206,9 @@ def theta(length: int, t: int) -> Graph:
 
 def attach_ktt(h: BipartiteTemplate, t: int) -> BipartiteTemplate:
     """Add parts C (glued completely to B) and D (glued completely to A) with a
-    complete C-D crossing; C joins the A side, D the B side.  t = 0 is identity."""
+    complete C-D crossing; C joins the A side, D the B side.  t = 0 is identity.
+
+    C is n..n+t-1 and D is n+t..n+2t-1 for n = h.graph.n."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0:
@@ -214,44 +216,22 @@ def attach_ktt(h: BipartiteTemplate, t: int) -> BipartiteTemplate:
     n = h.graph.n
     c_new = tuple(range(n, n + t))
     d_new = tuple(range(n + t, n + 2 * t))
-    edges = list(h.graph.edges)
-    edges += [(c, d) for c in c_new for d in d_new]
-    edges += [(a, d) for a in h.a_side for d in d_new]
-    edges += [(b, c) for b in h.b_side for c in c_new]
-    g = Graph(n + 2 * t, edges)
-    return BipartiteTemplate(g, (h.a_side + c_new, h.b_side + d_new))
+    a_mask, b_mask = mask_of(h.a_side), mask_of(h.b_side)
+    c_mask, d_mask = mask_of(c_new), mask_of(d_new)
+    rows = [row | (d_mask if a_mask >> v & 1 else c_mask) for v, row in enumerate(h.graph.adj)]
+    rows += [b_mask | d_mask] * t + [a_mask | c_mask] * t
+    return BipartiteTemplate(Graph.from_rows(rows), (h.a_side + c_new, h.b_side + d_new))
 
 
 def attach_ktt_rooted(f: RootedGraph, parts: Parts, t: int) -> RootedGraph:
-    """attach_ktt on the underlying graph; the 2t new vertices become roots."""
+    """attach_ktt on the underlying graph; the 2t new vertices become roots,
+    so the density rises by exactly t."""
     template = BipartiteTemplate(f.graph, parts)  # raises NotBipartite if unfit
     if t == 0:
         return f
     reduced = attach_ktt(template, t)
     new = set(range(f.graph.n, f.graph.n + 2 * t))
     return RootedGraph(reduced.graph, frozenset(f.roots) | new)
-
-
-def reduced_parts(parts: Parts, n: int, t: int) -> Parts:
-    """Parts of attach_ktt(_, t) applied to a graph on n vertices with `parts`."""
-    if t == 0:
-        return parts
-    c_new = tuple(range(n, n + t))
-    d_new = tuple(range(n + t, n + 2 * t))
-    return (tuple(sorted(parts[0] + c_new)), tuple(sorted(parts[1] + d_new)))
-
-
-def power_parts(base_parts: Parts, power: RootedGraph) -> Parts:
-    """Bipartition of a rooted power inherited per copy from the base parts."""
-    if power.copy_maps is None:
-        raise ValueError("power carries no copy maps")
-    a, b = set(), set()
-    for cm in power.copy_maps:
-        a.update(cm[v] for v in base_parts[0])
-        b.update(cm[v] for v in base_parts[1])
-    if a & b:
-        raise NotBipartite("copies disagree on the inherited parts")
-    return tuple(sorted(a)), tuple(sorted(b))
 
 
 def neighborhood_hypergraph(h: BipartiteTemplate) -> NeighborhoodHypergraph:

@@ -199,6 +199,21 @@ def bipartition(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     return side0, side1
 
 
+def check_partition(n: int, sides, error: type[Exception] = InvalidPartition
+                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two sides of a partition of 0..n-1, each sorted; raises `error`
+    unless there are two disjoint, duplicate-free sides covering every vertex."""
+    if len(sides) != 2:
+        raise error("a partition needs exactly two sides")
+    x, y = sides
+    xs, ys = set(x), set(y)
+    if xs & ys or len(xs) != len(x) or len(ys) != len(y):
+        raise error("partition sides must be disjoint and duplicate-free")
+    if xs | ys != set(range(n)):
+        raise error("partition must cover all vertices")
+    return tuple(sorted(xs)), tuple(sorted(ys))
+
+
 @dataclass(frozen=True)
 class Host:
     """A host graph, an optional (X, Y) vertex partition, and the K_{s,s} size s."""
@@ -211,13 +226,7 @@ class Host:
         if self.s < 1:
             raise ValueError("s must be positive")
         if self.partition is not None:
-            x, y = self.partition
-            xs, ys = set(x), set(y)
-            if xs & ys or len(xs) != len(x) or len(ys) != len(y):
-                raise InvalidPartition("partition sides must be disjoint and duplicate-free")
-            if xs | ys != set(range(self.graph.n)):
-                raise InvalidPartition("partition must cover all vertices")
-            object.__setattr__(self, "partition", (tuple(sorted(xs)), tuple(sorted(ys))))
+            object.__setattr__(self, "partition", check_partition(self.graph.n, self.partition))
 
 
 def is_injective(vm: VertexMap) -> bool:

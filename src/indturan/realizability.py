@@ -1,18 +1,20 @@
 """Certificates that a rational exponent 2 - a/b is realized by a rooted family.
 
 For reduced a/b with b >= max(a, (a-1)^2) the residue of b mod a picks a base
-family whose density is congruent to b/a, and K_{1,1} reductions (each raising
-the density by exactly 1) walk it up to b/a:
+family whose density is congruent to b/a, and r reductions walk it up to b/a.
+The r reductions are one K_{r,r} attachment to the glued graph, which raises
+the density by exactly r (r crossed K_{1,1}s, attached one after another with
+their parts tracked, give the same graph up to relabelling):
 
   a = 1          -> leaf-rooted star with b leaves (powers are K_{b,l})
   b mod a = 1    -> rooted path of length a+1
   b mod a = a-1  -> tree_r11(a-1)               (a >= 3)
   else residue d -> height_two_tree(a-1, a-1-d) (a >= 4)
 
-A certificate records the base, the reduction count, the gluing multiplicity l,
-and the sufficient host-side value s0 = |V(H)| for H the l-th power of the
-reduced graph.  verify_certificate replays the arithmetic and re-derives the
-density and balancedness of the reconstructed rooted graph from scratch.
+A certificate records the base, the reduction count r, the gluing multiplicity
+l, and the sufficient host-side value s0 = |V(H)| for H the witness graph.
+verify_certificate replays the arithmetic and re-derives the density and
+balancedness of the rebuilt witness from scratch.
 """
 
 from __future__ import annotations
@@ -26,18 +28,16 @@ from typing import Optional
 from .density import is_balanced, rho
 from .errors import CertificateInvalid, NotQualified, TooLarge
 from .families import (
-    Parts,
     RootedGraph,
     as_template,
     attach_ktt_rooted,
     height_two_tree,
     leaf_rooted_star,
-    reduced_parts,
     rooted_path,
     rooted_power,
     tree_r11,
 )
-from .graph import Graph, bipartition
+from .graph import bipartition
 
 S0_RULE = "s0 = |V(H)|"
 
@@ -156,36 +156,18 @@ def qualifies(a: int, b: int) -> bool:
     return b0 > a0 and b0 >= max(a0, (a0 - 1) ** 2)
 
 
-@dataclass(frozen=True)
-class Witness:
-    """Reconstruction of a certificate: the glued-and-reduced rooted graph
-    (whose underlying graph is the witness H), with its tracked bipartition."""
-
-    f_final: RootedGraph
-    parts: Parts
-    h: Graph
-    s0: int
-
-
-def build_witness(cert: RealizabilityCertificate, l: Optional[int] = None) -> Witness:
-    """Glue l copies of the base along its roots, then apply cert.reductions
-    single-edge attachments to the glued graph.
+def build_witness(cert: RealizabilityCertificate, l: Optional[int] = None) -> RootedGraph:
+    """The rooted witness of a certificate: l copies of the base glued along
+    their roots, then one K_{r,r} attached for the r = cert.reductions
+    reductions (its 2r vertices are roots).  Its graph is H, and s0 = H.n.
 
     Attaching first and gluing second would name the same graph H (the added
     vertices are roots, shared by every copy), but gluing an attached graph
     would put an edge inside the root set, which the power constructor
     rejects; this order keeps every operand legal and yields H directly.
     """
-    l = cert.l if l is None else l
-    if l < 1:
-        raise ValueError("power needs l >= 1")
-    f = rooted_power(cert.base.rooted_graph(), l)
-    parts = as_template(f).parts
-    for _ in range(cert.reductions):
-        n_before = f.graph.n
-        f = attach_ktt_rooted(f, parts, 1)
-        parts = reduced_parts(parts, n_before, 1)
-    return Witness(f, parts, f.graph, f.graph.n)
+    f = rooted_power(cert.base.rooted_graph(), cert.l if l is None else l)
+    return attach_ktt_rooted(f, as_template(f).parts, cert.reductions)
 
 
 @dataclass(frozen=True)
@@ -213,15 +195,16 @@ def verify_certificate(cert: RealizabilityCertificate) -> VerificationResult:
     if rho(base_graph) + cert.reductions != target_rho:
         return VerificationResult(False, "RhoMismatch")
     witness = build_witness(cert)
-    if rho(witness.f_final) != target_rho:
+    report = is_balanced(witness)
+    if report.rho != target_rho:
         return VerificationResult(False, "RhoMismatch")
-    if bipartition(witness.f_final.graph) is None:
+    if bipartition(witness.graph) is None:
         return VerificationResult(False, "NotBipartite")
-    if not is_balanced(witness.f_final).balanced:
+    if not report.balanced:
         return VerificationResult(False, "Unbalanced")
     if cert.exponent != t.exponent:
         return VerificationResult(False, "ExponentMismatch")
-    if cert.s0 != witness.s0:
+    if cert.s0 != witness.graph.n:
         return VerificationResult(False, "BadParameters")
     return VerificationResult(True)
 

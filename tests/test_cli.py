@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indturan import cli, density
 from indturan.errors import DisprovesLemma
@@ -178,6 +183,25 @@ class TestEmbedCommands:
         assert code == 0 and d["found"] is True
         assert d["trace"][0]["c3_guarantee"] is True
 
+    @pytest.mark.parametrize("procedure", ["asym", "keylemma"])
+    def test_thresholds_must_be_object(self, capsys, tmp_path, kl_path, procedure):
+        spec = json.loads(open(kl_path).read())
+        spec["thresholds"] = [1]
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(spec))
+        code, d = run_json(capsys, "embed", procedure, "--input", str(p))
+        assert code == 1
+        assert d == {"error": "TypeError", "message": "thresholds must be a JSON object"}
+
+    def test_parts_must_be_object(self, capsys, tmp_path, kl_path):
+        spec = json.loads(open(kl_path).read())
+        spec["parts"] = []
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(spec))
+        code, d = run_json(capsys, "embed", "keylemma", "--input", str(p))
+        assert code == 1
+        assert d == {"error": "TypeError", "message": "parts must be a JSON object"}
+
     def test_missing_file_is_domain_error(self, capsys):
         code, d = run_json(capsys, "embed", "tree", "--input", "/nonexistent.json")
         assert code == 1 and d["error"] == "FileNotFoundError"
@@ -191,6 +215,14 @@ class TestCheckCommands:
         p.write_text(json.dumps(spec))
         code, d = run_json(capsys, "check", "badset", "--input", str(p))
         assert code == 0 and d["bad"] == [0]
+
+    def test_zero_denominator_is_domain_error(self, capsys, tmp_path):
+        spec = {"graph": {"n": 6, "edges": [[0, i] for i in range(1, 6)]},
+                "w": [1, 2, 3], "c": "1/0"}
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(spec))
+        code, d = run_json(capsys, "check", "badset", "--input", str(p))
+        assert code == 1 and d["error"] == "ValueError"
 
     def test_rich(self, capsys, tmp_path):
         spec = {"graph": {"n": 8,
@@ -261,3 +293,124 @@ class TestDeterminism:
                              capture_output=True, cwd=ROOT, env=ENV)
         assert seq.returncode == par.returncode == 0
         assert seq.stdout == par.stdout
+
+
+# --- malformed --input fuzzing ----------------------------------------------------
+#
+# One small valid instance per embed/check command, the keys it cannot do
+# without, and the paths of the fields read as numbers.  Each fuzz example
+# breaks one instance in a way that no reading accepts.
+
+_HOST = {"n": 9, "edges": [[i, j] for i in range(4) for j in range(4, 9)],
+         "partition": {"X": [0, 1, 2, 3], "Y": [4, 5, 6, 7, 8]}, "s": 2}
+_PATH3 = {"n": 3, "edges": [[0, 1], [1, 2]]}
+_THRESHOLDS = {"c_hs": 3, "m_blow": 2}
+
+VALID_INPUTS = {
+    ("embed", "tree"): ({"host": {"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)], "s": 2},
+                        "tree": _PATH3, "d": 24},
+                       ["host", "tree", "d"],
+                       [("d",), ("host", "s"), ("host", "n"), ("tree", "n")]),
+    ("embed", "keylemma"): ({"host": _HOST, "template": _PATH3,
+                            "parts": {"0": [0, 1], "2": [2, 3]},
+                            "rich_threshold": 2, "thresholds": _THRESHOLDS},
+                           ["host", "template", "parts", "rich_threshold"],
+                           [("rich_threshold",), ("host", "s"), ("host", "n"), ("template", "n"),
+                            ("thresholds", "c_hs"), ("thresholds", "m_blow")]),
+    ("embed", "extract"): ({"host": {"n": 7,
+                                     "edges": [[u, w] for u in (0, 1) for w in range(2, 7)]},
+                           "pattern": dict(_PATH3, roots=[0, 2]),
+                           "copies": [[0, w, 1] for w in range(2, 7)], "l": 2, "s": 2},
+                          ["host", "pattern", "copies", "l", "s"],
+                          [("l",), ("s",), ("host", "n"), ("pattern", "n")]),
+    ("embed", "asym"): ({"host": _HOST, "template": _PATH3, "thresholds": _THRESHOLDS},
+                       ["host", "template"],
+                       [("host", "s"), ("host", "n"), ("template", "n"),
+                        ("thresholds", "c_hs"), ("thresholds", "m_blow")]),
+    ("check", "badset"): ({"graph": {"n": 6, "edges": [[0, i] for i in range(1, 6)]},
+                          "w": [1, 2, 3], "c": "2/3"},
+                         ["graph", "w", "c"], [("c",), ("graph", "n")]),
+    ("check", "rich"): ({"graph": {"n": 8,
+                                   "edges": [[i, j] for i in range(4) for j in range(4, 8)]},
+                        "x": [0, 1, 2, 3], "y": [4, 5, 6, 7], "c": 1, "s": 2},
+                       ["graph", "x", "y", "c", "s"], [("c",), ("s",), ("graph", "n")]),
+    ("check", "kst"): ({"n": 4, "edges": [[0, 1], [1, 2]],
+                        "partition": {"X": [0, 2], "Y": [1, 3]}, "s": 2},
+                       ["n", "s"], [("n",), ("s",)]),
+    ("check", "regularize"): ({"graph": {"n": 8, "edges": [[i, (i + 1) % 8] for i in range(8)]
+                                         + [[i, (i + 2) % 8] for i in range(8)]},
+                               "alpha": "1/2", "c": "1/4"},
+                              ["graph", "alpha", "c"], [("alpha",), ("c",), ("graph", "n")]),
+}
+
+_SMALL = st.integers(-2, 9)
+_NON_OBJECTS = st.one_of(st.lists(_SMALL, max_size=3), _SMALL, st.text(max_size=3), st.booleans())
+_NON_NUMBERS = st.sampled_from(["x", "", "1/0", [1], {}, None])
+
+
+def run_stdin(argv, doc):
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), contextlib.redirect_stdout(out):
+        code = cli.main([*argv, "--input", "-"])
+    return code, out.getvalue()
+
+
+def _nodes(doc, path=()):
+    """Paths of every JSON object below the root of doc."""
+    for key, val in doc.items():
+        if isinstance(val, dict):
+            yield path + (key,)
+            yield from _nodes(val, path + (key,))
+
+
+def _set(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def malformed_inputs(draw):
+    argv = draw(st.sampled_from(sorted(VALID_INPUTS)))
+    doc, required, numeric = VALID_INPUTS[argv]
+    how = draw(st.sampled_from(["document", "drop", "object", "number", "edge"]))
+    if how == "document":
+        return argv, draw(st.one_of(_NON_OBJECTS, st.none()))
+    if how == "drop":
+        key = draw(st.sampled_from(required))
+        return argv, {k: v for k, v in doc.items() if k != key}
+    if how == "object":
+        return argv, _set(doc, draw(st.sampled_from(list(_nodes(doc)))), draw(_NON_OBJECTS))
+    if how == "number":
+        return argv, _set(doc, draw(st.sampled_from(numeric)), draw(_NON_NUMBERS))
+    graphs = [p for p in [(), *_nodes(doc)] if "edges" in _get(doc, p)]
+    path = draw(st.sampled_from(graphs))
+    n = _get(doc, path)["n"]
+    bad = draw(st.sampled_from([[], [0], [0, 1, 2], 0, "ab", [0, n], [-1, 0], [1, 1]]))
+    edges = _get(doc, path)["edges"]
+    at = draw(st.integers(0, len(edges)))
+    return argv, _set(doc, path + ("edges",), edges[:at] + [bad] + edges[at:])
+
+
+class TestMalformedInputFuzz:
+    @pytest.mark.parametrize("argv", sorted(VALID_INPUTS), ids="-".join)
+    def test_valid_inputs_pass(self, argv):
+        code, out = run_stdin(argv, VALID_INPUTS[argv][0])
+        assert code == 0 and "error" not in json.loads(out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(malformed_inputs())
+    def test_malformed_input_is_domain_error(self, case):
+        argv, doc = case
+        code, out = run_stdin(argv, doc)
+        assert code == 1
+        assert set(json.loads(out)) == {"error", "message"}

@@ -21,8 +21,6 @@ from indturan.families import (
     leaf_rooted_star,
     neighborhood_hypergraph,
     parse_descriptor,
-    power_parts,
-    reduced_parts,
     rooted_path,
     rooted_power,
     theta,
@@ -204,27 +202,6 @@ class TestAttachKttRooted:
         f = rooted_path(3)
         with pytest.raises(NotBipartite):
             attach_ktt_rooted(f, ((0, 1), (2, 3)), 1)
-
-    def test_reduced_parts_track(self):
-        f = rooted_path(3)
-        parts = bipartition(f.graph)
-        out = attach_ktt_rooted(f, parts, 2)
-        p2 = reduced_parts(parts, f.graph.n, 2)
-        for u in p2[0]:
-            for v in p2[0]:
-                assert not out.graph.has_edge(u, v)
-
-
-class TestPowerParts:
-    def test_inherited_parts_are_bipartition(self):
-        f = rooted_path(3)
-        base = bipartition(f.graph)
-        p = rooted_power(f, 2)
-        parts = power_parts(base, p)
-        assert sorted(parts[0] + parts[1]) == list(range(p.graph.n))
-        for u in parts[0]:
-            for v in parts[0]:
-                assert not p.graph.has_edge(u, v)
 
 
 class TestNeighborhoodHypergraph:

@@ -12,7 +12,9 @@ from indturan.errors import (
     EmptyQuery,
     InvalidPartition,
     Multigraph,
+    NotBipartite,
 )
+from indturan.families import BipartiteTemplate
 from indturan.graph import (
     Graph,
     Host,
@@ -183,6 +185,33 @@ class TestHost:
     def test_s_validated(self):
         with pytest.raises(ValueError):
             Host(path(2), 0)
+
+
+class TestPartitionRule:
+    # Partitions of an edgeless graph on 0..3, so a template can only fail on
+    # its parts.
+    MALFORMED = {
+        "overlapping": ((0, 1), (1, 2, 3)),
+        "duplicated": ((0, 0, 1), (2, 3)),
+        "missing a vertex": ((0, 1), (2,)),
+        "out of range": ((0, 1), (2, 3, 4)),
+        "negative": ((-1, 0, 1), (2, 3)),
+        "three sides": ((0,), (1, 2), (3,)),
+    }
+
+    @pytest.mark.parametrize("parts", MALFORMED.values(), ids=MALFORMED)
+    def test_host_and_template_reject_alike(self, parts):
+        g = Graph(4, [])
+        with pytest.raises(InvalidPartition) as host_error:
+            Host(g, 2, parts)
+        with pytest.raises(NotBipartite) as template_error:
+            BipartiteTemplate(g, parts)
+        assert str(host_error.value) == str(template_error.value)
+
+    def test_sides_sorted_alike(self):
+        g = path(4)
+        parts = ((2, 0), (3, 1))
+        assert Host(g, 2, parts).partition == BipartiteTemplate(g, parts).parts == ((0, 2), (1, 3))
 
 
 class TestJson:

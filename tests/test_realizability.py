@@ -8,7 +8,7 @@ import pytest
 from indturan import realizability
 from indturan.density import is_balanced, rho
 from indturan.errors import NotQualified, TooLarge
-from indturan.families import theta
+from indturan.families import RootedGraph, as_template, rooted_power, theta
 from indturan.graph import Graph, bipartition
 from indturan.oracles import is_isomorphic
 from indturan.realizability import (
@@ -101,27 +101,54 @@ class TestDerive:
         assert cert.exponent == 2 - Fraction(2, 5)
 
 
+def stepwise_witness(cert: RealizabilityCertificate, l: int) -> RootedGraph:
+    """The witness built one crossed K_{1,1} at a time: reduction i adds
+    c = n + 2i, joined to side B, and d = n + 2i + 1, joined to side A and to c;
+    then c joins side A, d joins side B, and both become roots."""
+    f = rooted_power(cert.base.rooted_graph(), l)
+    a, b = as_template(f).parts
+    n, edges, roots = f.graph.n, set(f.graph.edges), set(f.roots)
+    for _ in range(cert.reductions):
+        c, d = n, n + 1
+        edges |= {(c, d)} | {(x, d) for x in a} | {(y, c) for y in b}
+        a, b, roots, n = a + (c,), b + (d,), roots | {c, d}, n + 2
+    return RootedGraph(Graph(n, edges), frozenset(roots))
+
+
 class TestBuildWitness:
     def test_k34(self):
         w = build_witness(derive(1, 3), l=4)
         k34 = Graph(7, [(i, j) for i in range(3) for j in range(3, 7)])
-        assert is_isomorphic(w.h, k34)
+        assert is_isomorphic(w.graph, k34)
 
     def test_c6(self):
         w = build_witness(derive(2, 3), l=2)
-        assert is_isomorphic(w.h, theta(3, 2))
+        assert is_isomorphic(w.graph, theta(3, 2))
 
     def test_s0_is_vertex_count(self):
         cert = derive(5, 16)
         w = build_witness(cert)
-        assert cert.s0 == w.s0 == w.h.n
+        assert cert.s0 == w.graph.n
 
     def test_reduced_witness_properties(self):
         cert = derive(2, 5)
         w = build_witness(cert)
-        assert rho(w.f_final) == Fraction(5, 2)
-        assert is_balanced(w.f_final).balanced
-        assert bipartition(w.f_final.graph) is not None
+        assert rho(w) == Fraction(5, 2)
+        assert is_balanced(w).balanced
+        assert bipartition(w.graph) is not None
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_matches_stepwise_construction(self, l):
+        # one K_{r,r} attachment is r single K_{1,1} steps under the
+        # relabelling c_i -> n + i, d_i -> n + r + i
+        for _, _, cert in enumerate_realizable(7, 50, l):
+            old = stepwise_witness(cert, l)
+            r, n = cert.reductions, old.graph.n - 2 * cert.reductions
+            label = list(range(n)) + [n + (i // 2) + (i % 2) * r for i in range(2 * r)]
+            w = build_witness(cert)
+            assert w.graph.edges == {tuple(sorted((label[u], label[v])))
+                                     for u, v in old.graph.edges}
+            assert w.roots == {label[v] for v in old.roots}
 
 
 class TestVerify:
@@ -193,4 +220,4 @@ class TestReducedRational:
 
 
 def test_witness_type_hints_resolve():
-    assert typing.get_type_hints(realizability.Witness)["h"] is Graph
+    assert typing.get_type_hints(realizability.build_witness)["return"] is RootedGraph
