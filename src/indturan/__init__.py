@@ -10,7 +10,6 @@ ground truth at desk scale), `embeddings` (lemma procedures), `cli`.
 from .density import DensityReport, is_balanced, rho, rho_subset, verify_reduction_rho
 from .embeddings import (
     EmbeddingOutcome,
-    Subgraph,
     Thresholds,
     asymmetric_embed,
     bad_set,
@@ -37,7 +36,7 @@ from .families import (
     theta,
     tree_r11,
 )
-from .graph import Graph, Host, bipartition, induced_subgraph
+from .graph import Graph, Host, bipartition, edge_subgraph, induced_subgraph
 from .oracles import (
     ExtremalResult,
     contains_induced,
@@ -69,7 +68,6 @@ __all__ = [
     "IndturanError",
     "RealizabilityCertificate",
     "RootedGraph",
-    "Subgraph",
     "Thresholds",
     "asymmetric_embed",
     "attach_ktt",
@@ -82,6 +80,7 @@ __all__ = [
     "contains_subgraph",
     "cross_subgraph",
     "derive",
+    "edge_subgraph",
     "enumerate_realizable",
     "extract_induced_power",
     "extremal_bip_star",

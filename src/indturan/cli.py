@@ -5,6 +5,11 @@ byte-identical.  Exit codes: 0 success, 1 domain error (printed as an
 {"error", "message"} object), 2 usage error (argparse), 3 internal fault: a
 re-check failed (DisprovesLemma), which means a bug, printed like a domain
 error.
+
+The `thresholds` object of `embed keylemma` and `embed asym` accepts exactly
+the `embeddings.Thresholds` fields: integers `c_hs` and `m_blow`, rationals
+`gamma` and `c3` (a JSON number or a "p/q" string).  Any other key is a
+domain error (TypeError).
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from typing import Optional
 from . import density, embeddings, oracles, realizability
 from .errors import DisprovesLemma, IndturanError
 from .families import BipartiteTemplate, RootedGraph, as_graph, as_template, parse_descriptor
-from .graph import (Graph, Host, common_neighborhood_mask, graph_from_json_dict,
-                    graph_to_json_dict, to_dot)
+from .graph import (Graph, Host, common_neighborhood_mask, edge_subgraph,
+                    graph_from_json_dict, graph_to_json_dict, to_dot)
 
 
 def _dump(obj) -> None:
@@ -59,12 +64,12 @@ def _rooted_from(d: dict) -> RootedGraph:
     return RootedGraph(g, frozenset(roots))
 
 
-def _subgraph_from(host: Host, edge_rows: Optional[list]) -> embeddings.Subgraph:
-    if edge_rows is None:
-        if host.partition is not None:
-            return embeddings.cross_subgraph(host)
-        return embeddings.Subgraph.of(host.graph)
-    return embeddings.Subgraph.of(host.graph, edges=[tuple(e) for e in edge_rows])
+def _subgraph_from(host: Host, edge_rows: Optional[list]) -> Graph:
+    """The listed host edges; by default the cross edges, or all edges when
+    the host has no partition."""
+    if edge_rows is not None:
+        return edge_subgraph(host.graph, [tuple(e) for e in edge_rows])
+    return host.graph if host.partition is None else embeddings.cross_subgraph(host)
 
 
 def _object(value, name: str) -> dict:
@@ -85,13 +90,8 @@ def _fraction(value) -> Fraction:
 def _thresholds_from(d: Optional[dict]) -> embeddings.Thresholds:
     if d is None:
         return embeddings.Thresholds()
-    kwargs = {}
-    for key, val in _object(d, "thresholds").items():
-        name = "lam" if key == "lambda" else key
-        if name in ("c_hs", "m_blow", "lam"):
-            kwargs[name] = int(val)
-        else:
-            kwargs[name] = _fraction(val)
+    kwargs = {key: int(val) if key in ("c_hs", "m_blow") else _fraction(val)
+              for key, val in _object(d, "thresholds").items()}
     return embeddings.Thresholds(**kwargs)
 
 
@@ -153,15 +153,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
+    budget = {} if args.budget is None else {"budget": args.budget}
     if args.mode == "bip":
         template = as_template(parse_descriptor(args.pattern))
-        res = oracles.extremal_bip_star(args.n, template, args.s, budget=args.budget)
+        res = oracles.extremal_bip_star(args.n, template, args.s, **budget)
     elif args.mode == "classical":
         res = oracles.extremal_classical(args.n, as_graph(parse_descriptor(args.pattern)),
-                                         budget=args.budget)
+                                         **budget)
     else:
         res = oracles.extremal_star(args.n, as_graph(parse_descriptor(args.pattern)),
-                                    args.s, budget=args.budget)
+                                    args.s, **budget)
     _dump(res.as_json_dict())
     return 0
 
@@ -231,8 +232,9 @@ def _cmd_embed_asym(args) -> int:
 def _cmd_check_badset(args) -> int:
     spec = _load_input(args.input)
     g = _graph_from(spec["graph"])
+    s = spec.get("s")
     bad = embeddings.bad_set(g, spec["w"], _fraction(spec["c"]),
-                             s=spec.get("s"))
+                             s=None if s is None else int(s))
     _dump({"bad": sorted(bad), "size": len(bad)})
     return 0
 
@@ -324,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=2)
     p.add_argument("--pattern", required=True, help="descriptor of the pattern")
     p.add_argument("--mode", choices=["star", "classical", "bip"], default="star")
-    p.add_argument("--budget", type=int, default=oracles.STAR_BUDGET)
+    p.add_argument("--budget", type=int,
+                   help="largest n searched (default: the mode's own budget)")
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("embed", help="run an embedding procedure on a JSON instance")

@@ -41,53 +41,16 @@ from .graph import (
 from .oracles import contains_kss, verify_bip_induced_map, verify_induced_map
 
 
-# --- edge/vertex subgraphs of an ambient host ----------------------------------
+# --- cross edges of a partitioned host -----------------------------------------------
 
 
-class Subgraph(Graph):
-    """A subset of vertices and edges of an ambient graph on n vertices.
-
-    It is a Graph on the ambient vertex ids 0..n-1 whose edges lie inside
-    `vertices`; equality compares `vertices` too.
-    """
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, n: int, vertices: Iterable[int], edges: Iterable[Sequence[int]]):
-        super().__init__(n, edges)
-        self.vertices = frozenset(vertices)
-        for v in bits(self.vertex_mask() & ~mask_of(self.vertices)):
-            if self.adj[v]:
-                raise ValueError(f"edge {(v, self.neighbors(v)[0])} leaves the vertex set")
-
-    @classmethod
-    def of(cls, g: Graph, vertices: Optional[Iterable[int]] = None,
-           edges: Optional[Iterable[Sequence[int]]] = None) -> "Subgraph":
-        verts = frozenset(range(g.n)) if vertices is None else frozenset(vertices)
-        if edges is None:
-            return cls(g.n, verts, [e for e in g.edges if e[0] in verts and e[1] in verts])
-        es = [(u, v) if u < v else (v, u) for u, v in edges]
-        for e in es:
-            if e not in g.edges:
-                raise ValueError(f"edge {e} is not an edge of the ambient graph")
-        return cls(g.n, verts, es)
-
-    def __eq__(self, other):
-        return isinstance(other, Subgraph) and self.vertices == other.vertices \
-            and self.adj == other.adj
-
-    def __hash__(self):
-        return hash((self.vertices, self.adj))
-
-
-def cross_subgraph(host: Host) -> Subgraph:
-    """The cross edges of the host's partition, as a Subgraph."""
+def cross_subgraph(host: Host) -> Graph:
+    """The spanning subgraph of the host graph on its partition's cross edges."""
     if host.partition is None:
         raise NoPartition("host carries no (X, Y) partition")
-    xm = mask_of(host.partition[0])
-    edges = {e for e in host.graph.edges
-             if bool(xm >> e[0] & 1) != bool(xm >> e[1] & 1)}
-    return Subgraph.of(host.graph, edges=edges)
+    xm, ym = (mask_of(side) for side in host.partition)
+    return Graph.from_rows(row & (ym if xm >> v & 1 else xm)
+                           for v, row in enumerate(host.graph.adj))
 
 
 # --- thresholds and the source formulas -----------------------------------------
@@ -95,36 +58,26 @@ def cross_subgraph(host: Host) -> Subgraph:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Tunable constants for the embedding procedures.
+    """The constants read by `key_lemma_embed` and `asymmetric_embed`.
 
     The named functions below compute the source's asymptotic values; tests run
-    with small overrides, exercising mechanisms rather than magnitudes.
+    with small overrides, exercising mechanisms rather than magnitudes.  The
+    source's c, alpha and C are arguments of `bad_set` and `regularize`.
     """
 
-    c: Fraction = Fraction(1, 2)        # density/bad-set parameter, 0 < c < 1
-    k: Fraction = Fraction(4)           # almost-regularity factor
-    alpha: Fraction = Fraction(1, 2)    # density exponent, 0 < alpha < 1
-    c_big: Fraction = Fraction(1)       # edge-count coefficient
     c_hs: int = 3                       # rich common-neighborhood threshold
     m_blow: int = 1                     # blowup multiplicity
     gamma: Fraction = Fraction(1, 2)    # rich-set density fraction, 0 < gamma < 1
-    lam: int = 5                        # copy count for extraction
-    c1: Fraction = Fraction(1)
-    c2: Fraction = Fraction(1)
-    c3: Fraction = Fraction(1)
+    c3: Fraction = Fraction(1)          # asymmetric edge-count coefficient
 
     def __post_init__(self):
-        for name in ("c", "k", "alpha", "c_big", "gamma", "c1", "c2", "c3"):
+        for name in ("gamma", "c3"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if not 0 < self.c < 1:
-            raise ValueError("c must lie in (0, 1)")
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.k < 1 or self.c_big <= 0 or self.c1 <= 0 or self.c2 <= 0 or self.c3 <= 0:
+        if self.c3 <= 0:
             raise ValueError("factors must be positive")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.c_hs < 1 or self.m_blow < 1 or self.lam < 1:
+        if self.c_hs < 1 or self.m_blow < 1:
             raise ValueError("integer thresholds must be positive")
 
 
@@ -364,15 +317,14 @@ def regularize(g: Graph, alpha: Fraction, c_big: Fraction) -> tuple[Graph, tuple
 # --- greedy tree embedding ----------------------------------------------------------
 
 
-def tree_bad_sets(g: Graph, l: Subgraph, t_count: int, d: int) -> dict[int, int]:
+def tree_bad_sets(g: Graph, l: Graph, t_count: int, d: int) -> dict[int, int]:
     """B(x) per L-vertex x as bitmasks: y with |N_G(y) ∩ N_L(x)| >= d/(4t)."""
     thresh = Fraction(d, 4 * t_count)
     out = {}
-    lverts = sorted(l.vertices)
-    for x in lverts:
+    for x in range(l.n):
         nl = l.adj[x]
         m = 0
-        for y in lverts:
+        for y in range(l.n):
             if Fraction((g.adj[y] & nl).bit_count()) >= thresh:
                 m |= 1 << y
         out[x] = m
@@ -404,7 +356,7 @@ def _grow_order(t: Graph) -> tuple[list[int], dict[int, int]]:
     return order, parent
 
 
-def greedy_tree_embed(host: Host, l: Subgraph, t: Graph, d: int) -> Iterator[VertexMap]:
+def greedy_tree_embed(host: Host, l: Graph, t: Graph, d: int) -> Iterator[VertexMap]:
     """Stream every good labeled copy of the tree t inside l.
 
     A copy is good when its tree edges lie in l, it is induced in the host
@@ -415,7 +367,6 @@ def greedy_tree_embed(host: Host, l: Subgraph, t: Graph, d: int) -> Iterator[Ver
     g = host.graph
     order, parent = _grow_order(t)
     bad = tree_bad_sets(g, l, t.n, d)
-    lverts = sorted(l.vertices)
 
     def rec(i: int, assign: dict[int, int], used: int, badmask: int):
         if i == t.n:
@@ -428,7 +379,7 @@ def greedy_tree_embed(host: Host, l: Subgraph, t: Graph, d: int) -> Iterator[Ver
             return
         v = order[i]
         if parent[v] == -1:
-            cand_list = lverts
+            cand_list = range(l.n)
         else:
             u_img = assign[parent[v]]
             cand = l.adj[u_img] & ~used & ~badmask
@@ -449,7 +400,7 @@ def greedy_tree_embed(host: Host, l: Subgraph, t: Graph, d: int) -> Iterator[Ver
     yield from rec(0, {}, 0, 0)
 
 
-def admissible_tree_copies(l: Subgraph, t: Graph, stream: Iterable[VertexMap],
+def admissible_tree_copies(l: Graph, t: Graph, stream: Iterable[VertexMap],
                            star_leaves: int, threshold: int) -> Iterator[VertexMap]:
     """Filter a copy stream down to copies containing no heavy star:
     no copy vertex has star_leaves copy-neighbors whose common L-neighborhood
@@ -473,24 +424,24 @@ def admissible_tree_copies(l: Subgraph, t: Graph, stream: Iterable[VertexMap],
 # --- heavy stars and heavy paths ------------------------------------------------------
 
 
-def heavy_star_classify(l: Subgraph, leaves: Iterable[int], threshold: int) -> bool:
+def heavy_star_classify(l: Graph, leaves: Iterable[int], threshold: int) -> bool:
     """True iff the common L-neighborhood of the leaf set reaches the threshold."""
     leaf_list = sorted(set(leaves))
     if not leaf_list:
         raise EmptyQuery("a star needs at least one leaf")
     for v in leaf_list:
-        if v not in l.vertices:
+        if not 0 <= v < l.n:
             raise ValueError(f"leaf {v} outside L")
     return common_neighborhood_mask(l.adj, leaf_list).bit_count() >= threshold
 
 
-def heavy_star_count(l: Subgraph, p: int, threshold: int) -> tuple[int, int]:
+def heavy_star_count(l: Graph, p: int, threshold: int) -> tuple[int, int]:
     """(number of p-stars in L, number of heavy ones).  A p-star is a center
     with an unordered p-subset of its L-neighbors."""
     if p < 1:
         raise ValueError("p must be positive")
     total = heavy = 0
-    for center in sorted(l.vertices):
+    for center in range(l.n):
         nbrs = l.neighbors(center)
         for leaves in combinations(nbrs, p):
             total += 1
@@ -499,7 +450,7 @@ def heavy_star_count(l: Subgraph, p: int, threshold: int) -> tuple[int, int]:
     return total, heavy
 
 
-def heavy_path_classify(l: Subgraph, x: int, y: int, z: int, threshold: int) -> bool:
+def heavy_path_classify(l: Graph, x: int, y: int, z: int, threshold: int) -> bool:
     """True iff the two-edge path x-y-z in L has |N*_L(x, z)| >= threshold."""
     if x == z:
         raise ValueError("path endpoints must differ")
@@ -508,11 +459,11 @@ def heavy_path_classify(l: Subgraph, x: int, y: int, z: int, threshold: int) -> 
     return common_neighborhood_mask(l.adj, (x, z)).bit_count() >= threshold
 
 
-def heavy_path_count(l: Subgraph, threshold: int, g: Optional[Graph] = None) -> tuple[int, int]:
+def heavy_path_count(l: Graph, threshold: int, g: Optional[Graph] = None) -> tuple[int, int]:
     """(two-edge paths in L, heavy ones); with g given, only paths whose
     endpoints are non-adjacent in g (induced paths) are counted."""
     total = heavy = 0
-    for y in sorted(l.vertices):
+    for y in range(l.n):
         nbrs = l.neighbors(y)
         for x, z in combinations(nbrs, 2):
             if g is not None and g.has_edge(x, z):
@@ -572,6 +523,8 @@ def hall_disjoint_sets(sets: Sequence[Iterable[int]], t: int) -> Optional[list[t
 
 
 RichFamily = Union[Collection[frozenset], Callable[[frozenset], bool]]
+KEY_LEMMA_RETRIES = 64           # random placements of A tried first
+KEY_LEMMA_EXHAUSTIVE_CAP = 4096  # largest placement space then enumerated in full
 
 
 @dataclass
@@ -597,22 +550,9 @@ def _rich_member(d_sets: RichFamily, s: frozenset) -> bool:
     return s in d_sets
 
 
-def _normalize_parts(template: BipartiteTemplate, parts) -> dict[int, tuple[int, ...]]:
-    if isinstance(parts, dict):
-        out = {int(v): tuple(ws) for v, ws in parts.items()}
-    else:
-        if len(parts) != len(template.a_side):
-            raise BadBlowup("one part per A-side vertex required")
-        out = {v: tuple(ws) for v, ws in zip(template.a_side, parts)}
-    if set(out) != set(template.a_side):
-        raise BadBlowup("parts must be keyed by the A-side vertices")
-    return out
-
-
-def key_lemma_embed(host: Host, l: Subgraph, template: BipartiteTemplate,
-                    parts, d_sets: RichFamily, th: Thresholds,
-                    seed: int = 0, retries: int = 64,
-                    exhaustive_cap: int = 4096) -> EmbeddingOutcome:
+def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
+                    parts: dict[int, Sequence[int]], d_sets: RichFamily, th: Thresholds,
+                    seed: int = 0) -> EmbeddingOutcome:
     """Place the template's A side on declared blowup parts inside X and extend
     to the B side through rich common neighborhoods.
 
@@ -620,15 +560,18 @@ def key_lemma_embed(host: Host, l: Subgraph, template: BipartiteTemplate,
     graph; (2) no phi(u) lies in the bad set of another edge's common
     L-neighborhood (threshold 1/(2h)); then candidate sets Gamma(e) are carved,
     Hall's theorem yields disjoint t-sets, and the B side is placed by search.
-    Random retries are followed by exhaustive enumeration when the part space
-    is small.  found=False after that is a legitimate desk-scale outcome.
+    KEY_LEMMA_RETRIES random placements are followed by exhaustive enumeration
+    when there are at most KEY_LEMMA_EXHAUSTIVE_CAP placements.  found=False
+    after that is a legitimate desk-scale outcome.
     """
     if host.partition is None:
         raise NoPartition("key_lemma_embed needs an (X, Y) partition")
     x_side, y_side = host.partition
     g = host.graph
     h = template.graph.n
-    parts_map = _normalize_parts(template, parts)
+    parts_map = {int(v): tuple(ws) for v, ws in parts.items()}
+    if set(parts_map) != set(template.a_side):
+        raise BadBlowup("parts must be keyed by the A-side vertices")
     xset = set(x_side)
     seen_vertices: set[int] = set()
     for v, ws in parts_map.items():
@@ -653,10 +596,10 @@ def key_lemma_embed(host: Host, l: Subgraph, template: BipartiteTemplate,
     trace: list = []
 
     def candidates() -> Iterator[tuple[int, ...]]:
-        for _ in range(retries):
+        for _ in range(KEY_LEMMA_RETRIES):
             yield tuple(parts_map[v][rng.randrange(th.m_blow)] for v in a_order)
         total = th.m_blow ** len(a_order)
-        if total <= exhaustive_cap:
+        if total <= KEY_LEMMA_EXHAUSTIVE_CAP:
             yield from product(*(parts_map[v] for v in a_order))
 
     t_size = max(1, th.c_hs // (2 * h))
@@ -762,7 +705,7 @@ def _find_blowup(t_vertices: Sequence[int], fa, m: int,
     return None
 
 
-def asymmetric_embed(host: Host, m_sub: Subgraph, template: BipartiteTemplate,
+def asymmetric_embed(host: Host, m_sub: Graph, template: BipartiteTemplate,
                      th: Thresholds, delta_y: Optional[int] = None,
                      seed: int = 0) -> EmbeddingOutcome:
     """Derandomized asymmetric search: for each y in Y, test whether the rich

@@ -137,6 +137,16 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     return Graph(len(keep), edges), tuple(keep)
 
 
+def edge_subgraph(g: Graph, edges: Iterable[Sequence[int]]) -> Graph:
+    """The spanning subgraph of g on the given edges, each of which must be an
+    edge of g (in either orientation)."""
+    es = [(u, v) if u < v else (v, u) for u, v in edges]
+    for e in es:
+        if e not in g.edges:
+            raise ValueError(f"edge {e} is not an edge of the ambient graph")
+    return Graph(g.n, es)
+
+
 def bipartite_between(g: Graph, x: Iterable[int], y: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Spanning bipartite subgraph on x ∪ y keeping only cross edges.
 

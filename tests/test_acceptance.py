@@ -20,7 +20,6 @@ from pathlib import Path
 
 from indturan import density, realizability
 from indturan.embeddings import (
-    Subgraph,
     Thresholds,
     asymmetric_embed,
     bad_set,
@@ -43,7 +42,7 @@ from indturan.families import (
     theta,
     tree_r11,
 )
-from indturan.graph import Graph, Host, bipartition
+from indturan.graph import Graph, Host, bipartition, edge_subgraph
 from indturan.oracles import (
     contains_kss,
     extremal_bip_star,
@@ -238,7 +237,7 @@ def brute_force_good_copies(g, l, t, d):
     """Definition-level enumeration: induced tree copies on L-edges whose
     images avoid each other's saturated-neighborhood sets."""
     thresh = Fraction(d, 4 * t.n)
-    lverts = sorted(l.vertices)
+    lverts = range(l.n)
     bad = {
         x: {y for y in lverts
             if Fraction(sum(1 for w in l.neighbors(x) if g.has_edge(y, w)))
@@ -282,8 +281,7 @@ def test_embedding_soundness(capsys):
         ]
         for g, l_edges, tree, ds in fixtures:
             host = Host(g, 2)
-            l = (Subgraph.of(g) if l_edges is None
-                 else Subgraph.of(g, edges=l_edges))
+            l = g if l_edges is None else edge_subgraph(g, l_edges)
             for d in ds:
                 got = set(greedy_tree_embed(host, l, tree, d))
                 assert got == brute_force_good_copies(g, l, tree, d)

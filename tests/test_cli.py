@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indturan import cli, density
+from indturan import cli, density, oracles
 from indturan.errors import DisprovesLemma
 
 # Subprocess runs start in the repository root and import the package from
@@ -97,6 +98,36 @@ class TestExtremal:
                            "--pattern", "theta:len=2,t=2", "--mode", "bip")
         assert code == 0 and "partition" in d["witness"]
         assert d["value"] == 2  # cross edges only; the X-Y split (1,2) caps at 2
+
+    def test_each_mode_gets_its_own_budget(self, capsys, monkeypatch):
+        # Without --budget, each oracle applies its own default budget.
+        seen = {}
+
+        def spy(name):
+            real = getattr(oracles, name)
+            default = inspect.signature(real).parameters["budget"].default
+
+            def wrapped(*args, budget=default):
+                seen[name] = budget
+                return real(*args, budget=budget)
+            return wrapped
+
+        names = ("extremal_star", "extremal_classical", "extremal_bip_star")
+        for name in names:
+            monkeypatch.setattr(oracles, name, spy(name))
+
+        def budgets(*extra):
+            seen.clear()
+            for mode in ("star", "classical", "bip"):
+                code, _ = run_json(capsys, "extremal", "--n", "4", "--pattern",
+                                   "theta:len=2,t=2", "--mode", mode, *extra)
+                assert code == 0
+            return dict(seen)
+
+        assert budgets() == {"extremal_star": oracles.STAR_BUDGET,
+                             "extremal_classical": oracles.STAR_BUDGET,
+                             "extremal_bip_star": oracles.BIP_BUDGET}
+        assert budgets("--budget", "5") == dict.fromkeys(names, 5)
 
     def test_budget_guard(self, capsys):
         code, d = run_json(capsys, "extremal", "--n", "12", "--s", "2",
@@ -193,6 +224,16 @@ class TestEmbedCommands:
         assert code == 1
         assert d == {"error": "TypeError", "message": "thresholds must be a JSON object"}
 
+    @pytest.mark.parametrize("procedure", ["asym", "keylemma"])
+    @pytest.mark.parametrize("key", ["k", "lambda"])
+    def test_unknown_threshold_key(self, capsys, tmp_path, kl_path, procedure, key):
+        spec = json.loads(open(kl_path).read())
+        spec["thresholds"] = {key: 4}
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(spec))
+        code, d = run_json(capsys, "embed", procedure, "--input", str(p))
+        assert code == 1 and d["error"] == "TypeError" and repr(key) in d["message"]
+
     def test_parts_must_be_object(self, capsys, tmp_path, kl_path):
         spec = json.loads(open(kl_path).read())
         spec["parts"] = []
@@ -215,6 +256,18 @@ class TestCheckCommands:
         p.write_text(json.dumps(spec))
         code, d = run_json(capsys, "check", "badset", "--input", str(p))
         assert code == 0 and d["bad"] == [0]
+
+    def test_s_read_as_int(self, capsys, tmp_path):
+        # |W| = 18 reaches s (2/c)^s, so the K_{2,2}-free star runs the lemma check.
+        outs = []
+        for s in (2, "2"):
+            spec = {"graph": {"n": 21, "edges": [[0, i] for i in range(1, 21)]},
+                    "w": list(range(1, 19)), "c": "2/3", "s": s}
+            p = tmp_path / "bad.json"
+            p.write_text(json.dumps(spec))
+            outs.append(run_cli(capsys, "check", "badset", "--input", str(p)))
+        assert outs[0] == outs[1] == (0, json.dumps({"bad": [0], "size": 1},
+                                                    sort_keys=True, indent=2) + "\n")
 
     def test_zero_denominator_is_domain_error(self, capsys, tmp_path):
         spec = {"graph": {"n": 6, "edges": [[0, i] for i in range(1, 6)]},

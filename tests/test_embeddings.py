@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import math
 import os
 import random
@@ -10,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from indturan.embeddings import (
-    Subgraph,
     Thresholds,
     admissible_tree_copies,
     almost_regular_exponent,
@@ -47,12 +48,14 @@ from indturan.errors import (
     NotSemiInduced,
 )
 from indturan.families import as_template, rooted_path, theta
-from indturan.graph import Graph, Host, is_k_almost_regular
+from indturan.graph import Graph, Host, edge_subgraph, is_k_almost_regular
 from indturan.oracles import (
     random_kss_free,
     random_kss_free_bipartite,
     verify_induced_map,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def k45_host():
@@ -65,20 +68,10 @@ def p3_template():
 
 
 class TestSubgraph:
-    def test_of_defaults_to_whole_graph(self):
-        g = theta(3, 2)
-        l = Subgraph.of(g)
-        assert l.vertices == frozenset(range(6)) and l.m == 6
-
     def test_edge_subset_validated(self):
         g = Graph(3, [(0, 1)])
         with pytest.raises(ValueError):
-            Subgraph.of(g, edges=[(1, 2)])
-
-    def test_vertex_restriction(self):
-        g = theta(3, 2)
-        l = Subgraph.of(g, vertices=[0, 2, 3])
-        assert all(u in {0, 2, 3} and v in {0, 2, 3} for u, v in l.edges)
+            edge_subgraph(g, [(1, 2)])
 
     def test_cross_subgraph(self):
         host = k45_host()
@@ -97,12 +90,27 @@ class TestSubgraph:
 class TestThresholds:
     def test_validation(self):
         with pytest.raises(ValueError):
-            Thresholds(c=Fraction(3, 2))
-        with pytest.raises(ValueError):
             Thresholds(gamma=Fraction(1))
         with pytest.raises(ValueError):
             Thresholds(m_blow=0)
-        assert Thresholds().c == Fraction(1, 2)
+        with pytest.raises(ValueError):
+            Thresholds(c3=0)
+        assert Thresholds().gamma == Fraction(1, 2)
+
+    def test_every_field_is_read(self):
+        # A setting that no procedure reads does nothing.  Reads inside the
+        # class itself (its own validation) do not count.
+        read = set()
+        for path in sorted((ROOT / "src" / "indturan").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            own = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) and cls.name == "Thresholds"
+                   for node in ast.walk(cls)}
+            read |= {node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                     and id(node) not in own}
+        unread = [f.name for f in dataclasses.fields(Thresholds) if f.name not in read]
+        assert not unread, unread
 
     def test_source_formulas(self):
         assert rich_threshold(3, 2) == 2 * 12 ** 3
@@ -234,7 +242,7 @@ def naive_good_copies(g, l, t, d):
     """Reference enumeration straight from the definition."""
     tn = t.n
     thresh = Fraction(d, 4 * tn)
-    lverts = sorted(l.vertices)
+    lverts = range(l.n)
     bad = {}
     for x in lverts:
         nl = set(l.neighbors(x))
@@ -274,7 +282,7 @@ from indturan.graph import Graph, Host
 emb.verify_induced_map = lambda *args: False
 g = theta(3, 2)
 try:
-    next(emb.greedy_tree_embed(Host(g, 2), emb.Subgraph.of(g), Graph(3, [(0, 1), (1, 2)]), 24))
+    next(emb.greedy_tree_embed(Host(g, 2), g, Graph(3, [(0, 1), (1, 2)]), 24))
 except DisprovesLemma:
     print("raised")
 """
@@ -284,17 +292,16 @@ class TestGreedyTreeEmbed:
     def test_failed_recheck_raises_under_optimize(self):
         # `python -O` strips asserts; the re-check of every emitted copy must
         # still run there and raise DisprovesLemma.
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_RECHECK],
-                             capture_output=True, text=True, env=env, cwd=root)
+                             capture_output=True, text=True, env=env, cwd=ROOT)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "raised"
 
     def test_c6_p3_matches_reference(self):
         g = theta(3, 2)
         host = Host(g, 2)
-        l = Subgraph.of(g)
+        l = g
         p3 = Graph(3, [(0, 1), (1, 2)])
         for d in (2, 24):
             got = set(greedy_tree_embed(host, l, p3, d))
@@ -305,7 +312,7 @@ class TestGreedyTreeEmbed:
     def test_planted_k23_fixture(self):
         g = theta(2, 3)  # K_{2,3}
         host = Host(g, 2)
-        l = Subgraph.of(g)
+        l = g
         p3 = Graph(3, [(0, 1), (1, 2)])
         for d in (6, 48):
             got = set(greedy_tree_embed(host, l, p3, d))
@@ -317,7 +324,7 @@ class TestGreedyTreeEmbed:
         g = Graph(8, [(i, (i + 1) % 8) for i in range(8)]
                   + [(i, (i + 2) % 8) for i in range(8)])
         host = Host(g, 2)
-        l = Subgraph.of(g, edges=[(i, (i + 1) % 8) for i in range(8)])
+        l = edge_subgraph(g, [(i, (i + 1) % 8) for i in range(8)])
         p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
         for d in (16, 64):
             got = set(greedy_tree_embed(host, l, p4, d))
@@ -325,18 +332,18 @@ class TestGreedyTreeEmbed:
 
     def test_single_vertex_tree(self):
         g = theta(2, 2)
-        got = set(greedy_tree_embed(Host(g, 2), Subgraph.of(g), Graph(1, []), 4))
+        got = set(greedy_tree_embed(Host(g, 2), g, Graph(1, []), 4))
         assert got == {(v,) for v in range(4)}
 
     def test_rejects_non_tree(self):
         g = theta(2, 2)
         with pytest.raises(ValueError):
-            list(greedy_tree_embed(Host(g, 2), Subgraph.of(g), theta(2, 2), 4))
+            list(greedy_tree_embed(Host(g, 2), g, theta(2, 2), 4))
 
     def test_emitted_maps_reverify(self):
         g = theta(3, 3)
         host = Host(g, 2)
-        l = Subgraph.of(g)
+        l = g
         p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
         for vm in greedy_tree_embed(host, l, p4, 30):
             assert verify_induced_map(g, p4, vm)
@@ -344,7 +351,7 @@ class TestGreedyTreeEmbed:
     def test_admissible_filter(self):
         g = theta(2, 3)  # K_{2,3}: vertices 0,1 on one side
         host = Host(g, 2)
-        l = Subgraph.of(g)
+        l = g
         p3 = Graph(3, [(0, 1), (1, 2)])
         all_copies = list(greedy_tree_embed(host, l, p3, 1000))
         # stars centered at 0/1 with 2 leaves have common nbhd {0,1}\{center}:
@@ -362,14 +369,16 @@ class TestGreedyTreeEmbed:
 
 class TestHeavyCounts:
     def test_heavy_star_classify(self):
-        l = Subgraph.of(theta(2, 3))  # K_{2,3}: common nbhd of {0,1} is {2,3,4}
+        l = theta(2, 3)  # K_{2,3}: common nbhd of {0,1} is {2,3,4}
         assert heavy_star_classify(l, [0, 1], 3)
         assert not heavy_star_classify(l, [0, 1], 4)
         with pytest.raises(EmptyQuery):
             heavy_star_classify(l, [], 1)
+        with pytest.raises(ValueError):
+            heavy_star_classify(l, [0, 5], 1)  # leaf outside L
 
     def test_heavy_path(self):
-        l = Subgraph.of(theta(3, 2))  # C6
+        l = theta(3, 2)  # C6
         # path 1-0-2 wraps the degree-2 hub 0; endpoints 1, 2 share only 0
         x, y = 0, next(iter(l.neighbors(0)))
         z = [w for w in l.neighbors(y) if w != x]
@@ -382,14 +391,14 @@ class TestHeavyCounts:
 
     def test_heavy_path_induced_filter(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        l = Subgraph.of(g)
+        l = g
         total, _ = heavy_path_count(l, 1)
         assert total == 3
         total_induced, _ = heavy_path_count(l, 1, g=g)
         assert total_induced == 0  # triangle paths all close up
 
     def test_heavy_star_count(self):
-        l = Subgraph.of(theta(2, 3))  # K_{2,3}
+        l = theta(2, 3)  # K_{2,3}
         total, heavy = heavy_star_count(l, 2, 2)
         # centers 0,1 give C(3,2)=3 stars each (common nbhd size 1 after
         # removing leaves: the other hub); centers 2,3,4 give 1 star each with
@@ -542,7 +551,7 @@ class TestAsymmetric:
 
     def test_non_cross_m_rejected(self):
         host = k45_host()
-        bad_l = Subgraph.of(Graph(9, [(0, 1)]))
+        bad_l = Graph(9, [(0, 1)])
         with pytest.raises(InvalidPartition):
             asymmetric_embed(host, bad_l, p3_template(), Thresholds())
 
@@ -611,7 +620,7 @@ class TestExtraction:
 class TestTreeBadSets:
     def test_definition(self):
         g = theta(3, 2)
-        l = Subgraph.of(g)
+        l = g
         bad = tree_bad_sets(g, l, 3, 24)  # threshold 2
         for x in range(6):
             for y in range(6):

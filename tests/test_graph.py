@@ -3,10 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from indturan.embeddings import Subgraph
+from indturan.embeddings import cross_subgraph
 from indturan.errors import (
     EmptyGraph,
     EmptyQuery,
@@ -24,6 +24,7 @@ from indturan.graph import (
     common_neighborhood,
     degree_stats,
     dumps_graph,
+    edge_subgraph,
     graph_from_json_dict,
     graph_to_json_dict,
     induced_subgraph,
@@ -48,16 +49,20 @@ def graphs(draw, max_n=9):
 
 
 @st.composite
-def subgraph_args(draw):
-    """(g, vertices, edges): edges is None or a list of g's edges inside vertices,
-    each in either orientation."""
+def edge_subsets(draw):
+    """(g, edges): a list of g's edges, with repeats, each in either orientation."""
     g = draw(graphs())
-    vertices = draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
-    inside = [e for e in g.edge_list() if e[0] in vertices and e[1] in vertices]
-    if draw(st.booleans()):
-        return g, vertices, None
-    chosen = draw(st.lists(st.sampled_from(inside))) if inside else []
-    return g, vertices, [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+    chosen = draw(st.lists(st.sampled_from(g.edge_list()))) if g.m else []
+    return g, [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+
+
+@st.composite
+def partitioned_hosts(draw):
+    """A Host whose (X, Y) partition puts each vertex on a random side."""
+    g = draw(graphs())
+    in_x = draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    x = tuple(v for v in range(g.n) if in_x[v])
+    return Host(g, 2, (x, tuple(v for v in range(g.n) if not in_x[v])))
 
 
 class TestGraphBasics:
@@ -252,29 +257,23 @@ class TestAdjacencyCore:
             for v in range(g.n):
                 assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in g.edges)
 
-    @given(subgraph_args())
-    def test_subgraph_matches_set_build(self, args):
-        g, vertices, edges = args
-        sub = Subgraph.of(g, vertices, edges)
-        if edges is None:
-            want = {(u, v) for u, v in g.edges if u in vertices and v in vertices}
-        else:
-            want = {(min(e), max(e)) for e in edges}
-        assert isinstance(sub, Graph)
-        assert sub.n == g.n and sub.vertices == frozenset(vertices)
-        assert sub.edges == want and sub.m == len(want)
-        for v in range(g.n):
-            assert sub.neighbors(v) == tuple(sorted(
-                w for w in range(g.n) if (min(v, w), max(v, w)) in want))
+    @given(edge_subsets())
+    def test_edge_subgraph_matches_graph(self, args):
+        g, edges = args
+        sub, want = edge_subgraph(g, edges), Graph(g.n, edges)
+        assert sub == want and hash(sub) == hash(want)
 
-    @given(subgraph_args())
-    def test_subgraph_equality_counts_vertices(self, args):
-        g, vertices, edges = args
-        sub = Subgraph.of(g, vertices, edges)
-        same = Subgraph(g.n, vertices, sub.edges)
-        assert same == sub and hash(same) == hash(sub)
-        plain = Graph(g.n, sub.edges)
-        assert sub != plain and plain != sub
-        for w in range(g.n):
-            if w not in vertices:
-                assert Subgraph(g.n, vertices | {w}, sub.edges) != sub
+    @given(edge_subsets(), st.integers(-1, 9), st.integers(-1, 9))
+    def test_edge_subgraph_rejects_non_edges(self, args, u, v):
+        g, edges = args
+        assume((min(u, v), max(u, v)) not in g.edges)
+        with pytest.raises(ValueError):
+            edge_subgraph(g, edges + [(u, v)])
+
+    @given(partitioned_hosts())
+    def test_cross_subgraph_matches_edge_set_build(self, host):
+        x = set(host.partition[0])
+        want = Graph(host.graph.n, {(u, v) for u, v in host.graph.edges
+                                    if (u in x) != (v in x)})
+        got = cross_subgraph(host)
+        assert got == want and hash(got) == hash(want)
