@@ -7,7 +7,7 @@ balancedness), `realizability` (exponent certificates), `oracles` (exhaustive
 ground truth at desk scale), `embeddings` (lemma procedures), `cli`.
 """
 
-from .density import DensityReport, is_balanced, rho, rho_subset, verify_reduction_rho
+from .density import DensityReport, is_balanced, rho, rho_subset
 from .embeddings import (
     EmbeddingOutcome,
     Thresholds,
@@ -27,7 +27,6 @@ from .families import (
     RootedGraph,
     attach_ktt,
     attach_ktt_rooted,
-    blowup,
     height_two_tree,
     leaf_rooted_star,
     parse_descriptor,
@@ -74,7 +73,6 @@ __all__ = [
     "attach_ktt_rooted",
     "bad_set",
     "bipartition",
-    "blowup",
     "contains_induced",
     "contains_kss",
     "contains_subgraph",
@@ -106,5 +104,4 @@ __all__ = [
     "theta",
     "tree_r11",
     "verify_certificate",
-    "verify_reduction_rho",
 ]

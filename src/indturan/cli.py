@@ -9,7 +9,9 @@ error.
 The `thresholds` object of `embed keylemma` and `embed asym` accepts exactly
 the `embeddings.Thresholds` fields: integers `c_hs` and `m_blow`, rationals
 `gamma` and `c3` (a JSON number or a "p/q" string).  Any other key is a
-domain error (TypeError).
+domain error (TypeError).  Every integer field of an `--input` document
+rejects a boolean or a non-integral number (ValueError) instead of
+truncating it.
 """
 
 from __future__ import annotations
@@ -42,12 +44,20 @@ def _graph_from(d: dict) -> Graph:
     return graph_from_json_dict(d)[0]
 
 
-def _host_from(d: dict, s: Optional[int] = None) -> Host:
+def _int(value) -> int:
+    """An integer field.  A bare int() would read true as 1 and truncate 2.9
+    to 2; both are errors here.  Integral strings such as "2" still pass."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _host_from(d: dict) -> Host:
     g, _, part = graph_from_json_dict(d)
-    s_val = d.get("s", s)
-    if s_val is None:
+    s = d.get("s")
+    if s is None:
         raise ValueError("host object needs an 's' field")
-    return Host(g, int(s_val), part)
+    return Host(g, _int(s), part)
 
 
 def _template_from(d: dict) -> BipartiteTemplate:
@@ -90,7 +100,7 @@ def _fraction(value) -> Fraction:
 def _thresholds_from(d: Optional[dict]) -> embeddings.Thresholds:
     if d is None:
         return embeddings.Thresholds()
-    kwargs = {key: int(val) if key in ("c_hs", "m_blow") else _fraction(val)
+    kwargs = {key: _int(val) if key in ("c_hs", "m_blow") else _fraction(val)
               for key, val in _object(d, "thresholds").items()}
     return embeddings.Thresholds(**kwargs)
 
@@ -172,15 +182,15 @@ def _cmd_embed_tree(args) -> int:
     host = _host_from(spec["host"])
     l_sub = _subgraph_from(host, spec.get("l_edges"))
     tree = _graph_from(spec["tree"])
-    stream = embeddings.greedy_tree_embed(host, l_sub, tree, int(spec["d"]))
+    stream = embeddings.greedy_tree_embed(host, l_sub, tree, _int(spec["d"]))
     if "star_leaves" in spec:
         stream = embeddings.admissible_tree_copies(
-            l_sub, tree, stream, int(spec["star_leaves"]), int(spec["star_threshold"]))
+            l_sub, tree, stream, _int(spec["star_leaves"]), _int(spec["star_threshold"]))
     limit = spec.get("limit")
     copies = []
     for vm in stream:
         copies.append(list(vm))
-        if limit is not None and len(copies) >= int(limit):
+        if limit is not None and len(copies) >= _int(limit):
             break
     _dump({"count": len(copies), "copies": copies})
     return 0
@@ -192,11 +202,11 @@ def _cmd_embed_keylemma(args) -> int:
     l_sub = _subgraph_from(host, spec.get("l_edges"))
     template = _template_from(spec["template"])
     th = _thresholds_from(spec.get("thresholds"))
-    parts = {int(k): tuple(v) for k, v in _object(spec["parts"], "parts").items()}
+    parts = {_int(k): tuple(v) for k, v in _object(spec["parts"], "parts").items()}
     if "rich_sets" in spec:
         d_sets = {frozenset(s) for s in spec["rich_sets"]}
     else:
-        thr = int(spec["rich_threshold"])
+        thr = _int(spec["rich_threshold"])
         d_sets = (lambda ss: common_neighborhood_mask(l_sub.adj, ss).bit_count() >= thr)
     outcome = embeddings.key_lemma_embed(host, l_sub, template, parts, d_sets, th,
                                          seed=args.seed)
@@ -210,7 +220,7 @@ def _cmd_embed_extract(args) -> int:
     pattern = _rooted_from(spec["pattern"])
     copies = [tuple(vm) for vm in spec["copies"]]
     outcome = embeddings.extract_induced_power(g, copies, pattern,
-                                               int(spec["l"]), int(spec["s"]))
+                                               _int(spec["l"]), _int(spec["s"]))
     _dump(outcome.as_json_dict())
     return 0
 
@@ -223,7 +233,7 @@ def _cmd_embed_asym(args) -> int:
     th = _thresholds_from(spec.get("thresholds"))
     delta = spec.get("delta_y")
     outcome = embeddings.asymmetric_embed(host, m_sub, template, th,
-                                          delta_y=None if delta is None else int(delta),
+                                          delta_y=None if delta is None else _int(delta),
                                           seed=args.seed)
     _dump(outcome.as_json_dict())
     return 0
@@ -234,7 +244,7 @@ def _cmd_check_badset(args) -> int:
     g = _graph_from(spec["graph"])
     s = spec.get("s")
     bad = embeddings.bad_set(g, spec["w"], _fraction(spec["c"]),
-                             s=None if s is None else int(s))
+                             s=None if s is None else _int(s))
     _dump({"bad": sorted(bad), "size": len(bad)})
     return 0
 
@@ -243,7 +253,7 @@ def _cmd_check_rich(args) -> int:
     spec = _load_input(args.input)
     g = _graph_from(spec["graph"])
     rich = embeddings.rich_s_set(g, spec["x"], spec["y"],
-                                 _fraction(spec["c"]), int(spec["s"]))
+                                 _fraction(spec["c"]), _int(spec["s"]))
     _dump({"rich_set": list(rich)})
     return 0
 
@@ -293,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "oracles, and executable embedding procedures.")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for any randomized search (default 0)")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="accepted for interface compatibility; execution is sequential")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("family", help="build a descriptor and report its density")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import EmptyQuery, TooLarge
-from .families import Parts, RootedGraph, as_graph, attach_ktt_rooted
+from .families import RootedGraph, as_graph
 
 BALANCE_BUDGET = 400
 
@@ -208,14 +208,3 @@ def is_balanced(f: RootedGraph, budget: int = BALANCE_BUDGET) -> DensityReport:
         reached += cut.spread(seen, order[k])
         k += 1
     return DensityReport(target, False, tuple(non[i] for i in order[:k]), exponent)
-
-
-def verify_reduction_rho(f: RootedGraph, parts: Parts, budget: int = BALANCE_BUDGET) -> bool:
-    """True iff one K_{1,1} reduction raises rho by exactly 1 and keeps a
-    balanced input balanced."""
-    reduced = attach_ktt_rooted(f, parts, 1)
-    if rho(reduced) != rho(f) + 1:
-        return False
-    if is_balanced(f, budget).balanced and not is_balanced(reduced, budget).balanced:
-        return False
-    return True

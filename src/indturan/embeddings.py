@@ -53,16 +53,17 @@ def cross_subgraph(host: Host) -> Graph:
                            for v, row in enumerate(host.graph.adj))
 
 
-# --- thresholds and the source formulas -----------------------------------------
+# --- thresholds and exact exponent arithmetic ------------------------------------
 
 
 @dataclass(frozen=True)
 class Thresholds:
     """The constants read by `key_lemma_embed` and `asymmetric_embed`.
 
-    The named functions below compute the source's asymptotic values; tests run
-    with small overrides, exercising mechanisms rather than magnitudes.  The
-    source's c, alpha and C are arguments of `bad_set` and `regularize`.
+    The defaults are desk-scale values, far below the source's asymptotic
+    ones; tests run with small overrides, exercising mechanisms rather than
+    magnitudes.  The source's c, alpha and C are arguments of `bad_set` and
+    `regularize`.
     """
 
     c_hs: int = 3                       # rich common-neighborhood threshold
@@ -93,40 +94,6 @@ def almost_regular_factor(alpha: Fraction) -> Fraction:
     """2^(4/alpha + 2), rounded up to the next power of two when fractional."""
     e = almost_regular_exponent(alpha)
     return Fraction(2) ** math.ceil(e)
-
-
-def rich_threshold(h: int, s: int) -> int:
-    """Rich common-neighborhood threshold s (4h)^(s+1)."""
-    return s * (4 * h) ** (s + 1)
-
-
-def blowup_multiplicity(h: int, s: int) -> int:
-    """Blowup size 2^(h+s+3) s^s h^(2s)."""
-    return 2 ** (h + s + 3) * s ** s * h ** (2 * s)
-
-
-def tree_embed_min_degree(s: int, t: int, k: Fraction) -> Fraction:
-    """Degree floor s t^2 2^(t+6) k^(t-1) for the tree-counting step."""
-    return s * t * t * 2 ** (t + 6) * Fraction(k) ** (t - 1)
-
-
-def heavy_star_eps(k: Fraction, t: int, r: int) -> Fraction:
-    """Density loss (1/(4k))^(2t+r) charged to heavy stars."""
-    return (1 / (4 * Fraction(k))) ** (2 * t + r)
-
-
-def asym_constant(gamma: Fraction, s: int, p: int, h: int) -> Fraction:
-    """Asymmetric guarantee constant s p^p (4h)^(s+1) / (1 - gamma)."""
-    gamma = Fraction(gamma)
-    if not 0 < gamma < 1:
-        raise ValueError("gamma must lie in (0, 1)")
-    return s * p ** p * (4 * h) ** (s + 1) / (1 - gamma)
-
-
-def heavy_path_constant(lam: int, s: int, r: int, k: Fraction, eps: Fraction) -> Fraction:
-    """Heavy-path threshold lam s r (r k / eps)^(r+s+2) 2^(6+3s+4r)."""
-    k, eps = Fraction(k), Fraction(eps)
-    return lam * s * r * (r * k / eps) ** (r + s + 2) * 2 ** (6 + 3 * s + 4 * r)
 
 
 def product_pow_le(lhs: Sequence[tuple], rhs: Sequence[tuple]) -> bool:
@@ -419,59 +386,6 @@ def admissible_tree_copies(l: Graph, t: Graph, stream: Iterable[VertexMap],
                 break
         if not heavy:
             yield vm
-
-
-# --- heavy stars and heavy paths ------------------------------------------------------
-
-
-def heavy_star_classify(l: Graph, leaves: Iterable[int], threshold: int) -> bool:
-    """True iff the common L-neighborhood of the leaf set reaches the threshold."""
-    leaf_list = sorted(set(leaves))
-    if not leaf_list:
-        raise EmptyQuery("a star needs at least one leaf")
-    for v in leaf_list:
-        if not 0 <= v < l.n:
-            raise ValueError(f"leaf {v} outside L")
-    return common_neighborhood_mask(l.adj, leaf_list).bit_count() >= threshold
-
-
-def heavy_star_count(l: Graph, p: int, threshold: int) -> tuple[int, int]:
-    """(number of p-stars in L, number of heavy ones).  A p-star is a center
-    with an unordered p-subset of its L-neighbors."""
-    if p < 1:
-        raise ValueError("p must be positive")
-    total = heavy = 0
-    for center in range(l.n):
-        nbrs = l.neighbors(center)
-        for leaves in combinations(nbrs, p):
-            total += 1
-            if common_neighborhood_mask(l.adj, leaves).bit_count() >= threshold:
-                heavy += 1
-    return total, heavy
-
-
-def heavy_path_classify(l: Graph, x: int, y: int, z: int, threshold: int) -> bool:
-    """True iff the two-edge path x-y-z in L has |N*_L(x, z)| >= threshold."""
-    if x == z:
-        raise ValueError("path endpoints must differ")
-    if not (l.has_edge(x, y) and l.has_edge(y, z)):
-        raise ValueError("x-y-z is not a path in L")
-    return common_neighborhood_mask(l.adj, (x, z)).bit_count() >= threshold
-
-
-def heavy_path_count(l: Graph, threshold: int, g: Optional[Graph] = None) -> tuple[int, int]:
-    """(two-edge paths in L, heavy ones); with g given, only paths whose
-    endpoints are non-adjacent in g (induced paths) are counted."""
-    total = heavy = 0
-    for y in range(l.n):
-        nbrs = l.neighbors(y)
-        for x, z in combinations(nbrs, 2):
-            if g is not None and g.has_edge(x, z):
-                continue
-            total += 1
-            if common_neighborhood_mask(l.adj, (x, z)).bit_count() >= threshold:
-                heavy += 1
-    return total, heavy
 
 
 # --- Hall-style disjoint representatives ----------------------------------------------

@@ -39,10 +39,6 @@ class NotBipartite(IndturanError):
     """A bipartition was required but the edges do not respect one."""
 
 
-class EmptyBlowup(IndturanError):
-    """A blowup with zero copies per part was requested."""
-
-
 class TooLarge(IndturanError):
     """An exhaustive search budget would be exceeded."""
 

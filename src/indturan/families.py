@@ -23,14 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import (
-    DegenerateRoot,
-    EmptyBlowup,
-    Multigraph,
-    NotBipartite,
-    RootEdgeCollision,
-    TooLarge,
-)
+from .errors import DegenerateRoot, Multigraph, NotBipartite, RootEdgeCollision
 from .graph import Graph, bipartition, bits, check_partition, mask_of
 
 Parts = tuple[tuple[int, ...], tuple[int, ...]]
@@ -96,17 +89,6 @@ class NeighborhoodHypergraph:
     hyperedges: tuple[frozenset[int], ...]
 
 
-@dataclass(frozen=True)
-class BlowupHypergraph:
-    """m fresh vertices per ground vertex; every edge replaced by the complete
-    multipartite family over its parts."""
-
-    pattern: NeighborhoodHypergraph
-    m: int
-    parts: tuple[tuple[int, ...], ...]
-    hyperedges: tuple[frozenset[int], ...]
-
-
 # --- constructors ------------------------------------------------------------
 
 
@@ -151,22 +133,20 @@ def leaf_rooted_star(r: int) -> RootedGraph:
     return RootedGraph(Graph(r + 1, [(0, i) for i in range(1, r + 1)]), frozenset(range(1, r + 1)))
 
 
-def rooted_power(f: RootedGraph, l: int, allow_root_edges: bool = False) -> RootedGraph:
+def rooted_power(f: RootedGraph, l: int) -> RootedGraph:
     """l copies of f glued along the roots, disjoint elsewhere.
 
     Vertex numbering: sorted roots become 0..|R|-1; copy c's sorted non-roots
     follow consecutively.  copy_maps records the per-copy embeddings.
 
-    An edge inside the root set would be contributed by every copy; by default
-    that collision is surfaced as RootEdgeCollision rather than silently
-    deduplicated.  Passing allow_root_edges=True opts into the set semantics
-    (the edge appears once, shared by all copies), which is what gluing an
-    already-reduced graph means; then e = l*e(F) - (l-1)*e(F[R]).
+    An edge inside the root set would be contributed by every copy; for
+    l >= 2 that collision is always a RootEdgeCollision, never silently
+    deduplicated.
     """
     if l < 1:
         raise ValueError("power needs l >= 1")
     roots = sorted(f.roots)
-    if l >= 2 and not allow_root_edges:
+    if l >= 2:
         rset = f.roots
         for u, v in f.graph.edges:
             if u in rset and v in rset:
@@ -238,28 +218,6 @@ def neighborhood_hypergraph(h: BipartiteTemplate) -> NeighborhoodHypergraph:
     """Hyperedges are the A-side neighborhoods of B-vertices, with multiplicity."""
     edges = tuple(frozenset(h.graph.neighbors(b)) for b in h.b_side)
     return NeighborhoodHypergraph(h.a_side, edges)
-
-
-_BLOWUP_BUDGET = 200_000
-
-
-def blowup(fh: NeighborhoodHypergraph, m: int) -> BlowupHypergraph:
-    """Replace each ground vertex by m fresh vertices and each hyperedge by the
-    complete multipartite family over its parts."""
-    if m < 1:
-        raise EmptyBlowup("blowup needs m >= 1")
-    index = {v: i for i, v in enumerate(fh.ground)}
-    parts = tuple(tuple(range(i * m, (i + 1) * m)) for i in range(len(fh.ground)))
-    total = sum(m ** len(e) for e in fh.hyperedges)
-    if total > _BLOWUP_BUDGET:
-        raise TooLarge(f"blowup would create {total} hyperedges")
-    hyperedges: list[frozenset[int]] = []
-    for e in fh.hyperedges:
-        combos = [frozenset()]
-        for v in sorted(e):
-            combos = [c | {w} for c in combos for w in parts[index[v]]]
-        hyperedges.extend(combos)
-    return BlowupHypergraph(fh, m, parts, tuple(hyperedges))
 
 
 def complete_bipartite_template(s: int, t: int) -> BipartiteTemplate:

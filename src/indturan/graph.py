@@ -9,12 +9,11 @@ index map back to the original vertex ids where relabeling happens.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import EmptyGraph, EmptyQuery, InvalidPartition, Multigraph
+from .errors import EmptyGraph, InvalidPartition, Multigraph
 
 # An injective map from pattern vertices to host vertices, indexed by pattern id.
 VertexMap = tuple[int, ...]
@@ -107,17 +106,9 @@ class Graph:
         return (1 << self.n) - 1
 
 
-def common_neighborhood(g: Graph, s: Iterable[int]) -> set[int]:
-    """Vertices adjacent to every member of s (members of s never qualify)."""
-    sv = list(s)
-    if not sv:
-        raise EmptyQuery("common neighborhood of the empty set is not defined")
-    return set(bits(common_neighborhood_mask(g.adj, sv)))
-
-
 def common_neighborhood_mask(adj: Sequence[int], s: Iterable[int]) -> int:
-    """Bitset form of common_neighborhood against adjacency rows; the empty
-    set's common neighborhood is every vertex."""
+    """Vertices adjacent to every member of s (members of s never qualify), as
+    a bitset against adjacency rows; the empty set's is every vertex."""
     mask = (1 << len(adj)) - 1
     got = 0
     for v in s:
@@ -176,17 +167,6 @@ def degree_stats(g: Graph) -> tuple[int, int, Fraction]:
     return min(degs), max(degs), Fraction(2 * g.m, g.n)
 
 
-def is_k_almost_regular(g: Graph, k: Fraction | int) -> bool:
-    """True iff max degree <= k * min degree, exactly."""
-    if g.n == 0:
-        raise EmptyGraph("regularity of the empty graph is not defined")
-    k = Fraction(k)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    dmin, dmax, _ = degree_stats(g)
-    return Fraction(dmax) <= k * dmin
-
-
 def bipartition(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """A 2-coloring (side containing the least vertex of each component first),
     or None if some component is odd-cyclic."""
@@ -239,10 +219,6 @@ class Host:
             object.__setattr__(self, "partition", check_partition(self.graph.n, self.partition))
 
 
-def is_injective(vm: VertexMap) -> bool:
-    return len(set(vm)) == len(vm)
-
-
 # --- external formats -------------------------------------------------------
 #
 # JSON schema: {"n": int, "edges": [[u, v], ...]} with optional "roots": [...]
@@ -268,14 +244,6 @@ def graph_from_json_dict(d: dict) -> tuple[Graph, Optional[tuple[int, ...]],
     if "partition" in d:
         part = (tuple(sorted(d["partition"]["X"])), tuple(sorted(d["partition"]["Y"])))
     return g, roots, part
-
-
-def dumps_graph(g: Graph, roots=None, partition=None) -> str:
-    return json.dumps(graph_to_json_dict(g, roots, partition), sort_keys=True, indent=2) + "\n"
-
-
-def loads_graph(text: str):
-    return graph_from_json_dict(json.loads(text))
 
 
 def to_dot(g: Graph, roots: Iterable[int] | None = None,

@@ -1,4 +1,4 @@
-"""Exhaustive oracles: pattern containment, extremal values, and fuzz hosts.
+"""Exhaustive oracles: pattern containment and extremal values.
 
 Everything here is exact search at desk scale.  The extremal oracles work by
 orderly vertex-extension generation: a graph is grown one vertex at a time,
@@ -167,12 +167,6 @@ def verify_induced_map(g: Graph, h: Graph, vm: VertexMap) -> bool:
         if g.has_edge(vm[p], vm[q]) != h.has_edge(p, q):
             return False
     return True
-
-
-def verify_subgraph_map(g: Graph, h: Graph, vm: VertexMap) -> bool:
-    if len(vm) != h.n or len(set(vm)) != h.n:
-        return False
-    return all(g.has_edge(vm[u], vm[v]) for u, v in h.edges)
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -389,36 +383,3 @@ def kst_check(host: Host) -> bool:
     if lhs <= 0:
         return True
     return lhs ** s <= (s - 1) * m ** (2 * s - 1)
-
-
-# --- random K_{s,s}-free hosts for fuzzing ---------------------------------------
-
-
-def random_kss_free(n: int, s: int, rng, keep: float = 1.0) -> Graph:
-    """Random maximal-ish K_{s,s}-free graph: candidate pairs in random order,
-    each kept with probability `keep` if it does not complete a K_{s,s}."""
-    pairs = list(combinations(range(n), 2))
-    rng.shuffle(pairs)
-    return _greedy_kss_free(n, pairs, s, rng, keep)
-
-
-def random_kss_free_bipartite(nx: int, ny: int, s: int, rng, keep: float = 1.0) -> Host:
-    """Random K_{s,s}-free bipartite host on sides 0..nx-1 and nx..nx+ny-1."""
-    pairs = [(u, nx + w) for u in range(nx) for w in range(ny)]
-    rng.shuffle(pairs)
-    g = _greedy_kss_free(nx + ny, pairs, s, rng, keep)
-    return Host(g, s, (tuple(range(nx)), tuple(range(nx, nx + ny))))
-
-
-def _greedy_kss_free(n: int, pairs, s: int, rng, keep: float) -> Graph:
-    adj = [0] * n
-    for u, v in pairs:
-        if keep < 1.0 and rng.random() > keep:
-            continue
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        # The graph was K_{s,s}-free before uv, so a K_{s,s} through v uses uv.
-        if _kss_through_vertex(adj, v, s):
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-    return Graph.from_rows(adj)

@@ -19,7 +19,6 @@ balancedness of the rebuilt witness from scratch.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -139,13 +138,6 @@ class RealizabilityCertificate:
         )
 
 
-def certificate_to_json(cert: RealizabilityCertificate, verified: Optional[bool] = None) -> str:
-    d = cert.as_json_dict()
-    if verified is not None:
-        d["verified"] = verified
-    return json.dumps(d, sort_keys=True, indent=2) + "\n"
-
-
 def qualifies(a: int, b: int) -> bool:
     """True iff the reduced form (a0, b0) satisfies b0 > a0 and
     b0 >= max(a0, (a0 - 1)^2)."""
@@ -156,7 +148,7 @@ def qualifies(a: int, b: int) -> bool:
     return b0 > a0 and b0 >= max(a0, (a0 - 1) ** 2)
 
 
-def build_witness(cert: RealizabilityCertificate, l: Optional[int] = None) -> RootedGraph:
+def build_witness(cert: RealizabilityCertificate) -> RootedGraph:
     """The rooted witness of a certificate: l copies of the base glued along
     their roots, then one K_{r,r} attached for the r = cert.reductions
     reductions (its 2r vertices are roots).  Its graph is H, and s0 = H.n.
@@ -166,7 +158,7 @@ def build_witness(cert: RealizabilityCertificate, l: Optional[int] = None) -> Ro
     would put an edge inside the root set, which the power constructor
     rejects; this order keeps every operand legal and yields H directly.
     """
-    f = rooted_power(cert.base.rooted_graph(), cert.l if l is None else l)
+    f = rooted_power(cert.base.rooted_graph(), cert.l)
     return attach_ktt_rooted(f, as_template(f).parts, cert.reductions)
 
 

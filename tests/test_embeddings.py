@@ -16,28 +16,18 @@ from indturan.embeddings import (
     admissible_tree_copies,
     almost_regular_exponent,
     almost_regular_factor,
-    asym_constant,
     asymmetric_embed,
     bad_set,
-    blowup_multiplicity,
     cross_subgraph,
     extract_induced_power,
     extraction_aux,
     greedy_tree_embed,
     hall_disjoint_sets,
-    heavy_path_classify,
-    heavy_path_count,
-    heavy_star_classify,
-    heavy_star_count,
-    heavy_path_constant,
-    heavy_star_eps,
     key_lemma_embed,
     product_pow_le,
     regularize,
     rich_s_set,
-    rich_threshold,
     tree_bad_sets,
-    tree_embed_min_degree,
 )
 from indturan.errors import (
     BadBlowup,
@@ -48,12 +38,10 @@ from indturan.errors import (
     NotSemiInduced,
 )
 from indturan.families import as_template, rooted_path, theta
-from indturan.graph import Graph, Host, edge_subgraph, is_k_almost_regular
-from indturan.oracles import (
-    random_kss_free,
-    random_kss_free_bipartite,
-    verify_induced_map,
-)
+from indturan.graph import Graph, Host, common_neighborhood_mask, edge_subgraph
+from indturan.oracles import verify_induced_map
+
+from helpers import is_k_almost_regular, random_kss_free, random_kss_free_bipartite
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -113,17 +101,11 @@ class TestThresholds:
         assert not unread, unread
 
     def test_source_formulas(self):
-        assert rich_threshold(3, 2) == 2 * 12 ** 3
-        assert blowup_multiplicity(2, 2) == 2 ** 7 * 4 * 16
         assert almost_regular_exponent(Fraction(1, 2)) == 10
         assert almost_regular_factor(Fraction(1, 2)) == 1024
         assert almost_regular_factor(Fraction(2, 3)) == 2 ** 8
         # fractional exponent rounds up to the next power of two
         assert almost_regular_factor(Fraction(3, 5)) == 2 ** math.ceil(Fraction(26, 3))
-        assert tree_embed_min_degree(1, 2, Fraction(2)) == 1 * 4 * 2 ** 8 * 2
-        assert heavy_star_eps(Fraction(1), 1, 2) == Fraction(1, 4 ** 4)
-        assert asym_constant(Fraction(1, 2), 1, 1, 2) == 2 * 8 ** 2
-        assert heavy_path_constant(1, 1, 1, Fraction(1), Fraction(1)) > 0
 
     def test_product_pow_le_exact(self):
         # 2^(1/2) <= 7/5 is false (2 > 49/25); 2^(1/2) <= 3/2 is true (2 <= 9/4)
@@ -354,59 +336,20 @@ class TestGreedyTreeEmbed:
         l = g
         p3 = Graph(3, [(0, 1), (1, 2)])
         all_copies = list(greedy_tree_embed(host, l, p3, 1000))
-        # stars centered at 0/1 with 2 leaves have common nbhd {0,1}\{center}:
-        # with threshold 1 every 2-star is heavy, so copies centered there die
-        kept = list(admissible_tree_copies(l, p3, iter(all_copies), 2, 1))
-        for vm in kept:
-            for v in range(3):
-                nbrs = [vm[w] for w in p3.neighbors(v)]
-                if len(nbrs) >= 2:
-                    for pair in combinations(sorted(nbrs), 2):
-                        assert not heavy_star_classify(l, pair, 1)
-        # and the filter only removes, never adds
-        assert set(kept) <= set(all_copies)
+        # a 2-star's leaves share the far side of K_{2,3}: {2,3,4} for the
+        # leaves 0, 1 and {0,1} for two leaves on the 3-side
+        def heavy(vm, threshold):
+            return any(common_neighborhood_mask(l.adj, pair).bit_count() >= threshold
+                       for v in range(3)
+                       for pair in combinations(sorted(vm[w] for w in p3.neighbors(v)), 2))
 
-
-class TestHeavyCounts:
-    def test_heavy_star_classify(self):
-        l = theta(2, 3)  # K_{2,3}: common nbhd of {0,1} is {2,3,4}
-        assert heavy_star_classify(l, [0, 1], 3)
-        assert not heavy_star_classify(l, [0, 1], 4)
-        with pytest.raises(EmptyQuery):
-            heavy_star_classify(l, [], 1)
-        with pytest.raises(ValueError):
-            heavy_star_classify(l, [0, 5], 1)  # leaf outside L
-
-    def test_heavy_path(self):
-        l = theta(3, 2)  # C6
-        # path 1-0-2 wraps the degree-2 hub 0; endpoints 1, 2 share only 0
-        x, y = 0, next(iter(l.neighbors(0)))
-        z = [w for w in l.neighbors(y) if w != x]
-        with pytest.raises(ValueError):
-            heavy_path_classify(l, 0, 1, 0, 1)
-        total, heavy = heavy_path_count(l, 1)
-        assert total == 6 and heavy == 6  # every P3 in C6: ends share the center
-        total2, heavy2 = heavy_path_count(l, 2)
-        assert total2 == 6 and heavy2 == 0
-
-    def test_heavy_path_induced_filter(self):
-        g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        l = g
-        total, _ = heavy_path_count(l, 1)
-        assert total == 3
-        total_induced, _ = heavy_path_count(l, 1, g=g)
-        assert total_induced == 0  # triangle paths all close up
-
-    def test_heavy_star_count(self):
-        l = theta(2, 3)  # K_{2,3}
-        total, heavy = heavy_star_count(l, 2, 2)
-        # centers 0,1 give C(3,2)=3 stars each (common nbhd size 1 after
-        # removing leaves: the other hub); centers 2,3,4 give 1 star each with
-        # common nbhd {2,3,4} minus the leaves themselves = the other 3-side
-        # vertices? leaves are 0,1 -> common nbhd = {2,3,4}\{} intersect ...
-        assert total == 2 * 3 + 3 * 1
-        for leaves in combinations((2, 3, 4), 2):
-            assert heavy_star_classify(l, leaves, 1)
+        kept = {}
+        for threshold in (1, 3, 4):
+            kept[threshold] = list(admissible_tree_copies(l, p3, iter(all_copies), 2, threshold))
+            # the filter keeps exactly the copies without a heavy 2-star, in order
+            assert kept[threshold] == [vm for vm in all_copies if not heavy(vm, threshold)]
+        assert kept[1] == [] and kept[4] == all_copies
+        assert all(vm[1] in (0, 1) for vm in kept[3]) and len(kept[3]) == 12
 
 
 def naive_hall(sets, t):

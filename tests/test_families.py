@@ -2,11 +2,9 @@ import pytest
 
 from indturan.errors import (
     DegenerateRoot,
-    EmptyBlowup,
     Multigraph,
     NotBipartite,
     RootEdgeCollision,
-    TooLarge,
 )
 from indturan.families import (
     BipartiteTemplate,
@@ -15,7 +13,6 @@ from indturan.families import (
     as_template,
     attach_ktt,
     attach_ktt_rooted,
-    blowup,
     complete_bipartite_template,
     height_two_tree,
     leaf_rooted_star,
@@ -134,11 +131,6 @@ class TestRootedPower:
             rooted_power(f, 2)
         assert rooted_power(f, 1).graph.m == 2  # l=1 is always fine
 
-    def test_root_edge_opt_in_shares_edge(self):
-        f = RootedGraph(Graph(3, [(0, 1), (1, 2)]), frozenset({0, 1}))
-        p = rooted_power(f, 2, allow_root_edges=True)
-        assert p.graph.m == 2 * f.graph.m - 1  # root edge appears once
-
 
 class TestTheta:
     def test_small_cases(self):
@@ -226,35 +218,6 @@ class TestNeighborhoodHypergraph:
                 a, b = b, a
             fh = neighborhood_hypergraph(BipartiteTemplate(f.graph, (a, b)))
             assert max(len(e) for e in fh.hyperedges) == t + 1
-
-
-class TestBlowup:
-    def test_single_edge_counts(self):
-        fh = neighborhood_hypergraph(
-            BipartiteTemplate(Graph(2, [(0, 1)]), ((0,), (1,))))
-        out = blowup(fh, 2)
-        assert len(out.hyperedges) == 2  # one 1-edge {0} blown to {a},{b}
-        c4 = BipartiteTemplate(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), ((0, 2), (1, 3)))
-        out = blowup(neighborhood_hypergraph(c4), 2)
-        assert len(out.hyperedges) == 2 * 2 ** 2
-
-    def test_each_hyperedge_transversal(self):
-        c4 = BipartiteTemplate(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), ((0, 2), (1, 3)))
-        out = blowup(neighborhood_hypergraph(c4), 3)
-        for e in out.hyperedges:
-            for part in out.parts:
-                assert len(e & set(part)) <= 1
-
-    def test_m0_rejected(self):
-        fh = neighborhood_hypergraph(
-            BipartiteTemplate(Graph(2, [(0, 1)]), ((0,), (1,))))
-        with pytest.raises(EmptyBlowup):
-            blowup(fh, 0)
-
-    def test_budget(self):
-        big = complete_bipartite_template(6, 8)
-        with pytest.raises(TooLarge):
-            blowup(neighborhood_hypergraph(big), 10)
 
 
 class TestDescriptors:

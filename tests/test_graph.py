@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from indturan.embeddings import cross_subgraph
 from indturan.errors import (
     EmptyGraph,
-    EmptyQuery,
     InvalidPartition,
     Multigraph,
     NotBipartite,
@@ -21,19 +20,17 @@ from indturan.graph import (
     bipartite_between,
     bipartition,
     bits,
-    common_neighborhood,
+    common_neighborhood_mask,
     degree_stats,
-    dumps_graph,
     edge_subgraph,
     graph_from_json_dict,
     graph_to_json_dict,
     induced_subgraph,
-    is_injective,
-    is_k_almost_regular,
-    loads_graph,
     mask_of,
     to_dot,
 )
+
+from helpers import is_k_almost_regular
 
 
 def path(n):
@@ -97,15 +94,15 @@ class TestGraphBasics:
 class TestNeighborhoods:
     def test_common_neighborhood_excludes_query(self):
         g = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-        assert common_neighborhood(g, [0, 1]) == {2}
+        assert common_neighborhood_mask(g.adj, [0, 1]) == mask_of([2])
 
     def test_common_neighborhood_empty_query(self):
-        with pytest.raises(EmptyQuery):
-            common_neighborhood(Graph(2, [(0, 1)]), [])
+        # no constraint at all: every vertex qualifies
+        assert common_neighborhood_mask(Graph(3, [(0, 1)]).adj, []) == 0b111
 
     def test_common_neighborhood_of_twins(self):
         g = Graph(5, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4)])
-        assert common_neighborhood(g, [0, 1]) == {2, 3}
+        assert common_neighborhood_mask(g.adj, [0, 1]) == mask_of([2, 3])
 
 
 class TestInducedSubgraph:
@@ -220,20 +217,23 @@ class TestPartitionRule:
 
 
 class TestJson:
-    def test_round_trip_with_roots_and_partition(self):
-        g = path(4)
-        text = dumps_graph(g, roots=[0, 3], partition=((0, 2), (1, 3)))
-        g2, roots, part = loads_graph(text)
-        assert g2 == g and roots == (0, 3) and part == ((0, 2), (1, 3))
+    @given(partitioned_hosts(), st.data())
+    def test_round_trip_with_roots_and_partition(self, host, data):
+        g = host.graph
+        keep = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+        roots = data.draw(st.none() | st.permutations([v for v in range(g.n) if keep[v]]))
+        partition = data.draw(st.sampled_from([None, host.partition]))
+        text = json.dumps(graph_to_json_dict(g, roots=roots, partition=partition),
+                          sort_keys=True, indent=2)
+        g2, roots2, part2 = graph_from_json_dict(json.loads(text))
+        assert g2 == g
+        assert roots2 == (None if roots is None else tuple(sorted(roots)))
+        assert part2 == partition
 
     def test_sorted_keys(self):
         d = graph_to_json_dict(path(3))
         assert json.dumps(d, sort_keys=True) == json.dumps(
             graph_from_json_dict(d) and d, sort_keys=True)
-
-    def test_is_injective(self):
-        assert is_injective((0, 2, 1))
-        assert not is_injective((0, 2, 2))
 
 
 class TestDot:

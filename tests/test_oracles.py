@@ -23,12 +23,11 @@ from indturan.oracles import (
     extremal_star,
     is_isomorphic,
     kst_check,
-    random_kss_free,
-    random_kss_free_bipartite,
     verify_bip_induced_map,
     verify_induced_map,
-    verify_subgraph_map,
 )
+
+from helpers import random_kss_free, random_kss_free_bipartite, verify_subgraph_map
 
 
 def c4():

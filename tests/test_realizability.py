@@ -2,8 +2,11 @@ import json
 import math
 import typing
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indturan import realizability
 from indturan.density import is_balanced, rho
@@ -16,7 +19,6 @@ from indturan.realizability import (
     RealizabilityCertificate,
     ReducedRational,
     build_witness,
-    certificate_to_json,
     derive,
     enumerate_realizable,
     qualifies,
@@ -117,12 +119,12 @@ def stepwise_witness(cert: RealizabilityCertificate, l: int) -> RootedGraph:
 
 class TestBuildWitness:
     def test_k34(self):
-        w = build_witness(derive(1, 3), l=4)
+        w = build_witness(derive(1, 3, l=4))
         k34 = Graph(7, [(i, j) for i in range(3) for j in range(3, 7)])
         assert is_isomorphic(w.graph, k34)
 
     def test_c6(self):
-        w = build_witness(derive(2, 3), l=2)
+        w = build_witness(derive(2, 3, l=2))
         assert is_isomorphic(w.graph, theta(3, 2))
 
     def test_s0_is_vertex_count(self):
@@ -151,6 +153,11 @@ class TestBuildWitness:
             assert w.roots == {label[v] for v in old.roots}
 
 
+@cache
+def sweep_7_50(l):
+    return enumerate_realizable(7, 50, l)
+
+
 class TestVerify:
     def test_corrupted_reductions(self):
         cert = derive(5, 16)
@@ -167,13 +174,15 @@ class TestVerify:
             l=cert.l, s0=cert.s0, exponent=cert.exponent + 1, s0_rule=cert.s0_rule)
         assert not verify_certificate(bad)
 
-    def test_json_round_trip(self):
-        cert = derive(4, 11)
-        text = certificate_to_json(cert, verified=True)
-        data = json.loads(text)
-        assert data["verified"] is True
-        again = RealizabilityCertificate.from_json_dict(data)
-        assert again == cert
+    @settings(deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.booleans())
+    def test_json_round_trip(self, l, with_verified):
+        # the CLI prints as_json_dict() plus a "verified" key
+        for _, _, cert in sweep_7_50(l):
+            extra = {"verified": True} if with_verified else {}
+            data = json.loads(json.dumps({**cert.as_json_dict(), **extra},
+                                         sort_keys=True, indent=2))
+            assert RealizabilityCertificate.from_json_dict(data) == cert
 
 
 class TestSweep:
