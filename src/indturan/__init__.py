@@ -13,7 +13,6 @@ from .embeddings import (
     Thresholds,
     asymmetric_embed,
     bad_set,
-    cross_subgraph,
     extract_induced_power,
     greedy_tree_embed,
     hall_disjoint_sets,
@@ -35,7 +34,7 @@ from .families import (
     theta,
     tree_r11,
 )
-from .graph import Graph, Host, bipartition, edge_subgraph, induced_subgraph
+from .graph import Graph, Host, bipartition, cross_subgraph, edge_subgraph, induced_subgraph
 from .oracles import (
     ExtremalResult,
     contains_induced,

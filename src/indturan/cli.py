@@ -9,9 +9,9 @@ error.
 The `thresholds` object of `embed keylemma` and `embed asym` accepts exactly
 the `embeddings.Thresholds` fields: integers `c_hs` and `m_blow`, rationals
 `gamma` and `c3` (a JSON number or a "p/q" string).  Any other key is a
-domain error (TypeError).  Every integer field of an `--input` document
-rejects a boolean or a non-integral number (ValueError) instead of
-truncating it.
+domain error (TypeError).  Every integer field of an `--input` document,
+a graph object's "n" and edge endpoints included, rejects a boolean or a
+non-integral number (ValueError) instead of truncating it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional
 from . import density, embeddings, oracles, realizability
 from .errors import DisprovesLemma, IndturanError
 from .families import BipartiteTemplate, RootedGraph, as_graph, as_template, parse_descriptor
-from .graph import (Graph, Host, common_neighborhood_mask, edge_subgraph,
+from .graph import (Graph, Host, common_neighborhood_mask, cross_subgraph, edge_subgraph,
                     graph_from_json_dict, graph_to_json_dict, to_dot)
 
 
@@ -40,10 +40,6 @@ def _load_input(path: str) -> dict:
         return json.load(fh)
 
 
-def _graph_from(d: dict) -> Graph:
-    return graph_from_json_dict(d)[0]
-
-
 def _int(value) -> int:
     """An integer field.  A bare int() would read true as 1 and truncate 2.9
     to 2; both are errors here.  Integral strings such as "2" still pass."""
@@ -52,8 +48,24 @@ def _int(value) -> int:
     return int(value)
 
 
+def _edges(rows: list) -> list[tuple[int, int]]:
+    """An edge list whose endpoints are integer fields."""
+    return [(_int(u), _int(v)) for u, v in map(tuple, rows)]
+
+
+def _read_graph(d: dict) -> tuple:
+    """(graph, roots, partition) of a graph object whose "n" and edge
+    endpoints are integer fields."""
+    n = _int(d["n"])  # before {**d}, so that a non-object fails on this lookup
+    return graph_from_json_dict({**d, "n": n, "edges": _edges(d.get("edges", []))})
+
+
+def _graph_from(d: dict) -> Graph:
+    return _read_graph(d)[0]
+
+
 def _host_from(d: dict) -> Host:
-    g, _, part = graph_from_json_dict(d)
+    g, _, part = _read_graph(d)
     s = d.get("s")
     if s is None:
         raise ValueError("host object needs an 's' field")
@@ -61,14 +73,14 @@ def _host_from(d: dict) -> Host:
 
 
 def _template_from(d: dict) -> BipartiteTemplate:
-    g, _, _ = graph_from_json_dict(d)
+    g = _graph_from(d)
     if "A" in d and "B" in d:
         return BipartiteTemplate(g, (tuple(d["A"]), tuple(d["B"])))
     return as_template(g)
 
 
 def _rooted_from(d: dict) -> RootedGraph:
-    g, roots, _ = graph_from_json_dict(d)
+    g, roots, _ = _read_graph(d)
     if roots is None:
         raise ValueError("pattern object needs a 'roots' field")
     return RootedGraph(g, frozenset(roots))
@@ -78,8 +90,8 @@ def _subgraph_from(host: Host, edge_rows: Optional[list]) -> Graph:
     """The listed host edges; by default the cross edges, or all edges when
     the host has no partition."""
     if edge_rows is not None:
-        return edge_subgraph(host.graph, [tuple(e) for e in edge_rows])
-    return host.graph if host.partition is None else embeddings.cross_subgraph(host)
+        return edge_subgraph(host.graph, _edges(edge_rows))
+    return host.graph if host.partition is None else cross_subgraph(host)
 
 
 def _object(value, name: str) -> dict:
@@ -204,11 +216,11 @@ def _cmd_embed_keylemma(args) -> int:
     th = _thresholds_from(spec.get("thresholds"))
     parts = {_int(k): tuple(v) for k, v in _object(spec["parts"], "parts").items()}
     if "rich_sets" in spec:
-        d_sets = {frozenset(s) for s in spec["rich_sets"]}
+        rich = {frozenset(s) for s in spec["rich_sets"]}.__contains__
     else:
         thr = _int(spec["rich_threshold"])
-        d_sets = (lambda ss: common_neighborhood_mask(l_sub.adj, ss).bit_count() >= thr)
-    outcome = embeddings.key_lemma_embed(host, l_sub, template, parts, d_sets, th,
+        rich = (lambda ss: common_neighborhood_mask(l_sub.adj, ss).bit_count() >= thr)
+    outcome = embeddings.key_lemma_embed(host, l_sub, template, parts, rich, th,
                                          seed=args.seed)
     _dump(outcome.as_json_dict())
     return 0

@@ -167,7 +167,7 @@ class _ClosureNetwork:
         return [v for v in range(self.q) if not reaches[v]]
 
 
-def is_balanced(f: RootedGraph, budget: int = BALANCE_BUDGET) -> DensityReport:
+def is_balanced(f: RootedGraph) -> DensityReport:
     """Exact check of rho_F(S) >= rho(F) over nonempty S of non-roots.
 
     F is balanced iff min_S (e_S - rho(F)|S|) is 0, which one min-cut settles.
@@ -184,8 +184,8 @@ def is_balanced(f: RootedGraph, budget: int = BALANCE_BUDGET) -> DensityReport:
     """
     non = f.non_roots()
     q = len(non)
-    if q > budget:
-        raise TooLarge(f"{q} non-roots exceed the balance budget of {budget}")
+    if q > BALANCE_BUDGET:
+        raise TooLarge(f"{q} non-roots exceed the balance budget of {BALANCE_BUDGET}")
     target = rho(f)
     index = {v: i for i, v in enumerate(non)}
     ends = [tuple(index[w] for w in e if w in index)

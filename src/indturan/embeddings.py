@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     BadBlowup,
@@ -39,18 +39,6 @@ from .graph import (
     mask_of,
 )
 from .oracles import contains_kss, verify_bip_induced_map, verify_induced_map
-
-
-# --- cross edges of a partitioned host -----------------------------------------------
-
-
-def cross_subgraph(host: Host) -> Graph:
-    """The spanning subgraph of the host graph on its partition's cross edges."""
-    if host.partition is None:
-        raise NoPartition("host carries no (X, Y) partition")
-    xm, ym = (mask_of(side) for side in host.partition)
-    return Graph.from_rows(row & (ym if xm >> v & 1 else xm)
-                           for v, row in enumerate(host.graph.adj))
 
 
 # --- thresholds and exact exponent arithmetic ------------------------------------
@@ -180,12 +168,9 @@ def rich_s_set(g: Graph, x: Iterable[int], y: Iterable[int], c: Fraction,
 class RegularizeReport:
     m: int
     e: int
-    k: Fraction                  # rational factor actually certified
     k_log2: Fraction             # exact exponent 4/alpha + 2
     edge_guarantee: bool         # e(H) >= (C/4) m^(1+alpha)
     size_guarantee: bool         # m >= C^((a+1)/(2a+4)) n^(a/(2a+4)) / 2^k_log2
-    vertices: tuple[int, ...]    # kept vertices, in the original numbering
-    steps: list = field(default_factory=list)
 
 
 def _ge_coeff_pow(e: int, coeff: Fraction, base: int, expo: Fraction) -> bool:
@@ -232,7 +217,6 @@ def regularize(g: Graph, alpha: Fraction, c_big: Fraction) -> tuple[Graph, tuple
         return _ratio_le_pow2(dmax, dmin, exponent)
 
     current = tuple(range(g.n))
-    steps: list = []
     fallback = None  # (edges, sub, idxmap)
     while True:
         sub, idx = induced_subgraph(g, current)
@@ -251,7 +235,6 @@ def regularize(g: Graph, alpha: Fraction, c_big: Fraction) -> tuple[Graph, tuple
         dmin, dmax, _ = degree_stats(sub)
         if 2 * dmin * sub.n < sub.m:  # dmin < avg/4
             drop = min(v for v in range(sub.n) if sub.degree(v) == dmin)
-            steps.append(("drop", idx[drop]))
             current = tuple(v for v in idx if v != idx[drop])
             continue
         order = sorted(range(sub.n), key=lambda v: (-sub.degree(v), v))
@@ -266,7 +249,6 @@ def regularize(g: Graph, alpha: Fraction, c_big: Fraction) -> tuple[Graph, tuple
         lhs = Fraction(top_sub.m) ** q * Fraction(bot_sub.n) ** p
         rhs = Fraction(bot_sub.m) ** q * Fraction(top_sub.n) ** p
         pick = top if lhs >= rhs else bottom
-        steps.append(("halve", tuple(pick)))
         current = tuple(pick)
 
     size_ok = product_pow_le(
@@ -275,9 +257,8 @@ def regularize(g: Graph, alpha: Fraction, c_big: Fraction) -> tuple[Graph, tuple
          (Fraction(g.n), Fraction(alpha, 2 * alpha + 4))],
         [(Fraction(sub.n), Fraction(1))],
     ) if sub.n > 0 else False
-    report = RegularizeReport(m=sub.n, e=sub.m, k=k_exact, k_log2=exponent,
-                              edge_guarantee=dense, size_guarantee=size_ok,
-                              vertices=idx, steps=steps)
+    report = RegularizeReport(m=sub.n, e=sub.m, k_log2=exponent,
+                              edge_guarantee=dense, size_guarantee=size_ok)
     return sub, idx, k_exact, report
 
 
@@ -355,9 +336,6 @@ def greedy_tree_embed(host: Host, l: Graph, t: Graph, d: int) -> Iterator[Vertex
                     cand &= ~g.adj[img]
             cand_list = list(bits(cand))
         for w in cand_list:
-            if parent[v] == -1:
-                if used >> w & 1 or badmask >> w & 1:
-                    continue
             if bad[w] & used:  # some placed vertex is bad for w
                 continue
             assign[v] = w
@@ -436,7 +414,6 @@ def hall_disjoint_sets(sets: Sequence[Iterable[int]], t: int) -> Optional[list[t
 # --- the key embedding procedure --------------------------------------------------------
 
 
-RichFamily = Union[Collection[frozenset], Callable[[frozenset], bool]]
 KEY_LEMMA_RETRIES = 64           # random placements of A tried first
 KEY_LEMMA_EXHAUSTIVE_CAP = 4096  # largest placement space then enumerated in full
 
@@ -458,17 +435,12 @@ class EmbeddingOutcome:
         }
 
 
-def _rich_member(d_sets: RichFamily, s: frozenset) -> bool:
-    if callable(d_sets):
-        return bool(d_sets(s))
-    return s in d_sets
-
-
 def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
-                    parts: dict[int, Sequence[int]], d_sets: RichFamily, th: Thresholds,
-                    seed: int = 0) -> EmbeddingOutcome:
+                    parts: dict[int, Sequence[int]], rich: Callable[[frozenset], bool],
+                    th: Thresholds, seed: int = 0) -> EmbeddingOutcome:
     """Place the template's A side on declared blowup parts inside X and extend
-    to the B side through rich common neighborhoods.
+    to the B side through rich common neighborhoods.  Every blowup edge (one
+    part vertex per A vertex of a B vertex's neighborhood) must satisfy rich.
 
     Steps per candidate placement phi of A: (1) phi(A) independent in the host
     graph; (2) no phi(u) lies in the bad set of another edge's common
@@ -501,7 +473,7 @@ def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
         raise ValueError("template has an isolated B-side vertex")
     for e in fa.hyperedges:
         for combo in product(*(parts_map[v] for v in sorted(e))):
-            if not _rich_member(d_sets, frozenset(combo)):
+            if not rich(frozenset(combo)):
                 raise BadBlowup(f"blowup edge {sorted(combo)} is outside the rich family")
 
     a_order = list(template.a_side)
@@ -577,8 +549,10 @@ def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
         for b, w in zip(b_order, placement):
             vm[b] = w
         vm = tuple(vm)
-        if not verify_bip_induced_map(g, x_side, y_side, template, vm, l_edges=l.edges):
+        if not verify_bip_induced_map(g, x_side, y_side, template, vm):
             raise DisprovesLemma("key-lemma embedding failed the induced re-check")
+        if not all(l.has_edge(vm[a], vm[b]) for a, b in template.graph.edges):
+            raise DisprovesLemma("key-lemma embedding uses an edge outside l")
         entry["stage"] = "success"
         return EmbeddingOutcome(True, vm, trace)
     return EmbeddingOutcome(False, None, trace)

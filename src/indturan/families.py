@@ -203,10 +203,11 @@ def attach_ktt(h: BipartiteTemplate, t: int) -> BipartiteTemplate:
     return BipartiteTemplate(Graph.from_rows(rows), (h.a_side + c_new, h.b_side + d_new))
 
 
-def attach_ktt_rooted(f: RootedGraph, parts: Parts, t: int) -> RootedGraph:
-    """attach_ktt on the underlying graph; the 2t new vertices become roots,
-    so the density rises by exactly t."""
-    template = BipartiteTemplate(f.graph, parts)  # raises NotBipartite if unfit
+def attach_ktt_rooted(f: RootedGraph, t: int) -> RootedGraph:
+    """attach_ktt on the underlying graph, oriented by `as_template`; the 2t
+    new vertices become roots, so the density rises by exactly t.  Raises
+    NotBipartite if the graph has an odd cycle."""
+    template = as_template(f)
     if t == 0:
         return f
     reduced = attach_ktt(template, t)
@@ -324,5 +325,5 @@ def parse_descriptor(desc: str):
         return rooted_power(rooted_subarg("base"), intarg("l"))
     if kind == "f1":
         base = rooted_subarg("base")
-        return attach_ktt_rooted(base, as_template(base).parts, 1)
+        return attach_ktt_rooted(base, 1)
     raise ValueError(f"unknown descriptor kind {kind!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import EmptyGraph, InvalidPartition, Multigraph
+from .errors import EmptyGraph, InvalidPartition, Multigraph, NoPartition
 
 # An injective map from pattern vertices to host vertices, indexed by pattern id.
 VertexMap = tuple[int, ...]
@@ -138,27 +138,6 @@ def edge_subgraph(g: Graph, edges: Iterable[Sequence[int]]) -> Graph:
     return Graph(g.n, es)
 
 
-def bipartite_between(g: Graph, x: Iterable[int], y: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Spanning bipartite subgraph on x ∪ y keeping only cross edges.
-
-    Returns (graph, index map new id -> old id); x comes first in the new ids.
-    """
-    xs, ys = sorted(set(x)), sorted(set(y))
-    if set(xs) & set(ys):
-        raise InvalidPartition("sides overlap")
-    keep = xs + ys
-    for v in keep:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-    pos = {v: i for i, v in enumerate(keep)}
-    xset = set(xs)
-    edges = []
-    for u, v in g.edges:
-        if u in pos and v in pos and ((u in xset) != (v in xset)):
-            edges.append((pos[u], pos[v]))
-    return Graph(len(keep), edges), tuple(keep)
-
-
 def degree_stats(g: Graph) -> tuple[int, int, Fraction]:
     """(min degree, max degree, average degree as an exact rational)."""
     if g.n == 0:
@@ -217,6 +196,15 @@ class Host:
             raise ValueError("s must be positive")
         if self.partition is not None:
             object.__setattr__(self, "partition", check_partition(self.graph.n, self.partition))
+
+
+def cross_subgraph(host: Host) -> Graph:
+    """The spanning subgraph of the host graph on its partition's cross edges."""
+    if host.partition is None:
+        raise NoPartition("host carries no (X, Y) partition")
+    xm, ym = (mask_of(side) for side in host.partition)
+    return Graph.from_rows(row & (ym if xm >> v & 1 else xm)
+                           for v, row in enumerate(host.graph.adj))
 
 
 # --- external formats -------------------------------------------------------

@@ -1,11 +1,16 @@
 """Exhaustive oracles: pattern containment and extremal values.
 
-Everything here is exact search at desk scale.  The extremal oracles work by
-orderly vertex-extension generation: a graph is grown one vertex at a time,
-and both constraints (no K_{s,s} subgraph, no induced copy of h) are hereditary
-under adding vertices, so a branch can be pruned the moment either pattern
-appears through the newest vertex.  Isomorphism-class deduplication only skips
-duplicate branches; correctness never depends on it.
+Everything here is exact search at desk scale.  Every containment question
+goes to one backtracking matcher, `_embed`: it places pattern vertices in order
+of decreasing degree, and a per-vertex host mask (less the host vertices of too
+small a degree) is the only way to restrict or pin where a pattern vertex goes.
+
+The extremal oracles work by orderly vertex-extension generation: a graph is
+grown one vertex at a time, and both constraints (no K_{s,s} subgraph, no
+induced copy of h) are hereditary under adding vertices, so a branch can be
+pruned the moment either pattern appears through the newest vertex.
+Isomorphism-class deduplication only skips duplicate branches; correctness
+never depends on it.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from .graph import (
     Graph,
     Host,
     VertexMap,
-    bipartite_between,
     bits,
     common_neighborhood_mask,
+    cross_subgraph,
     graph_to_json_dict,
     mask_of,
 )
@@ -69,25 +74,15 @@ def _kss_through_vertex(adj: Sequence[int], v: int, s: int) -> bool:
 # --- induced / subgraph embedding ---------------------------------------------
 
 
-def _match_order(h: Graph) -> list[int]:
-    """Pattern order: max degree first, then most already-placed neighbors."""
-    if h.n == 0:
-        return []
-    order = [max(range(h.n), key=lambda v: (h.degree(v), -v))]
-    placed = {order[0]}
-    while len(order) < h.n:
-        rest = [v for v in range(h.n) if v not in placed]
-        nxt = max(rest, key=lambda v: (sum(1 for w in placed if h.has_edge(v, w)),
-                                       h.degree(v), -v))
-        order.append(nxt)
-        placed.add(nxt)
-    return order
-
-
 def _embed(g: Graph, h: Graph, induced: bool,
-           initial: Optional[Sequence[int]] = None,
-           forced: Optional[dict[int, int]] = None) -> Optional[VertexMap]:
-    """Backtracking embedding of h into g; induced=True matches non-edges too."""
+           initial: Optional[Sequence[int]] = None) -> Optional[VertexMap]:
+    """Backtracking embedding of h into g; induced=True matches non-edges too.
+
+    Pattern vertex p may only map into the host mask initial[p] (default: every
+    vertex), less the host vertices of degree below h.degree(p); these masks
+    are the only way to pin a vertex.  Pattern vertices are placed in order of
+    decreasing degree, ties by id.
+    """
     if h.n > g.n:
         return None
     if h.n == 0:
@@ -96,20 +91,16 @@ def _embed(g: Graph, h: Graph, induced: bool,
     cand = [full] * h.n if initial is None else [m & full for m in initial]
     for p in range(h.n):
         dp = h.degree(p)
-        m = cand[p]
         keep = 0
-        for w in bits(m):
+        for w in bits(cand[p]):
             if g.degree(w) >= dp:
                 keep |= 1 << w
         cand[p] = keep
-    if forced:
-        for p, w in forced.items():
-            cand[p] &= 1 << w
-    order = _match_order(h)
-    assignment: dict[int, int] = {}
+    order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
+    assignment = [0] * h.n
 
     def rec(i: int, cands: list[int]) -> bool:
-        if i == len(order):
+        if i == h.n:
             return True
         p = order[i]
         for w in bits(cands[p]):
@@ -117,9 +108,7 @@ def _embed(g: Graph, h: Graph, induced: bool,
             nxt = list(cands)
             ok = True
             wbit = ~(1 << w)
-            for q in range(h.n):
-                if q in assignment:
-                    continue
+            for q in order[i + 1:]:
                 m = nxt[q] & wbit
                 if h.has_edge(p, q):
                     m &= g.adj[w]
@@ -131,12 +120,9 @@ def _embed(g: Graph, h: Graph, induced: bool,
                     break
             if ok and rec(i + 1, nxt):
                 return True
-            del assignment[p]
         return False
 
-    if rec(0, cand):
-        return tuple(assignment[p] for p in range(h.n))
-    return None
+    return tuple(assignment) if rec(0, cand) else None
 
 
 def contains_induced(g: Graph, h: Graph) -> Optional[VertexMap]:
@@ -151,10 +137,9 @@ def contains_subgraph(g: Graph, h: Graph) -> Optional[VertexMap]:
 
 def _contains_using(g: Graph, h: Graph, v: int, induced: bool) -> bool:
     """Is there a copy of h whose image contains host vertex v?"""
-    for p in range(h.n):
-        if _embed(g, h, induced=induced, forced={p: v}) is not None:
-            return True
-    return False
+    full = g.vertex_mask()
+    return any(_embed(g, h, induced, [1 << v if q == p else full for q in range(h.n)])
+               is not None for p in range(h.n))
 
 
 def verify_induced_map(g: Graph, h: Graph, vm: VertexMap) -> bool:
@@ -197,23 +182,15 @@ def contains_bip_induced(host: Host, h: BipartiteTemplate) -> Optional[VertexMap
 
 
 def verify_bip_induced_map(g: Graph, x: Sequence[int], y: Sequence[int],
-                           h: BipartiteTemplate, vm: VertexMap,
-                           l_edges: Optional[frozenset] = None) -> bool:
-    """Definitional check for a bip-induced copy; optionally require the copy's
-    edges to lie in an explicit cross edge set l_edges."""
+                           h: BipartiteTemplate, vm: VertexMap) -> bool:
+    """Definitional check for a bip-induced copy: induced in g, with the A side
+    in one of x, y and the B side in the other."""
     if not verify_induced_map(g, h.graph, vm):
         return False
     xs, ys = set(x), set(y)
     a_in_x = all(vm[p] in xs for p in h.a_side) and all(vm[p] in ys for p in h.b_side)
     a_in_y = all(vm[p] in ys for p in h.a_side) and all(vm[p] in xs for p in h.b_side)
-    if not (a_in_x or a_in_y):
-        return False
-    if l_edges is not None:
-        for u, v in h.graph.edges:
-            e = (vm[u], vm[v]) if vm[u] < vm[v] else (vm[v], vm[u])
-            if e not in l_edges:
-                return False
-    return True
+    return a_in_x or a_in_y
 
 
 # --- orderly vertex-extension generation ---------------------------------------
@@ -373,7 +350,7 @@ def kst_check(host: Host) -> bool:
     x, y = host.partition
     if len(x) != len(y):
         raise InvalidPartition(f"sides must be equal, got {len(x)} and {len(y)}")
-    cross, _ = bipartite_between(host.graph, x, y)
+    cross = cross_subgraph(host)
     if contains_kss(cross, host.s) is not None:
         raise NotKssFree(f"cross graph contains K_{{{host.s},{host.s}}}")
     m = len(x)

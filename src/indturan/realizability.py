@@ -25,10 +25,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .density import is_balanced, rho
-from .errors import CertificateInvalid, NotQualified, TooLarge
+from .errors import CertificateInvalid, NotBipartite, NotQualified, TooLarge
 from .families import (
     RootedGraph,
-    as_template,
     attach_ktt_rooted,
     height_two_tree,
     leaf_rooted_star,
@@ -36,7 +35,6 @@ from .families import (
     rooted_power,
     tree_r11,
 )
-from .graph import bipartition
 
 S0_RULE = "s0 = |V(H)|"
 
@@ -159,7 +157,7 @@ def build_witness(cert: RealizabilityCertificate) -> RootedGraph:
     rejects; this order keeps every operand legal and yields H directly.
     """
     f = rooted_power(cert.base.rooted_graph(), cert.l)
-    return attach_ktt_rooted(f, as_template(f).parts, cert.reductions)
+    return attach_ktt_rooted(f, cert.reductions)
 
 
 @dataclass(frozen=True)
@@ -186,12 +184,13 @@ def verify_certificate(cert: RealizabilityCertificate) -> VerificationResult:
     target_rho = t.density
     if rho(base_graph) + cert.reductions != target_rho:
         return VerificationResult(False, "RhoMismatch")
-    witness = build_witness(cert)
+    try:
+        witness = build_witness(cert)
+    except NotBipartite:
+        return VerificationResult(False, "NotBipartite")
     report = is_balanced(witness)
     if report.rho != target_rho:
         return VerificationResult(False, "RhoMismatch")
-    if bipartition(witness.graph) is None:
-        return VerificationResult(False, "NotBipartite")
     if not report.balanced:
         return VerificationResult(False, "Unbalanced")
     if cert.exponent != t.exponent:

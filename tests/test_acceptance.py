@@ -24,7 +24,6 @@ from indturan.embeddings import (
     Thresholds,
     asymmetric_embed,
     bad_set,
-    cross_subgraph,
     extract_induced_power,
     extraction_aux,
     greedy_tree_embed,
@@ -43,7 +42,7 @@ from indturan.families import (
     theta,
     tree_r11,
 )
-from indturan.graph import Graph, Host, bipartition, edge_subgraph
+from indturan.graph import Graph, Host, bipartition, cross_subgraph, edge_subgraph
 from indturan.oracles import (
     contains_kss,
     extremal_bip_star,
@@ -125,7 +124,7 @@ def test_attachment_shifts_density_by_one(capsys):
                     capsys):
         for f in corpus:
             before = density.is_balanced(f)
-            shifted = attach_ktt_rooted(f, stated_parts(f.graph), 1)
+            shifted = attach_ktt_rooted(f, 1)
             after = density.is_balanced(shifted)
             assert after.rho == before.rho + 1
             # the attachment adds at most one edge per old vertex, so it
@@ -151,7 +150,7 @@ def test_power_and_attachment_commute(capsys):
     with scoreboard("power/attachment commutation", capsys):
         for f in (rooted_path(2), height_two_tree(2, 1)):
             for l in (1, 2):
-                attached = attach_ktt_rooted(f, stated_parts(f.graph), 1)
+                attached = attach_ktt_rooted(f, 1)
                 lhs = glue_along_roots(attached, l)
                 power = rooted_power(f, l)
                 template = BipartiteTemplate(power.graph,

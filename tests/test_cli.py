@@ -443,7 +443,7 @@ def _get(doc, path):
 def malformed_inputs(draw):
     argv = draw(st.sampled_from(sorted(VALID_INPUTS)))
     doc, required, numeric = VALID_INPUTS[argv]
-    how = draw(st.sampled_from(["document", "drop", "object", "number", "edge"]))
+    how = draw(st.sampled_from(["document", "drop", "object", "number", "edge", "vertex"]))
     if how == "document":
         return argv, draw(st.one_of(_NON_OBJECTS, st.none()))
     if how == "drop":
@@ -455,6 +455,17 @@ def malformed_inputs(draw):
         return argv, _set(doc, draw(st.sampled_from(numeric)), draw(_NON_NUMBERS))
     graphs = [p for p in [(), *_nodes(doc)] if "edges" in _get(doc, p)]
     path = draw(st.sampled_from(graphs))
+    if how == "vertex":
+        # a graph's n (its edges dropped, so no range check fires first) or
+        # one edge endpoint becomes a boolean or a non-integral number
+        value = draw(st.sampled_from([True, 2.5]))
+        edges = _get(doc, path)["edges"]
+        at = draw(st.integers(-1, len(edges) - 1))
+        if at < 0:
+            return argv, _set(_set(doc, path + ("edges",), []), path + ("n",), value)
+        edge = list(edges[at])
+        edge[draw(st.integers(0, 1))] = value
+        return argv, _set(doc, path + ("edges",), edges[:at] + [edge] + edges[at + 1:])
     n = _get(doc, path)["n"]
     bad = draw(st.sampled_from([[], [0], [0, 1, 2], 0, "ab", [0, n], [-1, 0], [1, 1]]))
     edges = _get(doc, path)["edges"]

@@ -25,7 +25,7 @@ from indturan.families import (
     rooted_power,
     tree_r11,
 )
-from indturan.graph import Graph, bipartition
+from indturan.graph import Graph
 
 
 def naive_min_density(f):
@@ -271,12 +271,11 @@ class TestBalanced:
 class TestReduction:
     def test_rho_plus_one_examples(self):
         for f in (height_two_tree(3, 1), rooted_path(3), tree_r11(2)):
-            reduced = attach_ktt_rooted(f, bipartition(f.graph), 1)
+            reduced = attach_ktt_rooted(f, 1)
             assert rho(reduced) == rho(f) + 1
             assert is_balanced(reduced).balanced == is_balanced(f).balanced
 
     def test_attach_changes_path_rho(self):
         f = rooted_path(2)
-        parts = bipartition(f.graph)
-        out = attach_ktt_rooted(f, parts, 1)
+        out = attach_ktt_rooted(f, 1)
         assert rho(f) == 2 and rho(out) == 3

@@ -182,18 +182,18 @@ class TestAttachKtt:
 class TestAttachKttRooted:
     def test_roots_grow(self):
         f = height_two_tree(3, 1)
-        parts = bipartition(f.graph)
-        out = attach_ktt_rooted(f, parts, 1)
+        out = attach_ktt_rooted(f, 1)
         assert len(out.roots) == len(f.roots) + 2
 
     def test_t0_is_identity(self):
         f = rooted_path(2)
-        assert attach_ktt_rooted(f, bipartition(f.graph), 0) is f
+        assert attach_ktt_rooted(f, 0) is f
 
     def test_invalid_parts(self):
-        f = rooted_path(3)
+        # an odd-cycle rooted graph has no parts to attach along
+        f = RootedGraph(Graph(3, [(0, 1), (1, 2), (0, 2)]), frozenset({0}))
         with pytest.raises(NotBipartite):
-            attach_ktt_rooted(f, ((0, 1), (2, 3)), 1)
+            attach_ktt_rooted(f, 1)
 
 
 class TestNeighborhoodHypergraph:

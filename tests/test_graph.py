@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from indturan.embeddings import cross_subgraph
 from indturan.errors import (
     EmptyGraph,
     InvalidPartition,
@@ -17,10 +16,10 @@ from indturan.families import BipartiteTemplate
 from indturan.graph import (
     Graph,
     Host,
-    bipartite_between,
     bipartition,
     bits,
     common_neighborhood_mask,
+    cross_subgraph,
     degree_stats,
     edge_subgraph,
     graph_from_json_dict,
@@ -124,20 +123,6 @@ class TestInducedSubgraph:
             for i, u in enumerate(idx):
                 expect = sum(1 for v in idx if v != u and g.has_edge(u, v))
                 assert sub.degree(i) == expect
-
-
-class TestBipartiteBetween:
-    def test_keeps_cross_edges_only(self):
-        g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)])
-        cross, idx = bipartite_between(g, [0, 3], [1, 2])
-        assert idx == (0, 3, 1, 2)
-        # cross edges: 0-1, 0-2, 1-3, 2-3; internal 0-3 dropped
-        assert cross.m == 4
-        assert not cross.has_edge(0, 1)  # images of 0 and 3
-
-    def test_overlap_rejected(self):
-        with pytest.raises(InvalidPartition):
-            bipartite_between(Graph(3, []), [0, 1], [1, 2])
 
 
 class TestDegreeStats:

@@ -2,6 +2,8 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indturan import oracles
 from indturan.errors import (
@@ -42,25 +44,20 @@ def p4():
     return Graph(4, [(0, 1), (1, 2), (2, 3)])
 
 
-def naive_contains(g, h, induced):
-    """Reference: try every injective map, no pruning."""
+def naive_maps(g, h, induced, initial=None):
+    """Reference: every injective map, no pruning, with pattern vertex p
+    confined to the host mask initial[p] when initial is given."""
     for perm in permutations(range(g.n), h.n):
-        ok = True
-        for u in range(h.n):
-            for v in range(u + 1, h.n):
-                has = g.has_edge(perm[u], perm[v])
-                want = h.has_edge(u, v)
-                if induced and has != want:
-                    ok = False
-                elif not induced and want and not has:
-                    ok = False
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+        if initial is not None and not all(initial[p] >> w & 1 for p, w in enumerate(perm)):
+            continue
+        pairs = [(g.has_edge(perm[u], perm[v]), h.has_edge(u, v))
+                 for u, v in combinations(range(h.n), 2)]
+        if all(has == want if induced else has or not want for has, want in pairs):
+            yield perm
+
+
+def naive_contains(g, h, induced, initial=None):
+    return next(naive_maps(g, h, induced, initial), None) is not None
 
 
 def naive_kss(g, s):
@@ -101,6 +98,36 @@ class TestContainment:
         k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
         assert contains_subgraph(k4, c4()) is not None
         assert contains_induced(k4, c4()) is None
+
+
+@st.composite
+def matcher_cases(draw):
+    """A host on at most 7 vertices, a pattern on at most 5, the induced flag,
+    and either no masks or one random host mask per pattern vertex."""
+    def graph(n):
+        pairs = list(combinations(range(n), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+    g, h = graph(draw(st.integers(0, 7))), graph(draw(st.integers(0, 5)))
+    initial = draw(st.none() | st.lists(st.integers(0, g.vertex_mask()),
+                                        min_size=h.n, max_size=h.n))
+    return g, h, draw(st.booleans()), initial
+
+
+class TestMatcherDefinition:
+    @settings(max_examples=300, deadline=None)
+    @given(matcher_cases())
+    def test_embed_matches_brute_force(self, case):
+        g, h, induced, initial = case
+        got = oracles._embed(g, h, induced, initial)
+        assert (got is not None) == naive_contains(g, h, induced, initial)
+        if got is not None:
+            assert (verify_induced_map if induced else verify_subgraph_map)(g, h, got)
+            assert initial is None or all(initial[p] >> w & 1 for p, w in enumerate(got))
+        used = {w for vm in naive_maps(g, h, induced) for w in vm}
+        for v in range(g.n):
+            assert oracles._contains_using(g, h, v, induced) == (v in used)
 
 
 class TestKss:
