@@ -10,8 +10,9 @@ The `thresholds` object of `embed keylemma` and `embed asym` accepts exactly
 the `embeddings.Thresholds` fields: integers `c_hs` and `m_blow`, rationals
 `gamma` and `c3` (a JSON number or a "p/q" string).  Any other key is a
 domain error (TypeError).  Every integer field of an `--input` document,
-a graph object's "n" and edge endpoints included, rejects a boolean or a
-non-integral number (ValueError) instead of truncating it.
+a graph object's "n", edge endpoints, roots, partition sides and template
+sides included, rejects a boolean or a non-integral number (ValueError)
+instead of truncating it.
 """
 
 from __future__ import annotations
@@ -53,11 +54,22 @@ def _edges(rows: list) -> list[tuple[int, int]]:
     return [(_int(u), _int(v)) for u, v in map(tuple, rows)]
 
 
+def _ids(values) -> tuple[int, ...]:
+    """A list of vertex ids, each an integer field."""
+    return tuple(_int(v) for v in values)
+
+
 def _read_graph(d: dict) -> tuple:
-    """(graph, roots, partition) of a graph object whose "n" and edge
-    endpoints are integer fields."""
+    """(graph, roots, partition) of a graph object whose "n", edge endpoints,
+    roots and partition sides are integer fields."""
     n = _int(d["n"])  # before {**d}, so that a non-object fails on this lookup
-    return graph_from_json_dict({**d, "n": n, "edges": _edges(d.get("edges", []))})
+    doc = {**d, "n": n, "edges": _edges(d.get("edges", []))}
+    if "roots" in d:
+        doc["roots"] = _ids(d["roots"])
+    if "partition" in d:
+        part = _object(d["partition"], "partition")
+        doc["partition"] = {"X": _ids(part["X"]), "Y": _ids(part["Y"])}
+    return graph_from_json_dict(doc)
 
 
 def _graph_from(d: dict) -> Graph:
@@ -75,7 +87,7 @@ def _host_from(d: dict) -> Host:
 def _template_from(d: dict) -> BipartiteTemplate:
     g = _graph_from(d)
     if "A" in d and "B" in d:
-        return BipartiteTemplate(g, (tuple(d["A"]), tuple(d["B"])))
+        return BipartiteTemplate(g, (_ids(d["A"]), _ids(d["B"])))
     return as_template(g)
 
 

@@ -4,6 +4,11 @@ Everything here is exact search at desk scale.  Every containment question
 goes to one backtracking matcher, `_embed`: it places pattern vertices in order
 of decreasing degree, and a per-vertex host mask (less the host vertices of too
 small a degree) is the only way to restrict or pin where a pattern vertex goes.
+The matcher runs from a `Pattern`, the pattern compiled once: its placement
+order, the edge and non-edge pairs of each step, its degree floors and one
+vertex per automorphism orbit.  Each extremal oracle compiles its pattern once
+per call, and a "copy through the new vertex" test pins only one vertex per
+orbit to it.
 
 The extremal oracles work by orderly vertex-extension generation: a graph is
 grown one vertex at a time, and both constraints (no K_{s,s} subgraph, no
@@ -16,6 +21,7 @@ never depends on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -74,55 +80,107 @@ def _kss_through_vertex(adj: Sequence[int], v: int, s: int) -> bool:
 # --- induced / subgraph embedding ---------------------------------------------
 
 
+class Pattern(Graph):
+    """A pattern graph with its match plan, compiled once.
+
+    A `Pattern` is the same graph as the one it compiles, so it goes wherever
+    a graph goes (a template's graph included); `_embed` reads the plan
+    instead of re-deriving it on every call.  The plan:
+
+    * `order`: pattern vertices by decreasing degree, ties by id;
+    * `steps[i]`: for every later position j > i, the pair (j, is-edge
+      between order[i] and order[j]);
+    * `floors[i]`: the degree of order[i], below which no host vertex fits it;
+    * `orbit_reps`: the least vertex of each automorphism orbit, computed on
+      first use.
+    """
+
+    def __init__(self, h: Graph):
+        self.n, self.adj, self._edges = h.n, h.adj, None
+        deg = [row.bit_count() for row in h.adj]
+        self.order = sorted(range(h.n), key=lambda v: (-deg[v], v))
+        self.floors = [deg[p] for p in self.order]
+        self.steps = [[(j, h.adj[p] >> self.order[j] & 1) for j in range(i + 1, h.n)]
+                      for i, p in enumerate(self.order)]
+
+    @cached_property
+    def orbit_reps(self) -> tuple[int, ...]:
+        """q is in p's orbit iff the pattern embeds into itself, induced, with
+        p pinned to q: an induced self-embedding is an automorphism."""
+        full = self.vertex_mask()
+        reps, seen = [], 0
+        for p in range(self.n):
+            if seen >> p & 1:
+                continue
+            reps.append(p)
+            for q in range(p + 1, self.n):
+                if not seen >> q & 1 and _embed(self, self, True, [
+                        1 << q if r == p else full for r in range(self.n)]) is not None:
+                    seen |= 1 << q
+        return tuple(reps)
+
+
+def _compiled(h: Graph) -> Pattern:
+    """h itself if it is already compiled, else its `Pattern`."""
+    return h if isinstance(h, Pattern) else Pattern(h)
+
+
 def _embed(g: Graph, h: Graph, induced: bool,
            initial: Optional[Sequence[int]] = None) -> Optional[VertexMap]:
-    """Backtracking embedding of h into g; induced=True matches non-edges too.
+    """Backtracking embedding of h (a graph or its `Pattern`) into g;
+    induced=True matches non-edges too.
 
     Pattern vertex p may only map into the host mask initial[p] (default: every
-    vertex), less the host vertices of degree below h.degree(p); these masks
-    are the only way to pin a vertex.  Pattern vertices are placed in order of
-    decreasing degree, ties by id.
+    vertex), less the host vertices of degree below h's degree at p; these
+    masks are the only way to pin a vertex.  Pattern vertices are placed in the
+    pattern's `order`, and host candidates are tried in increasing id.
     """
-    if h.n > g.n:
+    pat = _compiled(h)
+    n, order, steps, adj = pat.n, pat.order, pat.steps, g.adj
+    if n > g.n:
         return None
-    if h.n == 0:
+    if n == 0:
         return ()
-    full = g.vertex_mask()
-    cand = [full] * h.n if initial is None else [m & full for m in initial]
-    for p in range(h.n):
-        dp = h.degree(p)
-        keep = 0
-        for w in bits(cand[p]):
-            if g.degree(w) >= dp:
-                keep |= 1 << w
-        cand[p] = keep
-    order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
-    assignment = [0] * h.n
-
-    def rec(i: int, cands: list[int]) -> bool:
-        if i == h.n:
-            return True
-        p = order[i]
-        for w in bits(cands[p]):
-            assignment[p] = w
-            nxt = list(cands)
-            ok = True
-            wbit = ~(1 << w)
-            for q in order[i + 1:]:
-                m = nxt[q] & wbit
-                if h.has_edge(p, q):
-                    m &= g.adj[w]
-                elif induced:
-                    m &= ~g.adj[w]
-                nxt[q] = m
-                if m == 0:
-                    ok = False
-                    break
-            if ok and rec(i + 1, nxt):
-                return True
-        return False
-
-    return tuple(assignment) if rec(0, cand) else None
+    at_least = [0] * (g.n + 1)  # at_least[d]: the host vertices of degree >= d
+    for w, row in enumerate(adj):
+        at_least[row.bit_count()] |= 1 << w
+    for d in range(g.n - 1, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    cands = [at_least[d] for d in pat.floors]
+    if initial is not None:
+        cands = [c & initial[p] for c, p in zip(cands, order)]
+    # An explicit stack, not a recursive closure: a closure that calls itself
+    # is a reference cycle, which keeps each call's lists alive until the
+    # cyclic collector runs and so raises peak memory.
+    assignment = [0] * n
+    level = [cands] * n  # level[i]: the masks once positions < i are placed
+    left = [0] * n       # left[i]: the untried host candidates at position i
+    left[0] = cands[0]
+    i = 0
+    while i >= 0:
+        m = left[i]
+        if not m:
+            i -= 1
+            continue
+        low = m & -m
+        left[i] = m ^ low
+        w = low.bit_length() - 1
+        row = adj[w]
+        off = ~(row | low) if induced else ~low
+        nxt = level[i][:]
+        for j, edge in steps[i]:
+            c = nxt[j] & (row if edge else off)
+            if not c:
+                break
+            nxt[j] = c
+        else:
+            assignment[order[i]] = w
+            if i + 1 == n:
+                return tuple(assignment)
+            i += 1
+            level[i] = nxt
+            left[i] = nxt[i]
+    return None
 
 
 def contains_induced(g: Graph, h: Graph) -> Optional[VertexMap]:
@@ -136,10 +194,13 @@ def contains_subgraph(g: Graph, h: Graph) -> Optional[VertexMap]:
 
 
 def _contains_using(g: Graph, h: Graph, v: int, induced: bool) -> bool:
-    """Is there a copy of h whose image contains host vertex v?"""
+    """Is there a copy of h whose image contains host vertex v?  Only one
+    vertex per orbit of h is pinned to v: if a copy φ has φ(p) = v and σ is an
+    automorphism of h, then φ∘σ is a copy with v at σ⁻¹(p)."""
+    pat = _compiled(h)
     full = g.vertex_mask()
-    return any(_embed(g, h, induced, [1 << v if q == p else full for q in range(h.n)])
-               is not None for p in range(h.n))
+    return any(_embed(g, pat, induced, [1 << v if q == p else full for q in range(pat.n)])
+               is not None for p in pat.orbit_reps)
 
 
 def verify_induced_map(g: Graph, h: Graph, vm: VertexMap) -> bool:
@@ -173,9 +234,10 @@ def contains_bip_induced(host: Host, h: BipartiteTemplate) -> Optional[VertexMap
     x, y = host.partition
     xm, ym = mask_of(x), mask_of(y)
     a_set = set(h.a_side)
+    pat = _compiled(h.graph)
     for am, bm in ((xm, ym), (ym, xm)):
-        initial = [am if p in a_set else bm for p in range(h.graph.n)]
-        vm = _embed(host.graph, h.graph, induced=True, initial=initial)
+        initial = [am if p in a_set else bm for p in range(pat.n)]
+        vm = _embed(host.graph, pat, induced=True, initial=initial)
         if vm is not None:
             return vm
     return None
@@ -204,17 +266,21 @@ def _extend(g: Graph, mask: int) -> Graph:
 
 
 def _iso_key(g: Graph) -> tuple:
-    """Cheap isomorphism invariant used to bucket candidates before exact tests."""
-    tri = []
-    for v in range(g.n):
-        c = 0
-        for w in bits(g.adj[v]):
-            c += (g.adj[v] & g.adj[w]).bit_count()
-        tri.append(c // 2)
-    prof = sorted((g.degree(v), tri[v],
-                   tuple(sorted(g.degree(w) for w in bits(g.adj[v]))))
-                  for v in range(g.n))
-    return g.n, g.m, tuple(prof)
+    """Cheap isomorphism invariant used to bucket candidates before exact tests:
+    per vertex, its degree, its triangle count and its neighbours' degrees."""
+    adj = g.adj
+    deg = [row.bit_count() for row in adj]
+    prof = []
+    for d, row in zip(deg, adj):
+        tri = 0
+        nbr = []
+        for w in bits(row):
+            tri += (row & adj[w]).bit_count()
+            nbr.append(deg[w])
+        nbr.sort()
+        prof.append((d, tri // 2, tuple(nbr)))
+    prof.sort()
+    return g.n, sum(deg) >> 1, tuple(prof)
 
 
 def _generate_classes(n: int, extend_ok: Callable[[Graph, int], bool]) -> tuple[list[Graph], int]:
@@ -274,6 +340,7 @@ def extremal_star(n: int, h: Graph, s: int, budget: int = STAR_BUDGET) -> Extrem
         raise ValueError("s must be positive")
     if h.n == 0:
         raise ValueError("pattern must have at least one vertex")
+    h = Pattern(h)  # compiled once for every matcher call below
 
     def ok(g2: Graph, k: int) -> bool:
         if _kss_through_vertex(g2.adj, k, s):
@@ -292,6 +359,7 @@ def extremal_classical(n: int, h: Graph, budget: int = STAR_BUDGET) -> ExtremalR
         raise TooLarge(f"n={n} exceeds the search budget {budget}")
     if h.n == 0:
         raise ValueError("pattern must have at least one vertex")
+    h = Pattern(h)  # compiled once for every matcher call below
 
     def ok(g2: Graph, k: int) -> bool:
         return not _contains_using(g2, h, k, induced=False)
@@ -314,6 +382,7 @@ def extremal_bip_star(n: int, h: BipartiteTemplate, s: int,
         raise ValueError("s must be positive")
     if n == 0:
         return ExtremalResult(0, Graph(0, []), 0, partition=((), ()))
+    h = BipartiteTemplate(Pattern(h.graph), h.parts)  # compiled once for every matcher call below
 
     def ok(g2: Graph, k: int) -> bool:
         return not _kss_through_vertex(g2.adj, k, s)

@@ -9,11 +9,12 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from indturan import cli, density, oracles
 from indturan.errors import DisprovesLemma
+from indturan.families import BipartiteTemplate, RootedGraph, as_graph, parse_descriptor
 
 # Subprocess runs start in the repository root and import the package from
 # its absolute src directory, whatever the caller's working directory.
@@ -317,7 +318,45 @@ class TestCheckCommands:
         assert d["edge_guarantee"] and d["size_guarantee"]
 
 
+def rooted_descriptors(depth: int, reduce: bool = True):
+    """Rooted descriptors nested up to depth; reduce=False leaves out f1, whose
+    new roots are adjacent, so that a power of it would repeat a root edge."""
+    leaves = st.one_of(
+        st.builds("Trt:r={},t={}".format, st.integers(1, 3), st.integers(1, 2)),
+        st.builds("Tr11:r={}".format, st.integers(1, 3)),
+        st.builds("path:len={}".format, st.integers(2, 4)),
+        st.builds("star:r={}".format, st.integers(1, 4)))
+    if depth == 0:
+        return leaves
+    power = st.builds("power:base=({}),l={}".format,
+                      rooted_descriptors(depth - 1, reduce=False), st.integers(1, 3))
+    if not reduce:
+        return leaves | power
+    return leaves | power | st.builds("f1:base=({})".format, rooted_descriptors(depth - 1))
+
+
+DESCRIPTORS = (rooted_descriptors(2)
+               | st.just("theta:len=1,t=1")
+               | st.builds("theta:len={},t={}".format, st.integers(2, 4), st.integers(1, 3))
+               | st.builds("Kst:s={},t={}".format, st.integers(1, 3), st.integers(1, 3)))
+
+
 class TestExport:
+    @settings(max_examples=100, deadline=None)
+    @given(DESCRIPTORS)
+    def test_json_round_trip(self, desc):
+        # export -> JSON -> graph gives back what parse_descriptor built
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["export", desc, "--format", "json"]) == 0
+        payload = json.loads(out.getvalue())
+        obj = parse_descriptor(desc)
+        g, roots, parts = cli._read_graph(payload["graph"])
+        assert payload["descriptor"] == desc
+        assert g == as_graph(obj)
+        assert roots == (tuple(sorted(obj.roots)) if isinstance(obj, RootedGraph) else None)
+        assert parts == (obj.parts if isinstance(obj, BipartiteTemplate) else None)
+
     def test_dot_roots_marked(self, capsys):
         code, out = run_cli(capsys, "export", "Trt:r=2,t=1", "--format", "dot")
         assert code == 0
@@ -443,7 +482,8 @@ def _get(doc, path):
 def malformed_inputs(draw):
     argv = draw(st.sampled_from(sorted(VALID_INPUTS)))
     doc, required, numeric = VALID_INPUTS[argv]
-    how = draw(st.sampled_from(["document", "drop", "object", "number", "edge", "vertex"]))
+    how = draw(st.sampled_from(["document", "drop", "object", "number", "edge", "vertex",
+                                "label"]))
     if how == "document":
         return argv, draw(st.one_of(_NON_OBJECTS, st.none()))
     if how == "drop":
@@ -454,6 +494,17 @@ def malformed_inputs(draw):
     if how == "number":
         return argv, _set(doc, draw(st.sampled_from(numeric)), draw(_NON_NUMBERS))
     graphs = [p for p in [(), *_nodes(doc)] if "edges" in _get(doc, p)]
+    if how == "label":
+        # one root or partition-side vertex id of a graph object becomes a
+        # boolean or a non-integral number
+        labels = [p + ("roots",) for p in graphs if "roots" in _get(doc, p)]
+        labels += [p + ("partition", side) for p in graphs if "partition" in _get(doc, p)
+                   for side in ("X", "Y")]
+        assume(labels)
+        path = draw(st.sampled_from(labels))
+        ids = list(_get(doc, path))
+        ids[draw(st.integers(0, len(ids) - 1))] = draw(st.sampled_from([True, 2.5]))
+        return argv, _set(doc, path, ids)
     path = draw(st.sampled_from(graphs))
     if how == "vertex":
         # a graph's n (its edges dropped, so no range check fires first) or
@@ -486,3 +537,11 @@ class TestMalformedInputFuzz:
         code, out = run_stdin(argv, doc)
         assert code == 1
         assert set(json.loads(out)) == {"error", "message"}
+
+    @pytest.mark.parametrize("sides, code", [(([0, 2], [1]), 0), (([0, 2.0], [1]), 0),
+                                             (([0, 2], [True]), 1), (([0, 2.5], [1]), 1)])
+    def test_template_sides_are_integer_fields(self, sides, code):
+        argv = ("embed", "keylemma")
+        doc = VALID_INPUTS[argv][0]
+        template = dict(doc["template"], A=sides[0], B=sides[1])
+        assert run_stdin(argv, dict(doc, template=template))[0] == code

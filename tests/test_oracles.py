@@ -1,5 +1,7 @@
+import json
 import random
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from indturan.errors import (
     NotKssFree,
     TooLarge,
 )
-from indturan.families import as_template, complete_bipartite_template, theta
+from indturan.families import as_template, theta
 from indturan.graph import Graph, Host
 from indturan.oracles import (
     contains_bip_induced,
@@ -101,15 +103,19 @@ class TestContainment:
 
 
 @st.composite
+def graphs(draw, max_n):
+    """A graph on at most max_n vertices, each pair an edge or not."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
 def matcher_cases(draw):
     """A host on at most 7 vertices, a pattern on at most 5, the induced flag,
     and either no masks or one random host mask per pattern vertex."""
-    def graph(n):
-        pairs = list(combinations(range(n), 2))
-        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-        return Graph(n, [e for e, k in zip(pairs, keep) if k])
-
-    g, h = graph(draw(st.integers(0, 7))), graph(draw(st.integers(0, 5)))
+    g, h = draw(graphs(7)), draw(graphs(5))
     initial = draw(st.none() | st.lists(st.integers(0, g.vertex_mask()),
                                         min_size=h.n, max_size=h.n))
     return g, h, draw(st.booleans()), initial
@@ -128,6 +134,51 @@ class TestMatcherDefinition:
         used = {w for vm in naive_maps(g, h, induced) for w in vm}
         for v in range(g.n):
             assert oracles._contains_using(g, h, v, induced) == (v in used)
+
+
+def brute_orbits(h):
+    """The automorphism orbits of h, from a scan of every permutation."""
+    autos = [perm for perm in permutations(range(h.n))
+             if all(h.has_edge(perm[u], perm[v]) == h.has_edge(u, v)
+                    for u, v in combinations(range(h.n), 2))]
+    return {frozenset(a[p] for a in autos) for p in range(h.n)}
+
+
+class TestCompiledPattern:
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(6))
+    def test_orbit_reps_cover_each_orbit_once(self, h):
+        pat = oracles.Pattern(h)
+        assert pat == h
+        assert list(pat.orbit_reps) == sorted(min(orbit) for orbit in brute_orbits(h))
+
+    def test_known_orbits(self):
+        assert oracles.Pattern(c6()).orbit_reps == (0,)
+        assert oracles.Pattern(p4()).orbit_reps == (0, 1)
+
+
+# ExtremalResult.as_json_dict() of each oracle on C4, C6 and P4 for n <= 6 and
+# s in {2, 3}, recorded from the matcher that re-derived the pattern on every
+# call: a compiled pattern must change no value, `explored` count, witness or
+# partition.
+PINNED = json.loads((Path(__file__).parent / "extremal_grid.json").read_text(encoding="utf-8"))
+
+
+class TestPinnedExtremal:
+    @pytest.mark.parametrize("mode", ["star", "classical", "bip"])
+    @pytest.mark.parametrize("name", ["C4", "C6", "P4"])
+    def test_as_json_dict_unchanged(self, mode, name):
+        h = {"C4": c4, "C6": c6, "P4": p4}[name]()
+        for n in range(1, 7):
+            if mode == "classical":
+                runs = {f"{n}": extremal_classical(n, h)}
+            elif mode == "star":
+                runs = {f"{n} {s}": extremal_star(n, h, s) for s in (2, 3)}
+            else:
+                runs = {f"{n} {s}": extremal_bip_star(n, as_template(h), s) for s in (2, 3)}
+            for suffix, res in runs.items():
+                key = f"{mode} {name} {suffix}"
+                assert res.as_json_dict() == PINNED[key], key
 
 
 class TestKss:
