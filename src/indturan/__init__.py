@@ -4,7 +4,8 @@ executable embedding lemmas for induced-Turan-style extremal questions.
 Layers: `graph` (vertex/edge primitives, JSON, DOT), `families` (rooted
 patterns, powers, bipartite reductions), `density` (incident-edge density and
 balancedness), `realizability` (exponent certificates), `oracles` (exhaustive
-ground truth at desk scale), `embeddings` (lemma procedures), `cli`.
+ground truth at desk scale), `embeddings` (lemma procedures), `regularity`
+(the almost-regular subgraph lemma), `cli`.
 """
 
 from .density import DensityReport, is_balanced, rho, rho_subset
@@ -17,7 +18,6 @@ from .embeddings import (
     greedy_tree_embed,
     hall_disjoint_sets,
     key_lemma_embed,
-    regularize,
     rich_s_set,
 )
 from .errors import IndturanError
@@ -53,6 +53,7 @@ from .realizability import (
     qualifies,
     verify_certificate,
 )
+from .regularity import regularize
 
 __version__ = "0.1.0"
 

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import density, embeddings, oracles, realizability
+from . import density, embeddings, oracles, realizability, regularity
 from .errors import DisprovesLemma, IndturanError
 from .families import BipartiteTemplate, RootedGraph, as_graph, as_template, parse_descriptor
 from .graph import (Graph, Host, common_neighborhood_mask, cross_subgraph, edge_subgraph,
@@ -213,7 +213,7 @@ def _cmd_embed_tree(args) -> int:
     limit = spec.get("limit")
     copies = []
     for vm in stream:
-        copies.append(list(vm))
+        copies.append(vm)  # json writes a tuple as a list
         if limit is not None and len(copies) >= _int(limit):
             break
     _dump({"count": len(copies), "copies": copies})
@@ -292,7 +292,7 @@ def _cmd_check_kst(args) -> int:
 def _cmd_check_regularize(args) -> int:
     spec = _load_input(args.input)
     g = _graph_from(spec["graph"])
-    sub, idx, k, report = embeddings.regularize(
+    sub, idx, k, report = regularity.regularize(
         g, _fraction(spec["alpha"]), _fraction(spec["c"]))
     _dump({"m": report.m, "e": report.e, "k": str(k),
            "k_log2": str(report.k_log2),

@@ -2,7 +2,7 @@
 
 Each procedure runs real constructive steps (bad-set avoidance, rich-set
 extraction, Hall-style placement, copy extraction) with all thresholds exposed
-as parameters, every emitted map re-verified definitionally, and `found=False`
+as parameters, every emitted map re-checked in full, and `found=False`
 a legitimate outcome when the small parameters used in tests do not reach the
 asymptotic guarantees.  A violation of a bound that is guaranteed once its
 hypotheses are verified raises DisprovesLemma, which is never expected.
@@ -20,7 +20,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .errors import (
     BadBlowup,
     DisprovesLemma,
-    EmptyGraph,
     EmptyQuery,
     HypothesisUnmet,
     InvalidPartition,
@@ -34,14 +33,13 @@ from .graph import (
     VertexMap,
     bits,
     common_neighborhood_mask,
-    degree_stats,
-    induced_subgraph,
+    first_clique,
     mask_of,
 )
-from .oracles import contains_kss, verify_bip_induced_map, verify_induced_map
+from .oracles import contains_kss, is_induced_copy, verify_bip_induced_map, verify_induced_map
 
 
-# --- thresholds and exact exponent arithmetic ------------------------------------
+# --- thresholds -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -50,8 +48,8 @@ class Thresholds:
 
     The defaults are desk-scale values, far below the source's asymptotic
     ones; tests run with small overrides, exercising mechanisms rather than
-    magnitudes.  The source's c, alpha and C are arguments of `bad_set` and
-    `regularize`.
+    magnitudes.  The source's c is an argument of `bad_set`, and its alpha
+    and C are arguments of `regularity.regularize`.
     """
 
     c_hs: int = 3                       # rich common-neighborhood threshold
@@ -70,38 +68,6 @@ class Thresholds:
             raise ValueError("integer thresholds must be positive")
 
 
-def almost_regular_exponent(alpha: Fraction) -> Fraction:
-    """log2 of the almost-regularity factor: 4/alpha + 2."""
-    alpha = Fraction(alpha)
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    return 4 / alpha + 2
-
-
-def almost_regular_factor(alpha: Fraction) -> Fraction:
-    """2^(4/alpha + 2), rounded up to the next power of two when fractional."""
-    e = almost_regular_exponent(alpha)
-    return Fraction(2) ** math.ceil(e)
-
-
-def product_pow_le(lhs: Sequence[tuple], rhs: Sequence[tuple]) -> bool:
-    """Exact test prod(b^e for lhs) <= prod(b^e for rhs) with positive rational
-    bases and rational exponents: raise both sides to the exponents' lcm."""
-    terms = [(Fraction(b), Fraction(e)) for b, e in lhs] + \
-            [(Fraction(b), Fraction(e)) for b, e in rhs]
-    if any(b <= 0 for b, _ in terms):
-        raise ValueError("bases must be positive")
-    scale = math.lcm(*(e.denominator for _, e in terms)) if terms else 1
-
-    def value(side):
-        out = Fraction(1)
-        for b, e in side:
-            out *= Fraction(b) ** int(Fraction(e) * scale)
-        return out
-
-    return value(lhs) <= value(rhs)
-
-
 # --- bad sets and rich sets -------------------------------------------------------
 
 
@@ -118,13 +84,18 @@ def bad_set(g: Graph, w: Iterable[int], c: Fraction, s: Optional[int] = None) ->
     c = Fraction(c)
     if not 0 < c <= 1:
         raise ValueError("c must lie in (0, 1]")
+    num, den = c.numerator, c.denominator
     wm = mask_of(wset)
     size = len(wset)
-    out = {x for x in range(g.n)
-           if x not in wset and (g.adj[x] & wm).bit_count() >= c * size}
+    need = num * size  # count >= c|W| as count * den >= num |W|
+    out = {x for x, row in enumerate(g.adj)
+           if not wm >> x & 1 and (row & wm).bit_count() * den >= need}
     if s is not None:
-        if Fraction(size) >= s * (2 / c) ** s and contains_kss(g, s) is None:
-            if Fraction(len(out)) >= 2 * s / c:
+        if s < 1:
+            raise ValueError("s must be positive")
+        # |W| >= s (2/c)^s, then |B(W)| >= 2s/c, both cleared of denominators
+        if size * num ** s >= s * (2 * den) ** s and contains_kss(g, s) is None:
+            if len(out) * num >= 2 * s * den:
                 raise DisprovesLemma(
                     f"|B(W)| = {len(out)} >= 2s/c on a K_{{{s},{s}}}-free instance")
     return out
@@ -144,136 +115,38 @@ def rich_s_set(g: Graph, x: Iterable[int], y: Iterable[int], c: Fraction,
     if s < 1:
         raise ValueError("s must be positive")
     c = Fraction(c)
+    num, den = c.numerator, c.denominator
     ym = mask_of(ys)
     adj_y = [g.adj[v] & ym for v in range(g.n)]
     e = sum(adj_y[v].bit_count() for v in xs)
-    if Fraction(e) < c * len(xs) * len(ys):
+    if e * den < num * len(xs) * len(ys):
         raise HypothesisUnmet(f"e = {e} below c|X||Y| = {c * len(xs) * len(ys)}")
-    if c * len(xs) < 2 * s:
+    if num * len(xs) < 2 * s * den:
         raise HypothesisUnmet(f"c|X| = {c * len(xs)} below 2s = {2 * s}")
-    need = (c / 2) ** s * len(ys)
+    # count >= (c/2)^s |Y| as count * (2 den)^s >= num^s |Y|
+    scale, need = (2 * den) ** s, num ** s * len(ys)
     for cand in combinations(xs, s):
         common = ym
         for v in cand:
             common &= adj_y[v]
-        if Fraction(common.bit_count()) >= need:
+        if common.bit_count() * scale >= need:
             return cand
     raise DisprovesLemma("no rich s-set despite verified hypotheses")
-
-
-# --- regularization ----------------------------------------------------------------
-
-
-@dataclass
-class RegularizeReport:
-    m: int
-    e: int
-    k_log2: Fraction             # exact exponent 4/alpha + 2
-    edge_guarantee: bool         # e(H) >= (C/4) m^(1+alpha)
-    size_guarantee: bool         # m >= C^((a+1)/(2a+4)) n^(a/(2a+4)) / 2^k_log2
-
-
-def _ge_coeff_pow(e: int, coeff: Fraction, base: int, expo: Fraction) -> bool:
-    """Exact e >= coeff * base^expo with rational expo and positive base."""
-    if base == 0:
-        return True
-    q = expo.denominator
-    return Fraction(e) ** q >= coeff ** q * Fraction(base) ** expo.numerator \
-        if q > 1 else Fraction(e) >= coeff * Fraction(base) ** expo.numerator
-
-
-def _ratio_le_pow2(num: int, den: int, e: Fraction) -> bool:
-    """Exact num/den <= 2^e for nonnegative num, positive den, rational e."""
-    return num ** e.denominator <= 2 ** e.numerator * den ** e.denominator
-
-
-def regularize(g: Graph, alpha: Fraction, c_big: Fraction) -> tuple[Graph, tuple[int, ...],
-                                                                    Fraction, RegularizeReport]:
-    """Find an induced K-almost-regular subgraph, K = 2^(4/alpha+2).
-
-    Constructive bisection: delete a minimum-degree vertex while it falls below
-    a quarter of the average, otherwise keep the denser half of a degree split.
-    The first candidate that is K-almost-regular with e >= (C/4) m^(1+alpha) is
-    returned; if none appears before the graph bottoms out, the best
-    K-almost-regular candidate seen is returned with honest guarantee flags.
-    """
-    alpha = Fraction(alpha)
-    c_big = Fraction(c_big)
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    if c_big <= 0:
-        raise ValueError("C must be positive")
-    if g.n == 0:
-        raise EmptyGraph("cannot regularize the empty graph")
-    if not _ge_coeff_pow(g.m, c_big, g.n, 1 + alpha):
-        raise HypothesisUnmet(f"e(G) = {g.m} below C n^(1+alpha)")
-    exponent = almost_regular_exponent(alpha)
-    k_exact = almost_regular_factor(alpha)
-
-    def is_almost_regular(sub: Graph) -> bool:
-        dmin, dmax, _ = degree_stats(sub)
-        if dmin == 0:
-            return dmax == 0
-        return _ratio_le_pow2(dmax, dmin, exponent)
-
-    current = tuple(range(g.n))
-    fallback = None  # (edges, sub, idxmap)
-    while True:
-        sub, idx = induced_subgraph(g, current)
-        regular = is_almost_regular(sub)
-        dense = _ge_coeff_pow(sub.m, c_big / 4, sub.n, 1 + alpha)
-        if regular and (fallback is None or sub.m > fallback[0]):
-            fallback = (sub.m, sub, idx)
-        if regular and dense:
-            break
-        if sub.n <= 1:
-            if fallback is None:
-                raise DisprovesLemma("no almost-regular subgraph, though a single vertex is one")
-            _, sub, idx = fallback
-            dense = _ge_coeff_pow(sub.m, c_big / 4, sub.n, 1 + alpha)
-            break
-        dmin, dmax, _ = degree_stats(sub)
-        if 2 * dmin * sub.n < sub.m:  # dmin < avg/4
-            drop = min(v for v in range(sub.n) if sub.degree(v) == dmin)
-            current = tuple(v for v in idx if v != idx[drop])
-            continue
-        order = sorted(range(sub.n), key=lambda v: (-sub.degree(v), v))
-        half = (sub.n + 1) // 2
-        top = sorted(idx[v] for v in order[:half])
-        bottom = sorted(idx[v] for v in order[-half:])
-        top_sub, _ = induced_subgraph(g, top)
-        bot_sub, _ = induced_subgraph(g, bottom)
-        # denser half under e / v^(1+alpha), exact comparison
-        q = (1 + alpha).denominator
-        p = (1 + alpha).numerator
-        lhs = Fraction(top_sub.m) ** q * Fraction(bot_sub.n) ** p
-        rhs = Fraction(bot_sub.m) ** q * Fraction(top_sub.n) ** p
-        pick = top if lhs >= rhs else bottom
-        current = tuple(pick)
-
-    size_ok = product_pow_le(
-        [(Fraction(c_big), Fraction(alpha + 1, 2 * alpha + 4)),
-         (Fraction(2), -exponent),
-         (Fraction(g.n), Fraction(alpha, 2 * alpha + 4))],
-        [(Fraction(sub.n), Fraction(1))],
-    ) if sub.n > 0 else False
-    report = RegularizeReport(m=sub.n, e=sub.m, k_log2=exponent,
-                              edge_guarantee=dense, size_guarantee=size_ok)
-    return sub, idx, k_exact, report
 
 
 # --- greedy tree embedding ----------------------------------------------------------
 
 
 def tree_bad_sets(g: Graph, l: Graph, t_count: int, d: int) -> dict[int, int]:
-    """B(x) per L-vertex x as bitmasks: y with |N_G(y) ∩ N_L(x)| >= d/(4t)."""
-    thresh = Fraction(d, 4 * t_count)
+    """B(x) per L-vertex x as bitmasks: y with |N_G(y) ∩ N_L(x)| >= d/(4t),
+    tested as 4t |N_G(y) ∩ N_L(x)| >= d."""
+    scale = 4 * t_count
     out = {}
     for x in range(l.n):
         nl = l.adj[x]
         m = 0
         for y in range(l.n):
-            if Fraction((g.adj[y] & nl).bit_count()) >= thresh:
+            if (g.adj[y] & nl).bit_count() * scale >= d:
                 m |= 1 << y
         out[x] = m
     return out
@@ -310,39 +183,51 @@ def greedy_tree_embed(host: Host, l: Graph, t: Graph, d: int) -> Iterator[Vertex
     A copy is good when its tree edges lie in l, it is induced in the host
     graph, and no copy vertex lies in another's bad set B(x) (common-neighbor
     count threshold d/(4|V(t)|)).  Enumeration is exhaustive; each emitted map
-    is re-verified definitionally before being yielded.
+    is re-checked in full (`is_induced_copy`, and its tree edges against l)
+    before being yielded.
     """
-    g = host.graph
+    g, n = host.graph, t.n
     order, parent = _grow_order(t)
-    bad = tree_bad_sets(g, l, t.n, d)
-
-    def rec(i: int, assign: dict[int, int], used: int, badmask: int):
-        if i == t.n:
-            vm = tuple(assign[p] for p in range(t.n))
-            if not verify_induced_map(g, t, vm):
+    bad = tree_bad_sets(g, l, n, d)
+    nbrs = [t.neighbors(p) for p in range(n)]
+    pos = {v: i for i, v in enumerate(order)}
+    up = [pos.get(parent[v], -1) for v in order]  # up[i]: the position of order[i]'s parent
+    at = [pos[p] for p in range(n)]
+    # An explicit stack, as in `oracles._embed`: position i holds order[i].
+    img = [0] * n           # img[i]: the host image at position i
+    used = [0] * n          # used[i]: the images of positions < i, as a mask
+    badmask = [0] * n       # badmask[i]: the union of their bad sets
+    left = [0] * n          # left[i]: the untried candidates at position i
+    left[0] = l.vertex_mask()
+    i = 0
+    while i >= 0:
+        m = left[i]
+        if not m:
+            i -= 1
+            continue
+        low = m & -m
+        left[i] = m ^ low
+        w = low.bit_length() - 1
+        if bad[w] & used[i]:  # some placed vertex is bad for w
+            continue
+        img[i] = w
+        if i + 1 == n:
+            vm = tuple([img[k] for k in at])
+            if not is_induced_copy(g.adj, nbrs, vm):
                 raise DisprovesLemma("tree copy failed the induced re-check")
-            if not all(l.has_edge(vm[a], vm[b]) for a, b in t.edges):
+            if not all(l.adj[vm[a]] >> vm[b] & 1 for a, b in t.edges):
                 raise DisprovesLemma("tree copy uses an edge outside l")
             yield vm
-            return
-        v = order[i]
-        if parent[v] == -1:
-            cand_list = range(l.n)
-        else:
-            u_img = assign[parent[v]]
-            cand = l.adj[u_img] & ~used & ~badmask
-            for p_vertex, img in assign.items():
-                if img != u_img:
-                    cand &= ~g.adj[img]
-            cand_list = list(bits(cand))
-        for w in cand_list:
-            if bad[w] & used:  # some placed vertex is bad for w
-                continue
-            assign[v] = w
-            yield from rec(i + 1, assign, used | 1 << w, badmask | bad[w])
-            del assign[v]
-
-    yield from rec(0, {}, 0, 0)
+            continue
+        i += 1
+        used[i] = used[i - 1] | low
+        badmask[i] = badmask[i - 1] | bad[w]
+        u_img = img[up[i]]
+        cand = l.adj[u_img] & ~used[i] & ~badmask[i]
+        for k in range(i):
+            if img[k] != u_img:  # induced: no edge to a placed non-parent
+                cand &= ~g.adj[img[k]]
+        left[i] = cand
 
 
 def admissible_tree_copies(l: Graph, t: Graph, stream: Iterable[VertexMap],
@@ -638,7 +523,7 @@ def asymmetric_embed(host: Host, m_sub: Graph, template: BipartiteTemplate,
                          if rich(frozenset(sset)))
         entry["rich"] = rich_count
         entry["total"] = total
-        if Fraction(rich_count) <= th.gamma * total:
+        if rich_count * th.gamma.denominator <= th.gamma.numerator * total:
             entry["stage"] = "density"
             continue
         parts = _find_blowup(t_vertices, fa, th.m_blow, rich)
@@ -663,17 +548,18 @@ def extraction_aux(g: Graph, copies: Sequence[VertexMap],
     joins two copies' non-root images, colored by the lexicographically least
     (position, position) pair of non-root indices that realizes one."""
     non = f.non_roots()
+    images = [mask_of(vm[v] for v in non) for vm in copies]
     out: dict[tuple[int, int], tuple[int, int]] = {}
-    for i, j in combinations(range(len(copies)), 2):
-        best = None
-        for a_idx, a_v in enumerate(non):
-            for b_idx, b_v in enumerate(non):
-                if g.has_edge(copies[i][a_v], copies[j][b_v]):
-                    cand = (a_idx, b_idx)
-                    if best is None or cand < best:
-                        best = cand
-        if best is not None:
-            out[(i, j)] = best
+    for i, vm in enumerate(copies):
+        rows = [g.adj[vm[v]] for v in non]
+        reach = 0
+        for row in rows:
+            reach |= row
+        for j in range(i + 1, len(copies)):
+            if reach & images[j]:
+                a_idx = next(a for a, row in enumerate(rows) if row & images[j])
+                b_idx = next(b for b, v in enumerate(non) if rows[a_idx] >> copies[j][v] & 1)
+                out[(i, j)] = (a_idx, b_idx)
     return out
 
 
@@ -715,10 +601,14 @@ def extract_induced_power(g: Graph, copies: Sequence[VertexMap], f: RootedGraph,
     aux = extraction_aux(g, copies, f)
     lam = len(copies)
     trace: list = [{"copies": lam, "aux_edges": len(aux)}]
-    for sel in combinations(range(lam), min(l, lam)) if l <= lam else ():
-        if any((sel[i], sel[j]) in aux
-               for i in range(len(sel)) for j in range(i + 1, len(sel))):
-            continue
+    # an independent l-set of the auxiliary graph is an l-clique of its complement
+    full = (1 << lam) - 1
+    missing = [full & ~(1 << i) for i in range(lam)]
+    for i, j in aux:
+        missing[i] &= ~(1 << j)
+        missing[j] &= ~(1 << i)
+    sel = first_clique(missing, l)
+    if sel is not None:
         power = rooted_power(f, l)
         combined = [0] * power.graph.n
         for c, cm in enumerate(power.copy_maps):
@@ -727,28 +617,24 @@ def extract_induced_power(g: Graph, copies: Sequence[VertexMap], f: RootedGraph,
         vm = tuple(combined)
         if not verify_induced_map(g, power.graph, vm):
             raise DisprovesLemma("extracted selection failed the induced re-check")
-        trace.append({"selected": list(sel), "stage": "success"})
+        trace.append({"selected": sel, "stage": "success"})
         return EmbeddingOutcome(True, vm, trace)
     # no independent l-set; look for a monochromatic 2s-clique
-    by_color: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for e, color in aux.items():
-        by_color.setdefault(color, set()).add(e)
+    by_color: dict[tuple[int, int], list[int]] = {}
+    for (i, j), color in aux.items():
+        rows = by_color.setdefault(color, [0] * lam)
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
     for color in sorted(by_color):
-        es = by_color[color]
-        verts = sorted({i for e in es for i in e})
-        if len(verts) < 2 * s:
+        clique = first_clique(by_color[color], 2 * s)
+        if clique is None:
             continue
-        for clique in combinations(verts, 2 * s):
-            if all((clique[i], clique[j]) in es
-                   for i in range(len(clique)) for j in range(i + 1, len(clique))):
-                a_idx, b_idx = color
-                side1 = tuple(copies[i][non[a_idx]] for i in clique[:s])
-                side2 = tuple(copies[j][non[b_idx]] for j in clique[s:])
-                if not all(g.has_edge(u, v) for u in side1 for v in side2):
-                    raise DisprovesLemma("monochromatic clique gave no K_{s,s}")
-                trace.append({"stage": "kss", "color": list(color),
-                              "clique": list(clique)})
-                return EmbeddingOutcome(False, None, trace,
-                                        kss_witness=(side1, side2))
+        a_idx, b_idx = color
+        side1 = tuple(copies[i][non[a_idx]] for i in clique[:s])
+        side2 = tuple(copies[j][non[b_idx]] for j in clique[s:])
+        if not all(g.has_edge(u, v) for u in side1 for v in side2):
+            raise DisprovesLemma("monochromatic clique gave no K_{s,s}")
+        trace.append({"stage": "kss", "color": list(color), "clique": clique})
+        return EmbeddingOutcome(False, None, trace, kss_witness=(side1, side2))
     trace.append({"stage": "exhausted"})
     return EmbeddingOutcome(False, None, trace)

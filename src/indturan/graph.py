@@ -117,6 +117,31 @@ def common_neighborhood_mask(adj: Sequence[int], s: Iterable[int]) -> int:
     return mask & ~got
 
 
+def first_clique(rows: Sequence[int], k: int) -> Optional[list[int]]:
+    """The lexicographically least k-clique of the graph with adjacency rows
+    rows (no self bits), or None.  Branches on the lowest candidate, keeps the
+    higher candidates adjacent to it, and prunes a branch with fewer
+    candidates than places left; candidates are tried in increasing order, so
+    the first clique found is the one a `combinations` scan meets first."""
+    chosen: list[int] = []
+    frames = [(1 << len(rows)) - 1]  # frames[d]: the candidates for chosen[d]
+    while frames:
+        d = len(frames) - 1
+        del chosen[d:]
+        cand = frames[d]
+        if cand.bit_count() < k - d:
+            frames.pop()
+            continue
+        low = cand & -cand
+        frames[d] = cand ^ low
+        i = low.bit_length() - 1
+        chosen.append(i)
+        if d + 1 == k:
+            return chosen
+        frames.append(frames[d] & rows[i])
+    return None
+
+
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced on s. Returns (graph, index map new id -> old id)."""
     keep = sorted(set(s))

@@ -215,6 +215,28 @@ def verify_induced_map(g: Graph, h: Graph, vm: VertexMap) -> bool:
     return True
 
 
+def is_induced_copy(adj: Sequence[int], nbrs: Sequence[Sequence[int]], vm: VertexMap) -> bool:
+    """Row check that vm is an induced copy, in the graph with adjacency rows
+    adj, of the pattern whose neighbour lists are nbrs: vm is injective and in
+    range, and for every pattern vertex p the row of vm[p] within the image is
+    exactly the image of p's neighbours.  Every pair is compared, as in
+    `verify_induced_map`, its definitional counterpart."""
+    if len(vm) != len(nbrs):
+        return False
+    image = 0
+    for w in vm:
+        if not 0 <= w < len(adj) or image >> w & 1:
+            return False
+        image |= 1 << w
+    for w, ns in zip(vm, nbrs):
+        want = 0
+        for q in ns:
+            want |= 1 << vm[q]
+        if adj[w] & image != want:
+            return False
+    return True
+
+
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.m != h.m:
         return False
@@ -232,12 +254,18 @@ def contains_bip_induced(host: Host, h: BipartiteTemplate) -> Optional[VertexMap
     if host.partition is None:
         raise NoPartition("host carries no (X, Y) partition")
     x, y = host.partition
-    xm, ym = mask_of(x), mask_of(y)
-    a_set = set(h.a_side)
+    return _bip_embed(host.graph, h, mask_of(x), mask_of(y))
+
+
+def _bip_embed(g: Graph, h: BipartiteTemplate, xm: int, ym: int) -> Optional[VertexMap]:
+    """A copy of h induced in g, with its A side inside one of the side masks
+    xm, ym and its B side inside the other; the caller guarantees that the
+    masks partition g's vertices."""
     pat = _compiled(h.graph)
+    a_mask = mask_of(h.a_side)
     for am, bm in ((xm, ym), (ym, xm)):
-        initial = [am if p in a_set else bm for p in range(pat.n)]
-        vm = _embed(host.graph, pat, induced=True, initial=initial)
+        initial = [am if a_mask >> p & 1 else bm for p in range(pat.n)]
+        vm = _embed(g, pat, induced=True, initial=initial)
         if vm is not None:
             return vm
     return None
@@ -387,16 +415,17 @@ def extremal_bip_star(n: int, h: BipartiteTemplate, s: int,
     def ok(g2: Graph, k: int) -> bool:
         return not _kss_through_vertex(g2.adj, k, s)
 
+    full = (1 << n) - 1
+
     def candidates(reps: list[Graph]):
         for g in reps:
             edge_list = g.edge_list()
             for sub in range(1 << (n - 1)):
                 xm = (sub << 1) | 1
-                x = tuple(bits(xm))
-                y = tuple(v for v in range(n) if not xm >> v & 1)
-                if contains_bip_induced(Host(g, s, (x, y)), h) is None:
+                if _bip_embed(g, h, xm, full ^ xm) is None:
+                    x = tuple(bits(xm))
                     cross = sum((g.adj[v] & ~xm).bit_count() for v in x)
-                    yield (-cross, edge_list, x), g, (x, y)
+                    yield (-cross, edge_list, x), g, (x, tuple(bits(full ^ xm)))
 
     def is_free(w: Graph, partition: Parts) -> bool:
         return contains_kss(w, s) is None \

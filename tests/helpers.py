@@ -1,15 +1,31 @@
 """Test-side generators and checkers that no runtime path of the package needs.
 
-The seeded K_{s,s}-free host generators feed the fuzz tests; the map and
-regularity checkers are definitional references that tests compare the
-package's answers against.
+The seeded K_{s,s}-free host generators and the `graphs` strategy feed the
+fuzz and property tests; the map and regularity checkers are definitional
+references that tests compare the package's answers against.  The
+`*_reference` functions are the embedding helpers as first written, with
+`Fraction` thresholds and pairwise scans: the package's integer and bitset
+versions must give the same answers.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from indturan.graph import Graph, Host, VertexMap, degree_stats
-from indturan.oracles import _kss_through_vertex
+from hypothesis import strategies as st
+
+from indturan.errors import DisprovesLemma, HypothesisUnmet, InvalidPartition
+from indturan.families import RootedGraph
+from indturan.graph import Graph, Host, VertexMap, degree_stats, mask_of
+from indturan.oracles import _kss_through_vertex, contains_kss
+
+
+@st.composite
+def graphs(draw, max_n, min_n=0):
+    """A graph on min_n to max_n vertices, each pair an edge or not."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
 
 
 def random_kss_free(n: int, s: int, rng, keep: float = 1.0) -> Graph:
@@ -56,3 +72,91 @@ def is_k_almost_regular(g: Graph, k: Fraction | int) -> bool:
         raise ValueError("k must be at least 1")
     dmin, dmax, _ = degree_stats(g)
     return Fraction(dmax) <= k * dmin
+
+
+# --- the embedding helpers as first written --------------------------------------
+
+
+def bad_set_reference(g: Graph, w, c: Fraction, s=None) -> set[int]:
+    """`embeddings.bad_set` with one `Fraction` product per vertex."""
+    wset = set(w)
+    c = Fraction(c)
+    wm = mask_of(wset)
+    size = len(wset)
+    out = {x for x in range(g.n) if x not in wset and (g.adj[x] & wm).bit_count() >= c * size}
+    if s is not None:
+        if Fraction(size) >= s * (2 / c) ** s and contains_kss(g, s) is None:
+            if Fraction(len(out)) >= 2 * s / c:
+                raise DisprovesLemma("bound violated")
+    return out
+
+
+def rich_s_set_reference(g: Graph, x, y, c: Fraction, s: int) -> tuple[int, ...]:
+    """`embeddings.rich_s_set` with `Fraction` thresholds."""
+    xs, ys = sorted(set(x)), sorted(set(y))
+    if set(xs) & set(ys):
+        raise InvalidPartition("sides overlap")
+    c = Fraction(c)
+    ym = mask_of(ys)
+    e = sum((g.adj[v] & ym).bit_count() for v in xs)
+    if Fraction(e) < c * len(xs) * len(ys) or c * len(xs) < 2 * s:
+        raise HypothesisUnmet("hypotheses unmet")
+    need = (c / 2) ** s * len(ys)
+    for cand in combinations(xs, s):
+        common = ym
+        for v in cand:
+            common &= g.adj[v]
+        if Fraction(common.bit_count()) >= need:
+            return cand
+    raise DisprovesLemma("no rich s-set")
+
+
+def tree_bad_sets_reference(g: Graph, l: Graph, t_count: int, d: int) -> dict[int, int]:
+    """`embeddings.tree_bad_sets` with one `Fraction` per (x, y) pair."""
+    thresh = Fraction(d, 4 * t_count)
+    return {x: mask_of(y for y in range(l.n)
+                       if Fraction((g.adj[y] & l.adj[x]).bit_count()) >= thresh)
+            for x in range(l.n)}
+
+
+def extraction_aux_reference(g: Graph, copies, f: RootedGraph) -> dict:
+    """`embeddings.extraction_aux` by a pairwise `has_edge` scan."""
+    non = f.non_roots()
+    out = {}
+    for i, j in combinations(range(len(copies)), 2):
+        best = None
+        for a_idx, a_v in enumerate(non):
+            for b_idx, b_v in enumerate(non):
+                if g.has_edge(copies[i][a_v], copies[j][b_v]):
+                    cand = (a_idx, b_idx)
+                    if best is None or cand < best:
+                        best = cand
+        if best is not None:
+            out[(i, j)] = best
+    return out
+
+
+def first_independent_reference(aux: dict, lam: int, l: int):
+    """The first l-subset of 0..lam-1 in `combinations` order with no aux
+    edge inside it, or None."""
+    for sel in combinations(range(lam), l):
+        if not any((sel[i], sel[j]) in aux
+                   for i in range(len(sel)) for j in range(i + 1, len(sel))):
+            return sel
+    return None
+
+
+def first_mono_clique_reference(aux: dict, s: int):
+    """(color, clique): in sorted color order, the first 2s-subset in
+    `combinations` order whose pairs are all aux edges of that color; or None."""
+    by_color: dict = {}
+    for e, color in aux.items():
+        by_color.setdefault(color, set()).add(e)
+    for color in sorted(by_color):
+        es = by_color[color]
+        verts = sorted({i for e in es for i in e})
+        for clique in combinations(verts, 2 * s):
+            if all((clique[i], clique[j]) in es
+                   for i in range(len(clique)) for j in range(i + 1, len(clique))):
+                return color, clique
+    return None

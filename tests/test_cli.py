@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -393,6 +394,24 @@ class TestDeterminism:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--threads", "4", "sweep", "3", "12"])
         assert exc.value.code == 2
+
+
+EMBED_DIGESTS = json.loads((Path(__file__).parent / "embed_digests.json").read_text(encoding="utf-8"))
+
+
+class TestPinnedEmbed:
+    """sha256 of the CLI stdout of `embed tree`, `asym`, `extract` and
+    `keylemma`, and of `check badset` and `check rich`, on small fixed
+    instances.  The digests were recorded with the definitional `Fraction` and
+    pairwise-scan implementations that `tests/helpers.py` keeps.  The extract
+    cases end on each of `success`, `kss` and `exhausted`."""
+
+    @pytest.mark.parametrize("name", sorted(EMBED_DIGESTS))
+    def test_stdout_digest(self, name):
+        case = EMBED_DIGESTS[name]
+        code, out = run_stdin(case["argv"], case["input"])
+        assert code == case["exit"]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == case["sha256"]
 
 
 # --- malformed --input fuzzing ----------------------------------------------------

@@ -10,13 +10,12 @@ from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indturan.embeddings import (
-    RegularizeReport,
     Thresholds,
     admissible_tree_copies,
-    almost_regular_exponent,
-    almost_regular_factor,
     asymmetric_embed,
     bad_set,
     extract_induced_power,
@@ -24,13 +23,12 @@ from indturan.embeddings import (
     greedy_tree_embed,
     hall_disjoint_sets,
     key_lemma_embed,
-    product_pow_le,
-    regularize,
     rich_s_set,
     tree_bad_sets,
 )
 from indturan.errors import (
     BadBlowup,
+    DisprovesLemma,
     EmptyQuery,
     HypothesisUnmet,
     InvalidPartition,
@@ -38,10 +36,35 @@ from indturan.errors import (
     NotSemiInduced,
 )
 from indturan.families import as_template, rooted_path, theta
-from indturan.graph import Graph, Host, common_neighborhood_mask, cross_subgraph, edge_subgraph
-from indturan.oracles import verify_induced_map
+from indturan.graph import (
+    Graph,
+    Host,
+    common_neighborhood_mask,
+    cross_subgraph,
+    edge_subgraph,
+    first_clique,
+)
+from indturan.oracles import is_induced_copy, verify_induced_map
+from indturan.regularity import (
+    RegularizeReport,
+    almost_regular_exponent,
+    almost_regular_factor,
+    product_pow_le,
+    regularize,
+)
 
-from helpers import is_k_almost_regular, random_kss_free, random_kss_free_bipartite
+from helpers import (
+    bad_set_reference,
+    extraction_aux_reference,
+    first_independent_reference,
+    first_mono_clique_reference,
+    graphs,
+    is_k_almost_regular,
+    random_kss_free,
+    random_kss_free_bipartite,
+    rich_s_set_reference,
+    tree_bad_sets_reference,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -264,7 +287,7 @@ from indturan.errors import DisprovesLemma
 from indturan.families import theta
 from indturan.graph import Graph, Host
 
-emb.verify_induced_map = lambda *args: False
+emb.is_induced_copy = lambda *args: False
 g = theta(3, 2)
 try:
     next(emb.greedy_tree_embed(Host(g, 2), g, Graph(3, [(0, 1), (1, 2)]), 24))
@@ -272,16 +295,36 @@ except DisprovesLemma:
     print("raised")
 """
 
+OPTIMIZED_POWER_RECHECK = """
+import indturan.embeddings as emb
+from indturan.errors import DisprovesLemma
+from indturan.families import rooted_path, theta
+
+f = rooted_path(3)
+copies = [(0, 2 + 2 * i, 3 + 2 * i, 1) for i in range(5)]
+check = emb.verify_induced_map
+# each copy still passes; only the assembled power fails its re-check
+emb.verify_induced_map = lambda g, h, vm: h is f.graph and check(g, h, vm)
+try:
+    emb.extract_induced_power(theta(3, 5), copies, f, 3, 2)
+except DisprovesLemma:
+    print("raised")
+"""
+
+
+def raises_under_optimize(script: str) -> None:
+    # `python -O` strips asserts; the re-check of every emitted object must
+    # still run there and raise DisprovesLemma.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True, env=env, cwd=ROOT)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
+
 
 class TestGreedyTreeEmbed:
     def test_failed_recheck_raises_under_optimize(self):
-        # `python -O` strips asserts; the re-check of every emitted copy must
-        # still run there and raise DisprovesLemma.
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_RECHECK],
-                             capture_output=True, text=True, env=env, cwd=ROOT)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "raised"
+        raises_under_optimize(OPTIMIZED_RECHECK)
 
     def test_c6_p3_matches_reference(self):
         g = theta(3, 2)
@@ -495,6 +538,19 @@ class TestAsymmetric:
         stages = {e.get("stage") for e in out.trace[1:]}
         assert stages <= {"degree", "density"}
 
+    def test_density_gate_is_inclusive(self):
+        # at y = 4 the rich pairs of N_M(4) = {0, 1, 2, 3} are {0, 1} and
+        # {2, 3}: 2 of 6, exactly gamma = 1/3 of them, which is not dense
+        g = Graph(9, [(x, 4) for x in range(4)] + [(0, 5), (1, 5), (0, 6), (1, 6), (2, 7), (3, 7)])
+        host = Host(g, 2, (tuple(range(4)), tuple(range(4, 9))))
+        stages = {}
+        for gamma in (Fraction(1, 3), Fraction(1, 4)):
+            out = asymmetric_embed(host, g, p3_template(), Thresholds(c_hs=2, gamma=gamma))
+            entry = next(e for e in out.trace if e.get("y") == 4)
+            assert (entry["rich"], entry["total"]) == (2, 6)
+            stages[gamma] = entry["stage"]
+        assert stages[Fraction(1, 3)] == "density" != stages[Fraction(1, 4)]
+
     def test_non_cross_m_rejected(self):
         host = k45_host()
         bad_l = Graph(9, [(0, 1)])
@@ -546,6 +602,9 @@ class TestExtraction:
         out = extract_induced_power(g, copies, f, 4, 3)
         assert not out.found and out.kss_witness is None
 
+    def test_failed_recheck_raises_under_optimize(self):
+        raises_under_optimize(OPTIMIZED_POWER_RECHECK)
+
     def test_semi_induced_validation(self):
         g, copies, f = self._theta_fixture()
         with pytest.raises(NotSemiInduced):
@@ -573,3 +632,125 @@ class TestTreeBadSets:
                 nl = set(l.neighbors(x))
                 expect = sum(1 for w in nl if g.has_edge(y, w)) >= 2
                 assert bool(bad[x] >> y & 1) == expect
+
+
+# --- the integer and bitset helpers against their definitional versions -----------
+
+fractions_in_unit = st.builds(lambda q, p: Fraction(p % q + 1, q),
+                              st.integers(1, 12), st.integers(0, 11))
+
+
+def outcome(fn, *args):
+    """fn's result, or the type of the package error it raised."""
+    try:
+        return fn(*args)
+    except (DisprovesLemma, HypothesisUnmet, InvalidPartition) as exc:
+        return type(exc)
+
+
+@st.composite
+def maps_into(draw, g: Graph, h_n: int):
+    """A map of h_n pattern vertices into g: injective, or repeating a vertex,
+    or reaching one past either end of g's range, or one vertex short."""
+    kind = draw(st.sampled_from(["injective", "any", "short"]))
+    if kind == "injective" and h_n <= g.n:
+        return tuple(draw(st.permutations(range(g.n)))[:h_n])
+    size = h_n - 1 if kind == "short" and h_n else h_n
+    return tuple(draw(st.lists(st.integers(-1, g.n), min_size=size, max_size=size)))
+
+
+@st.composite
+def semi_induced_cases(draw):
+    """lam copies of the rooted path 0-1-...-k (its ends the roots) sharing
+    the roots and disjoint elsewhere, with random host edges between the
+    non-root images of different copies; then l and s."""
+    k = draw(st.integers(2, 3))
+    lam = draw(st.integers(1, 8))
+    f = rooted_path(k)
+    width = k - 1
+    copies = [(0, *(2 + width * i + a for a in range(width)), 1) for i in range(lam)]
+    edges = [e for vm in copies for e in zip(vm, vm[1:])]
+    cross = [(copies[i][1 + a], copies[j][1 + b])
+             for i, j in combinations(range(lam), 2)
+             for a in range(width) for b in range(width)]
+    keep = draw(st.lists(st.booleans(), min_size=len(cross), max_size=len(cross)))
+    g = Graph(2 + width * lam, edges + [e for e, kept in zip(cross, keep) if kept])
+    return g, copies, f, draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+
+class TestAgainstDefinitional:
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(10, min_n=1), st.data(), fractions_in_unit, st.sampled_from([None, 1, 2]))
+    def test_bad_set(self, g, data, c, s):
+        w = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+        assert outcome(bad_set, g, w, c, s) == outcome(bad_set_reference, g, w, c, s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(10, min_n=2), st.data(), fractions_in_unit, st.integers(1, 3))
+    def test_rich_s_set(self, g, data, c, s):
+        x = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+        y = [v for v in range(g.n) if v not in x]
+        assert outcome(rich_s_set, g, x, y, c, s) == \
+            outcome(rich_s_set_reference, g, x, y, c, s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(9), st.integers(1, 6), st.integers(-2, 40))
+    def test_tree_bad_sets(self, g, t_count, d):
+        assert tree_bad_sets(g, g, t_count, d) == tree_bad_sets_reference(g, g, t_count, d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(8), graphs(5), st.data())
+    def test_row_recheck(self, g, h, data):
+        vm = data.draw(maps_into(g, h.n))
+        nbrs = [h.neighbors(p) for p in range(h.n)]
+        assert is_induced_copy(g.adj, nbrs, vm) == verify_induced_map(g, h, vm)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(7), st.data())
+    def test_row_recheck_on_induced_copies(self, g, data):
+        # the maps of random graphs are seldom induced copies; here the
+        # pattern is what g induces on vm, with one image changed or not
+        k = data.draw(st.integers(0, g.n))
+        vm = list(data.draw(st.permutations(range(g.n)))[:k])
+        h = Graph(k, [(p, q) for p, q in combinations(range(k), 2) if g.has_edge(vm[p], vm[q])])
+        if k and data.draw(st.booleans()):
+            vm[data.draw(st.integers(0, k - 1))] = data.draw(st.integers(0, g.n - 1))
+        nbrs = [h.neighbors(p) for p in range(h.n)]
+        got = is_induced_copy(g.adj, nbrs, tuple(vm))
+        assert got == verify_induced_map(g, h, tuple(vm))
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(10, min_n=1), st.integers(2, 4), st.data())
+    def test_extraction_aux(self, g, k, data):
+        # copies here need not be semi-induced: they may overlap and repeat
+        f = rooted_path(k)
+        lam = data.draw(st.integers(0, 6))
+        copies = [tuple(data.draw(st.lists(st.integers(0, g.n - 1), min_size=k + 1,
+                                           max_size=k + 1))) for _ in range(lam)]
+        assert extraction_aux(g, copies, f) == extraction_aux_reference(g, copies, f)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(9), st.integers(1, 6))
+    def test_first_clique(self, g, k):
+        first = next((c for c in combinations(range(g.n), k)
+                      if all(g.has_edge(u, v) for u, v in combinations(c, 2))), None)
+        got = first_clique(g.adj, k)
+        assert (tuple(got) if got is not None else None) == first
+
+    @settings(max_examples=300, deadline=None)
+    @given(semi_induced_cases())
+    def test_extraction_outcome(self, case):
+        # success on the first independent l-set, else kss on the first
+        # monochromatic 2s-clique, else exhausted: as the combinations scans find
+        g, copies, f, l, s = case
+        out = extract_induced_power(g, copies, f, l, s)
+        aux = extraction_aux_reference(g, copies, f)
+        sel = first_independent_reference(aux, len(copies), l)
+        mono = first_mono_clique_reference(aux, s)
+        if sel is not None:
+            assert out.found and out.trace[-1]["selected"] == list(sel)
+        elif mono is not None:
+            color, clique = mono
+            assert out.trace[-1] == {"stage": "kss", "color": list(color), "clique": list(clique)}
+        else:
+            assert out.trace[-1] == {"stage": "exhausted"}

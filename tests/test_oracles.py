@@ -31,7 +31,7 @@ from indturan.oracles import (
     verify_induced_map,
 )
 
-from helpers import random_kss_free, random_kss_free_bipartite, verify_subgraph_map
+from helpers import graphs, random_kss_free, random_kss_free_bipartite, verify_subgraph_map
 
 
 def c4():
@@ -100,15 +100,6 @@ class TestContainment:
         k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
         assert contains_subgraph(k4, c4()) is not None
         assert contains_induced(k4, c4()) is None
-
-
-@st.composite
-def graphs(draw, max_n):
-    """A graph on at most max_n vertices, each pair an edge or not."""
-    n = draw(st.integers(0, max_n))
-    pairs = list(combinations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph(n, [e for e, k in zip(pairs, keep) if k])
 
 
 @st.composite
@@ -234,6 +225,17 @@ class TestBipContainment:
     def test_requires_partition(self):
         with pytest.raises(NoPartition):
             contains_bip_induced(Host(c4(), 2), as_template(p4()))
+
+    @pytest.mark.parametrize("center_side", [0, 1])
+    def test_either_side_takes_the_a_side(self, center_side):
+        # P3's A side is its two ends, so the copy with the center in X (or
+        # in Y) exists only with A mapped into the other side
+        t = as_template(Graph(3, [(0, 1), (1, 2)]))
+        sides = [(0,), (1, 2)] if center_side == 0 else [(1, 2), (0,)]
+        host = Host(Graph(3, [(0, 1), (0, 2)]), 2, tuple(sides))
+        vm = contains_bip_induced(host, t)
+        assert vm is not None and vm[1] == 0
+        assert verify_bip_induced_map(host.graph, *host.partition, t, vm)
 
 
 class TestExtremalStar:
