@@ -21,9 +21,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
-from . import density, embeddings, oracles, realizability, regularity
+# The layers (density, embeddings, oracles, realizability, regularity) are
+# imported inside the handlers that use them: each run is a fresh process,
+# and a job pays only for the layers it runs.
 from .errors import DisprovesLemma, IndturanError
 from .families import BipartiteTemplate, RootedGraph, as_graph, as_template, parse_descriptor
 from .graph import (Graph, Host, common_neighborhood_mask, cross_subgraph, edge_subgraph,
@@ -31,7 +34,14 @@ from .graph import (Graph, Host, common_neighborhood_mask, cross_subgraph, edge_
 
 
 def _dump(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    # The bytes of json.dumps(obj, sort_keys=True, indent=2), written 4,096
+    # encoder chunks at a time: json.dumps holds every chunk and then the
+    # joined text at once (23 MB for 46,500 tree maps), and one write per
+    # chunk is slow on an unbuffered stdout.
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    for first in chunks:
+        sys.stdout.write(first + "".join(islice(chunks, 4095)))
+    sys.stdout.write("\n")
 
 
 def _load_input(path: str) -> dict:
@@ -122,6 +132,7 @@ def _fraction(value) -> Fraction:
 
 
 def _thresholds_from(d: Optional[dict]) -> embeddings.Thresholds:
+    from . import embeddings
     if d is None:
         return embeddings.Thresholds()
     kwargs = {key: _int(val) if key in ("c_hs", "m_blow") else _fraction(val)
@@ -136,6 +147,7 @@ def _roots_and_parts(obj) -> tuple:
 
 
 def _family_payload(desc: str) -> dict:
+    from . import density
     obj = parse_descriptor(desc)
     roots, parts = _roots_and_parts(obj)
     out = {"descriptor": desc,
@@ -154,6 +166,7 @@ def _cmd_family(args) -> int:
 
 
 def _rooted_report(args) -> density.DensityReport:
+    from . import density
     obj = parse_descriptor(args.descriptor)
     if not isinstance(obj, RootedGraph):
         raise ValueError(f"{args.command} needs a rooted descriptor")
@@ -173,6 +186,7 @@ def _cmd_balanced(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    from . import realizability
     # derive verifies every certificate it returns, so "verified" is always true.
     cert = realizability.derive(args.a, args.b, l=args.l)
     _dump({**cert.as_json_dict(), "verified": True})
@@ -180,6 +194,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import realizability
     found = realizability.enumerate_realizable(args.a_max, args.b_max, l=args.l)  # via derive
     rows = [{**cert.as_json_dict(), "verified": True} for _, _, cert in found]
     _dump({"count": len(rows), "certificates": rows})
@@ -187,6 +202,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
+    from . import oracles
     budget = {} if args.budget is None else {"budget": args.budget}
     if args.mode == "bip":
         template = as_template(parse_descriptor(args.pattern))
@@ -202,6 +218,7 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_embed_tree(args) -> int:
+    from . import embeddings
     spec = _load_input(args.input)
     host = _host_from(spec["host"])
     l_sub = _subgraph_from(host, spec.get("l_edges"))
@@ -221,6 +238,7 @@ def _cmd_embed_tree(args) -> int:
 
 
 def _cmd_embed_keylemma(args) -> int:
+    from . import embeddings
     spec = _load_input(args.input)
     host = _host_from(spec["host"])
     l_sub = _subgraph_from(host, spec.get("l_edges"))
@@ -239,6 +257,7 @@ def _cmd_embed_keylemma(args) -> int:
 
 
 def _cmd_embed_extract(args) -> int:
+    from . import embeddings
     spec = _load_input(args.input)
     g = _graph_from(spec["host"])
     pattern = _rooted_from(spec["pattern"])
@@ -250,6 +269,7 @@ def _cmd_embed_extract(args) -> int:
 
 
 def _cmd_embed_asym(args) -> int:
+    from . import embeddings
     spec = _load_input(args.input)
     host = _host_from(spec["host"])
     m_sub = _subgraph_from(host, spec.get("m_edges"))
@@ -264,6 +284,7 @@ def _cmd_embed_asym(args) -> int:
 
 
 def _cmd_check_badset(args) -> int:
+    from . import embeddings
     spec = _load_input(args.input)
     g = _graph_from(spec["graph"])
     s = spec.get("s")
@@ -274,6 +295,7 @@ def _cmd_check_badset(args) -> int:
 
 
 def _cmd_check_rich(args) -> int:
+    from . import embeddings
     spec = _load_input(args.input)
     g = _graph_from(spec["graph"])
     rich = embeddings.rich_s_set(g, spec["x"], spec["y"],
@@ -283,6 +305,7 @@ def _cmd_check_rich(args) -> int:
 
 
 def _cmd_check_kst(args) -> int:
+    from . import oracles
     spec = _load_input(args.input)
     host = _host_from(spec["host"] if "host" in spec else spec)
     _dump({"holds": oracles.kst_check(host)})
@@ -290,6 +313,7 @@ def _cmd_check_kst(args) -> int:
 
 
 def _cmd_check_regularize(args) -> int:
+    from . import regularity
     spec = _load_input(args.input)
     g = _graph_from(spec["graph"])
     sub, idx, k, report = regularity.regularize(

@@ -88,8 +88,11 @@ def bad_set(g: Graph, w: Iterable[int], c: Fraction, s: Optional[int] = None) ->
     wm = mask_of(wset)
     size = len(wset)
     need = num * size  # count >= c|W| as count * den >= num |W|
-    out = {x for x, row in enumerate(g.adj)
-           if not wm >> x & 1 and (row & wm).bit_count() * den >= need}
+    # c|W| > 0, so only a neighbour of W can qualify
+    near = 0
+    for v in bits(wm & g.vertex_mask()):
+        near |= g.adj[v]
+    out = {x for x in bits(near & ~wm) if (g.adj[x] & wm).bit_count() * den >= need}
     if s is not None:
         if s < 1:
             raise ValueError("s must be positive")

@@ -15,7 +15,13 @@ grown one vertex at a time, and both constraints (no K_{s,s} subgraph, no
 induced copy of h) are hereditary under adding vertices, so a branch can be
 pruned the moment either pattern appears through the newest vertex.
 Isomorphism-class deduplication only skips duplicate branches; correctness
-never depends on it.
+never depends on it.  Only the best graph of the final order is wanted, so the
+last step is bounded: the star and classical oracles test the last vertex's
+extensions by decreasing edge count and stop at the first count that has a
+free graph, and the bip oracle hands the matcher only the partitions that can
+still beat the best one found.  `explored` counts the states actually tested:
+extensions handed to the extension test, plus partitions handed to the bip
+matcher.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .graph import (
     mask_of,
 )
 
-STAR_BUDGET = 8
+STAR_BUDGET = 9
 BIP_BUDGET = 7
 
 
@@ -311,30 +317,68 @@ def _iso_key(g: Graph) -> tuple:
     return g.n, sum(deg) >> 1, tuple(prof)
 
 
+def _children(reps: Sequence[Graph], k: int, masks_of: Callable[[Graph], Iterable[int]],
+              extend_ok: Callable[[Graph, int], bool]) -> tuple[list[Graph], int]:
+    """Iso-class representatives of the children g + vertex k, for g in reps
+    and mask in masks_of(g), that pass extend_ok(child, k); each class is
+    represented by its first child in (rep, mask) order.  Returns
+    (representatives, children tested)."""
+    buckets: dict[tuple, list[Graph]] = {}
+    tested = 0
+    for g in reps:
+        for mask in masks_of(g):
+            tested += 1
+            g2 = _extend(g, mask)
+            if not extend_ok(g2, k):
+                continue
+            bucket = buckets.setdefault(_iso_key(g2), [])
+            if not any(is_isomorphic(g2, r) for r in bucket):
+                bucket.append(g2)
+    return [g for bucket in buckets.values() for g in bucket], tested
+
+
 def _generate_classes(n: int, extend_ok: Callable[[Graph, int], bool]) -> tuple[list[Graph], int]:
     """Iso-class representatives of n-vertex graphs every prefix of which passes
-    extend_ok(new_graph, new_vertex).  Returns (representatives, states examined)."""
+    extend_ok(new_graph, new_vertex).  Returns (representatives, extensions
+    tested)."""
     reps = [Graph(0, [])]
     explored = 0
     for k in range(n):
-        buckets: dict[tuple, list[Graph]] = {}
-        for g in reps:
-            for mask in range(1 << k):
-                explored += 1
-                g2 = _extend(g, mask)
-                if not extend_ok(g2, k):
-                    continue
-                key = _iso_key(g2)
-                bucket = buckets.setdefault(key, [])
-                if any(is_isomorphic(g2, r) for r in bucket):
-                    continue
-                bucket.append(g2)
-        reps = [g for bucket in buckets.values() for g in bucket]
+        reps, tested = _children(reps, k, lambda g: range(1 << k), extend_ok)
+        explored += tested
     return reps, explored
+
+
+def _densest_classes(n: int, extend_ok: Callable[[Graph, int], bool]) -> tuple[list[Graph], int]:
+    """The representatives that `_generate_classes(n, extend_ok)` returns with
+    the most edges, and the extensions tested to find them.
+
+    The last vertex's extensions are tested by decreasing edge count, and the
+    scan stops at the first count where a child passes.  This is exact when
+    extend_ok(child, k) only asks for a forbidden copy through the new vertex
+    k: every parent passed its own prefixes and so has no forbidden copy, a
+    child passes iff it has none at all, and isomorphic children pass alike.
+    Restricted to one edge count the scan keeps the (rep, mask) order, so
+    each class keeps the same first-seen representative."""
+    if n == 0:
+        return _generate_classes(0, extend_ok)
+    k = n - 1
+    parents, explored = _generate_classes(k, extend_ok)
+    # the masks of each popcount, in increasing order
+    by_count = {c: [m for m in range(1 << k) if m.bit_count() == c] for c in range(k + 1)}
+    for target in range(max((g.m for g in parents), default=-1) + k, -1, -1):
+        reps, tested = _children(parents, k, lambda g: by_count.get(target - g.m, ()), extend_ok)
+        explored += tested
+        if reps:
+            return reps, explored
+    return [], explored
 
 
 @dataclass
 class ExtremalResult:
+    """An extremal value with its witness (and, for bip, its partition).
+    `explored` is the number of extensions tested plus, for bip, the number
+    of partitions handed to the matcher."""
     value: int
     witness: Graph
     explored: int
@@ -361,7 +405,8 @@ def _extremal_result(candidates: Iterable[tuple[tuple, Graph, Optional[Parts]]],
 def extremal_star(n: int, h: Graph, s: int, budget: int = STAR_BUDGET) -> ExtremalResult:
     """Exact max edge count of an n-vertex graph with no K_{s,s} subgraph and no
     induced copy of h.  Witness ties break toward the lexicographically least
-    edge list among representatives examined."""
+    edge list among the representatives of the densest classes; `explored`
+    counts the extensions tested."""
     if n > budget:
         raise TooLarge(f"n={n} exceeds the search budget {budget}")
     if s < 1:
@@ -375,14 +420,16 @@ def extremal_star(n: int, h: Graph, s: int, budget: int = STAR_BUDGET) -> Extrem
             return False
         return not _contains_using(g2, h, k, induced=True)
 
-    reps, explored = _generate_classes(n, ok)
+    reps, explored = _densest_classes(n, ok)
     return _extremal_result((((-g.m, g.edge_list()), g, None) for g in reps), explored,
                             lambda w, _: contains_kss(w, s) is None
                             and contains_induced(w, h) is None)
 
 
 def extremal_classical(n: int, h: Graph, budget: int = STAR_BUDGET) -> ExtremalResult:
-    """Exact max edges of an n-vertex graph with no copy of h (induced or not)."""
+    """Exact max edges of an n-vertex graph with no copy of h (induced or not).
+    Witness ties break as in `extremal_star`; `explored` counts the extensions
+    tested."""
     if n > budget:
         raise TooLarge(f"n={n} exceeds the search budget {budget}")
     if h.n == 0:
@@ -392,7 +439,7 @@ def extremal_classical(n: int, h: Graph, budget: int = STAR_BUDGET) -> ExtremalR
     def ok(g2: Graph, k: int) -> bool:
         return not _contains_using(g2, h, k, induced=False)
 
-    reps, explored = _generate_classes(n, ok)
+    reps, explored = _densest_classes(n, ok)
     return _extremal_result((((-g.m, g.edge_list()), g, None) for g in reps), explored,
                             lambda w, _: contains_subgraph(w, h) is None)
 
@@ -403,6 +450,8 @@ def extremal_bip_star(n: int, h: BipartiteTemplate, s: int,
     partitions (X, Y) such that G[X, Y] has no copy of h induced in G.
 
     Partitions are enumerated up to swapping the sides (vertex 0 stays in X).
+    The least key (-cross edges, edge list, X) wins; `explored` counts the
+    extensions tested plus the partitions handed to the matcher.
     """
     if n > budget:
         raise TooLarge(f"n={n} exceeds the search budget {budget}")
@@ -415,25 +464,31 @@ def extremal_bip_star(n: int, h: BipartiteTemplate, s: int,
     def ok(g2: Graph, k: int) -> bool:
         return not _kss_through_vertex(g2.adj, k, s)
 
-    full = (1 << n) - 1
-
-    def candidates(reps: list[Graph]):
-        for g in reps:
-            edge_list = g.edge_list()
-            for sub in range(1 << (n - 1)):
-                xm = (sub << 1) | 1
-                if _bip_embed(g, h, xm, full ^ xm) is None:
-                    x = tuple(bits(xm))
-                    cross = sum((g.adj[v] & ~xm).bit_count() for v in x)
-                    yield (-cross, edge_list, x), g, (x, tuple(bits(full ^ xm)))
-
     def is_free(w: Graph, partition: Parts) -> bool:
         return contains_kss(w, s) is None \
             and contains_bip_induced(Host(w, s, partition), h) is None
 
     reps, explored = _generate_classes(n, ok)
-    # each representative's 2^(n-1) partitions count as explored states
-    return _extremal_result(candidates(reps), explored + (len(reps) << (n - 1)), is_free)
+    # The key (-cross, edge list, X) orders the candidates totally, so the least
+    # one does not depend on the scan order.  cross <= m, so once m falls below
+    # the best cross no later representative can win, and a partition whose key
+    # is no better than the best one goes to no matcher.
+    full = (1 << n) - 1
+    found = []  # each candidate that beats every one found before it
+    for g in sorted(reps, key=lambda g: -g.m):
+        if found and g.m < -found[-1][0][0]:
+            break
+        edge_list = g.edge_list()
+        for sub in range(1 << (n - 1)):
+            xm = (sub << 1) | 1
+            x = tuple(bits(xm))
+            key = (-sum((g.adj[v] & ~xm).bit_count() for v in x), edge_list, x)
+            if found and key >= found[-1][0]:
+                continue
+            explored += 1
+            if _bip_embed(g, h, xm, full ^ xm) is None:
+                found.append((key, g, (x, tuple(bits(full ^ xm)))))
+    return _extremal_result(found, explored, is_free)
 
 
 # --- Kovari-Sos-Turan check -----------------------------------------------------

@@ -5,7 +5,10 @@ fuzz and property tests; the map and regularity checkers are definitional
 references that tests compare the package's answers against.  The
 `*_reference` functions are the embedding helpers as first written, with
 `Fraction` thresholds and pairwise scans: the package's integer and bitset
-versions must give the same answers.
+versions must give the same answers.  The `extremal_*_reference` oracles
+generate, test and deduplicate every extension at the final order and hand
+every bip partition to the matcher: the package's bounded last step must
+find the same value, witness and partition.
 """
 
 from fractions import Fraction
@@ -14,9 +17,21 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from indturan.errors import DisprovesLemma, HypothesisUnmet, InvalidPartition
-from indturan.families import RootedGraph
-from indturan.graph import Graph, Host, VertexMap, degree_stats, mask_of
-from indturan.oracles import _kss_through_vertex, contains_kss
+from indturan.families import BipartiteTemplate, RootedGraph
+from indturan.graph import Graph, Host, VertexMap, bits, degree_stats, mask_of
+from indturan.oracles import (
+    ExtremalResult,
+    Pattern,
+    _bip_embed,
+    _contains_using,
+    _extremal_result,
+    _generate_classes,
+    _kss_through_vertex,
+    contains_bip_induced,
+    contains_induced,
+    contains_kss,
+    contains_subgraph,
+)
 
 
 @st.composite
@@ -160,3 +175,60 @@ def first_mono_clique_reference(aux: dict, s: int):
                    for i in range(len(clique)) for j in range(i + 1, len(clique))):
                 return color, clique
     return None
+
+
+# --- the extremal oracles as first written ---------------------------------------
+
+
+def _max_edges_result(reps, explored, is_free):
+    return _extremal_result((((-g.m, g.edge_list()), g, None) for g in reps), explored,
+                            is_free)
+
+
+def extremal_star_reference(n: int, h: Graph, s: int) -> ExtremalResult:
+    """`oracles.extremal_star` with every n-vertex class generated; `explored`
+    counts every extension."""
+    if s < 1 or h.n == 0:
+        raise ValueError("s must be positive and the pattern nonempty")
+    pat = Pattern(h)
+    reps, explored = _generate_classes(
+        n, lambda g2, k: not _kss_through_vertex(g2.adj, k, s)
+        and not _contains_using(g2, pat, k, induced=True))
+    return _max_edges_result(reps, explored, lambda w, _: contains_kss(w, s) is None
+                             and contains_induced(w, h) is None)
+
+
+def extremal_classical_reference(n: int, h: Graph) -> ExtremalResult:
+    """`oracles.extremal_classical` with every n-vertex class generated."""
+    if h.n == 0:
+        raise ValueError("pattern must have at least one vertex")
+    pat = Pattern(h)
+    reps, explored = _generate_classes(
+        n, lambda g2, k: not _contains_using(g2, pat, k, induced=False))
+    return _max_edges_result(reps, explored, lambda w, _: contains_subgraph(w, h) is None)
+
+
+def extremal_bip_star_reference(n: int, h, s: int) -> ExtremalResult:
+    """`oracles.extremal_bip_star` with every partition (vertex 0 in X) of
+    every n-vertex class handed to the matcher; `explored` counts each
+    extension and each partition."""
+    if s < 1:
+        raise ValueError("s must be positive")
+    if n == 0:
+        return ExtremalResult(0, Graph(0, []), 0, partition=((), ()))
+    h = BipartiteTemplate(Pattern(h.graph), h.parts)
+    reps, explored = _generate_classes(n, lambda g2, k: not _kss_through_vertex(g2.adj, k, s))
+    full = (1 << n) - 1
+
+    def candidates():
+        for g in reps:
+            for sub in range(1 << (n - 1)):
+                xm = (sub << 1) | 1
+                if _bip_embed(g, h, xm, full ^ xm) is None:
+                    x = tuple(bits(xm))
+                    cross = sum((g.adj[v] & ~xm).bit_count() for v in x)
+                    yield (-cross, g.edge_list(), x), g, (x, tuple(bits(full ^ xm)))
+
+    return _extremal_result(candidates(), explored + (len(reps) << (n - 1)),
+                            lambda w, part: contains_kss(w, s) is None
+                            and contains_bip_induced(Host(w, s, part), h) is None)

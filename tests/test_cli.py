@@ -396,6 +396,34 @@ class TestDeterminism:
         assert exc.value.code == 2
 
 
+# Runs the CLI with this process's arguments, then writes the loaded package
+# modules to stderr as a JSON list.
+LOADED_PROBE = """import json, sys
+from indturan import cli
+try:
+    cli.main()
+except SystemExit:
+    pass
+sys.stderr.write(json.dumps([m for m in sys.modules if m.startswith("indturan.")]))
+"""
+
+
+class TestLazyLayers:
+    def loaded(self, *argv):
+        r = subprocess.run([sys.executable, "-c", LOADED_PROBE, *argv],
+                           capture_output=True, cwd=ROOT, env=ENV)
+        assert r.returncode == 0 and r.stdout, r.stderr
+        return {m.split(".")[1] for m in json.loads(r.stderr)}
+
+    def test_help_loads_no_layer(self):
+        layers = {"density", "embeddings", "oracles", "realizability", "regularity"}
+        assert not self.loaded("--help") & layers
+
+    def test_extremal_loads_neither_embeddings_nor_realizability(self):
+        loaded = self.loaded("extremal", "--n", "4", "--pattern", "theta:len=2,t=2")
+        assert "oracles" in loaded and not loaded & {"embeddings", "realizability"}
+
+
 EMBED_DIGESTS = json.loads((Path(__file__).parent / "embed_digests.json").read_text(encoding="utf-8"))
 
 

@@ -641,10 +641,10 @@ fractions_in_unit = st.builds(lambda q, p: Fraction(p % q + 1, q),
 
 
 def outcome(fn, *args):
-    """fn's result, or the type of the package error it raised."""
+    """fn's result, or the type of the package or value error it raised."""
     try:
         return fn(*args)
-    except (DisprovesLemma, HypothesisUnmet, InvalidPartition) as exc:
+    except (DisprovesLemma, HypothesisUnmet, InvalidPartition, ValueError) as exc:
         return type(exc)
 
 
@@ -682,7 +682,9 @@ class TestAgainstDefinitional:
     @settings(max_examples=200, deadline=None)
     @given(graphs(10, min_n=1), st.data(), fractions_in_unit, st.sampled_from([None, 1, 2]))
     def test_bad_set(self, g, data, c, s):
-        w = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+        # W inside the graph, or with ids past either end of it
+        w = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)
+                      | st.sets(st.integers(-1, g.n + 1), min_size=1))
         assert outcome(bad_set, g, w, c, s) == outcome(bad_set_reference, g, w, c, s)
 
     @settings(max_examples=150, deadline=None)

@@ -12,6 +12,7 @@ from indturan.errors import (
     DisprovesLemma,
     InvalidPartition,
     NoPartition,
+    NotBipartite,
     NotKssFree,
     TooLarge,
 )
@@ -31,7 +32,15 @@ from indturan.oracles import (
     verify_induced_map,
 )
 
-from helpers import graphs, random_kss_free, random_kss_free_bipartite, verify_subgraph_map
+from helpers import (
+    extremal_bip_star_reference,
+    extremal_classical_reference,
+    extremal_star_reference,
+    graphs,
+    random_kss_free,
+    random_kss_free_bipartite,
+    verify_subgraph_map,
+)
 
 
 def c4():
@@ -149,27 +158,92 @@ class TestCompiledPattern:
 
 
 # ExtremalResult.as_json_dict() of each oracle on C4, C6 and P4 for n <= 6 and
-# s in {2, 3}, recorded from the matcher that re-derived the pattern on every
-# call: a compiled pattern must change no value, `explored` count, witness or
-# partition.
+# s in {2, 3}.  The values, witnesses and partitions were recorded from the
+# full scans that `helpers` keeps as references; the `explored` counts are
+# those of the bounded last step, which tests fewer extensions and partitions.
 PINNED = json.loads((Path(__file__).parent / "extremal_grid.json").read_text(encoding="utf-8"))
+
+
+def grid_runs(mode, name, star, classical, bip):
+    """{pinned key: result} of one mode and pattern over the pinned grid."""
+    h = {"C4": c4, "C6": c6, "P4": p4}[name]()
+    runs = {}
+    for n in range(1, 7):
+        if mode == "classical":
+            runs[f"{mode} {name} {n}"] = classical(n, h)
+        for s in (2, 3):
+            if mode == "star":
+                runs[f"{mode} {name} {n} {s}"] = star(n, h, s)
+            elif mode == "bip":
+                runs[f"{mode} {name} {n} {s}"] = bip(n, as_template(h), s)
+    return runs
+
+
+def without_explored(res):
+    return {k: v for k, v in res.as_json_dict().items() if k != "explored"}
 
 
 class TestPinnedExtremal:
     @pytest.mark.parametrize("mode", ["star", "classical", "bip"])
     @pytest.mark.parametrize("name", ["C4", "C6", "P4"])
     def test_as_json_dict_unchanged(self, mode, name):
-        h = {"C4": c4, "C6": c6, "P4": p4}[name]()
-        for n in range(1, 7):
-            if mode == "classical":
-                runs = {f"{n}": extremal_classical(n, h)}
-            elif mode == "star":
-                runs = {f"{n} {s}": extremal_star(n, h, s) for s in (2, 3)}
+        runs = grid_runs(mode, name, extremal_star, extremal_classical, extremal_bip_star)
+        for key, res in runs.items():
+            assert res.as_json_dict() == PINNED[key], key
+
+    @pytest.mark.parametrize("mode", ["star", "classical", "bip"])
+    @pytest.mark.parametrize("name", ["C4", "C6", "P4"])
+    def test_full_scan_reproduces_pins(self, mode, name):
+        runs = grid_runs(mode, name, extremal_star_reference, extremal_classical_reference,
+                         extremal_bip_star_reference)
+        for key, res in runs.items():
+            pinned = {k: v for k, v in PINNED[key].items() if k != "explored"}
+            assert without_explored(res) == pinned, key
+            assert PINNED[key]["explored"] <= res.explored, key
+
+
+def oracle_outcome(fn, *args):
+    """fn's result, or the type of the value error it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestBoundedLastStep:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(5), st.integers(0, 6), st.integers(1, 3))
+    def test_matches_full_scan(self, h, n, s):
+        runs = [(extremal_star, extremal_star_reference, (n, h, s)),
+                (extremal_classical, extremal_classical_reference, (n, h))]
+        try:
+            runs.append((extremal_bip_star, extremal_bip_star_reference, (n, as_template(h), s)))
+        except NotBipartite:
+            pass
+        for fast, reference, args in runs:
+            got, want = oracle_outcome(fast, *args), oracle_outcome(reference, *args)
+            if isinstance(want, type):
+                assert got is want, fast.__name__
             else:
-                runs = {f"{n} {s}": extremal_bip_star(n, as_template(h), s) for s in (2, 3)}
-            for suffix, res in runs.items():
-                key = f"{mode} {name} {suffix}"
-                assert res.as_json_dict() == PINNED[key], key
+                assert without_explored(got) == without_explored(want), fast.__name__
+                assert got.explored <= want.explored, fast.__name__
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_no_graph_avoids_k1(self, n):
+        k1 = Graph(1, [])
+        for call in (lambda: extremal_star(n, k1, 2), lambda: extremal_classical(n, k1),
+                     lambda: extremal_bip_star(n, as_template(k1), 2)):
+            with pytest.raises(ValueError, match="avoids the pattern"):
+                call()
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_smallest_orders(self, n):
+        for h in (c4(), p4(), Graph(1, [])):
+            for fast, reference, args in (
+                    (extremal_star, extremal_star_reference, (n, h, 2)),
+                    (extremal_classical, extremal_classical_reference, (n, h)),
+                    (extremal_bip_star, extremal_bip_star_reference, (n, as_template(h), 2))):
+                assert oracle_outcome(fast, *args) == oracle_outcome(reference, *args)
 
 
 class TestKss:
@@ -262,7 +336,7 @@ class TestExtremalStar:
 
     def test_budget(self):
         with pytest.raises(TooLarge):
-            extremal_star(9, c4(), 2)
+            extremal_star(oracles.STAR_BUDGET + 1, c4(), 2)
 
     def test_monotone_in_n_and_s(self):
         for h in (c4(), p4()):
