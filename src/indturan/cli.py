@@ -4,7 +4,7 @@ All results are printed as JSON with sorted keys so identical invocations are
 byte-identical.  Exit codes: 0 success, 1 domain error (printed as an
 {"error", "message"} object), 2 usage error (argparse), 3 internal fault: a
 re-check failed (DisprovesLemma), which means a bug, printed like a domain
-error.
+error.  A closed stdout exits 1, the rest of the output dropped, no traceback.
 
 The `thresholds` object of `embed keylemma` and `embed asym` accepts exactly
 the `embeddings.Thresholds` fields: integers `c_hs` and `m_blow`, rationals
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -412,13 +413,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (IndturanError, ValueError, KeyError, TypeError, OSError) as exc:
-        _dump({"error": type(exc).__name__, "message": str(exc)})
-        return 3 if isinstance(exc, DisprovesLemma) else 1
+        try:
+            return args.func(args)
+        except BrokenPipeError:
+            raise
+        except (IndturanError, ValueError, KeyError, TypeError, OSError) as exc:
+            _dump({"error": type(exc).__name__, "message": str(exc)})
+            return 3 if isinstance(exc, DisprovesLemma) else 1
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: drop the rest, exit flush included
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

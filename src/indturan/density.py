@@ -186,11 +186,10 @@ def is_balanced(f: RootedGraph) -> DensityReport:
     q = len(non)
     if q > BALANCE_BUDGET:
         raise TooLarge(f"{q} non-roots exceed the balance budget of {BALANCE_BUDGET}")
-    target = rho(f)
     index = {v: i for i, v in enumerate(non)}
     ends = [tuple(index[w] for w in e if w in index)
             for e in sorted(f.graph.edges) if e[0] in index or e[1] in index]
-    lam = target
+    lam = target = Fraction(len(ends), q)  # rho(F): ends lists e_S for S = every non-root
     cut = _ClosureNetwork(ends, q, lam)
     while cut.value < 0:
         seen = [False] * len(cut.adj)

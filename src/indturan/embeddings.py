@@ -36,7 +36,7 @@ from .graph import (
     first_clique,
     mask_of,
 )
-from .oracles import contains_kss, is_induced_copy, verify_bip_induced_map, verify_induced_map
+from .oracles import contains_kss, verify_bip_induced_map, verify_induced_map
 
 
 # --- thresholds -------------------------------------------------------------------
@@ -186,13 +186,12 @@ def greedy_tree_embed(host: Host, l: Graph, t: Graph, d: int) -> Iterator[Vertex
     A copy is good when its tree edges lie in l, it is induced in the host
     graph, and no copy vertex lies in another's bad set B(x) (common-neighbor
     count threshold d/(4|V(t)|)).  Enumeration is exhaustive; each emitted map
-    is re-checked in full (`is_induced_copy`, and its tree edges against l)
-    before being yielded.
+    is re-checked in full (`oracles.verify_induced_map` against the host
+    graph, and its tree edges against l) before being yielded.
     """
     g, n = host.graph, t.n
     order, parent = _grow_order(t)
     bad = tree_bad_sets(g, l, n, d)
-    nbrs = [t.neighbors(p) for p in range(n)]
     pos = {v: i for i, v in enumerate(order)}
     up = [pos.get(parent[v], -1) for v in order]  # up[i]: the position of order[i]'s parent
     at = [pos[p] for p in range(n)]
@@ -216,7 +215,7 @@ def greedy_tree_embed(host: Host, l: Graph, t: Graph, d: int) -> Iterator[Vertex
         img[i] = w
         if i + 1 == n:
             vm = tuple([img[k] for k in at])
-            if not is_induced_copy(g.adj, nbrs, vm):
+            if not verify_induced_map(g, t, vm):
                 raise DisprovesLemma("tree copy failed the induced re-check")
             if not all(l.adj[vm[a]] >> vm[b] & 1 for a, b in t.edges):
                 raise DisprovesLemma("tree copy uses an edge outside l")
@@ -333,7 +332,8 @@ def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
     Steps per candidate placement phi of A: (1) phi(A) independent in the host
     graph; (2) no phi(u) lies in the bad set of another edge's common
     L-neighborhood (threshold 1/(2h)); then candidate sets Gamma(e) are carved,
-    Hall's theorem yields disjoint t-sets, and the B side is placed by search.
+    Hall's theorem yields disjoint t-sets, and the B side takes the first
+    pairwise non-adjacent choice of one vertex per set (`graph.first_clique`).
     KEY_LEMMA_RETRIES random placements are followed by exhaustive enumeration
     when there are at most KEY_LEMMA_EXHAUSTIVE_CAP placements.  found=False
     after that is a legitimate desk-scale outcome.
@@ -414,28 +414,20 @@ def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
             entry["stage"] = "hall"
             continue
 
-        placement: list[int] = []
-
-        def place(i: int) -> bool:
-            if i == len(u_sets):
-                return True
-            for w in u_sets[i]:
-                if any(g.has_edge(w, prev) for prev in placement):
-                    continue
-                placement.append(w)
-                if place(i + 1):
-                    return True
-                placement.pop()
-            return False
-
-        if not place(0):
+        # A clique of these rows (compatible: other set, no edge in g) takes one
+        # vertex per set, so the least one is the first B choice in product order.
+        flat = [(k, w) for k, u in enumerate(u_sets) for w in u]
+        rows = [sum(1 << j for j, (k2, x) in enumerate(flat) if k2 != k and not g.adj[w] >> x & 1)
+                for k, w in flat]
+        pick = first_clique(rows, len(u_sets))
+        if pick is None:
             entry["stage"] = "placement"
             continue
         vm = [0] * template.graph.n
         for v, w in img.items():
             vm[v] = w
-        for b, w in zip(b_order, placement):
-            vm[b] = w
+        for b, j in zip(b_order, pick):
+            vm[b] = flat[j][1]
         vm = tuple(vm)
         if not verify_bip_induced_map(g, x_side, y_side, template, vm):
             raise DisprovesLemma("key-lemma embedding failed the induced re-check")

@@ -239,17 +239,14 @@ def as_graph(obj) -> Graph:
 
 
 def as_template(obj) -> BipartiteTemplate:
-    """View as a bipartite template; the side containing vertex 0 becomes A."""
+    """View as a bipartite template; A is `bipartition`'s first side, which holds vertex 0."""
     if isinstance(obj, BipartiteTemplate):
         return obj
     g = as_graph(obj)
     parts = bipartition(g)
     if parts is None:
         raise NotBipartite("graph has an odd cycle")
-    a, b = parts
-    if 0 in b:
-        a, b = b, a
-    return BipartiteTemplate(g, (a, b))
+    return BipartiteTemplate(g, parts)
 
 
 # --- descriptor mini-language -------------------------------------------------

@@ -123,11 +123,15 @@ def first_clique(rows: Sequence[int], k: int) -> Optional[list[int]]:
     higher candidates adjacent to it, and prunes a branch with fewer
     candidates than places left; candidates are tried in increasing order, so
     the first clique found is the one a `combinations` scan meets first."""
+    if k < 0:
+        raise ValueError("a clique has k >= 0 vertices")
     chosen: list[int] = []
     frames = [(1 << len(rows)) - 1]  # frames[d]: the candidates for chosen[d]
     while frames:
         d = len(frames) - 1
         del chosen[d:]
+        if d == k:
+            return chosen
         cand = frames[d]
         if cand.bit_count() < k - d:
             frames.pop()
@@ -136,8 +140,6 @@ def first_clique(rows: Sequence[int], k: int) -> Optional[list[int]]:
         frames[d] = cand ^ low
         i = low.bit_length() - 1
         chosen.append(i)
-        if d + 1 == k:
-            return chosen
         frames.append(frames[d] & rows[i])
     return None
 

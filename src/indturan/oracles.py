@@ -210,37 +210,21 @@ def _contains_using(g: Graph, h: Graph, v: int, induced: bool) -> bool:
 
 
 def verify_induced_map(g: Graph, h: Graph, vm: VertexMap) -> bool:
-    """Definitional check that vm is an induced embedding of h into g."""
-    if len(vm) != h.n or len(set(vm)) != h.n:
-        return False
-    if not all(0 <= w < g.n for w in vm):
-        return False
-    for p, q in combinations(range(h.n), 2):
-        if g.has_edge(vm[p], vm[q]) != h.has_edge(p, q):
-            return False
-    return True
-
-
-def is_induced_copy(adj: Sequence[int], nbrs: Sequence[Sequence[int]], vm: VertexMap) -> bool:
-    """Row check that vm is an induced copy, in the graph with adjacency rows
-    adj, of the pattern whose neighbour lists are nbrs: vm is injective and in
-    range, and for every pattern vertex p the row of vm[p] within the image is
-    exactly the image of p's neighbours.  Every pair is compared, as in
-    `verify_induced_map`, its definitional counterpart."""
-    if len(vm) != len(nbrs):
+    """Row check that vm is an induced embedding of h into g: vm is injective
+    and in range, and for every pattern vertex p the host row of vm[p], cut to
+    the image, is the image of h's row p (the pairwise definition, row-wise)."""
+    if len(vm) != h.n:
         return False
     image = 0
     for w in vm:
-        if not 0 <= w < len(adj) or image >> w & 1:
+        if not 0 <= w < g.n or image >> w & 1:
             return False
         image |= 1 << w
-    for w, ns in zip(vm, nbrs):
-        want = 0
-        for q in ns:
-            want |= 1 << vm[q]
-        if adj[w] & image != want:
-            return False
-    return True
+    want = [0] * h.n  # want[p]: the image of h's row p, built from h's edges
+    for p, q in h.edges:
+        want[p] |= 1 << vm[q]
+        want[q] |= 1 << vm[p]
+    return [g.adj[w] & image for w in vm] == want
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

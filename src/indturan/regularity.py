@@ -65,8 +65,7 @@ def _ge_coeff_pow(e: int, coeff: Fraction, base: int, expo: Fraction) -> bool:
     if base == 0:
         return True
     q = expo.denominator
-    return Fraction(e) ** q >= coeff ** q * Fraction(base) ** expo.numerator \
-        if q > 1 else Fraction(e) >= coeff * Fraction(base) ** expo.numerator
+    return Fraction(e) ** q >= coeff ** q * Fraction(base) ** expo.numerator
 
 
 def _ratio_le_pow2(num: int, den: int, e: Fraction) -> bool:

@@ -2,7 +2,9 @@
 
 The seeded K_{s,s}-free host generators and the `graphs` strategy feed the
 fuzz and property tests; the map and regularity checkers are definitional
-references that tests compare the package's answers against.  The
+references that tests compare the package's answers against, and
+`verify_induced_map_reference` is the pairwise twin of the package's row
+check `oracles.verify_induced_map`.  The
 `*_reference` functions are the embedding helpers as first written, with
 `Fraction` thresholds and pairwise scans: the package's integer and bitset
 versions must give the same answers.  The `extremal_*_reference` oracles
@@ -71,6 +73,17 @@ def _greedy_kss_free(n: int, pairs, s: int, rng, keep: float) -> Graph:
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
     return Graph.from_rows(adj)
+
+
+def verify_induced_map_reference(g: Graph, h: Graph, vm: VertexMap) -> bool:
+    """Definitional check that vm is an induced embedding of h into g, pair by
+    pair: the oracle of the package's row check `oracles.verify_induced_map`."""
+    if len(vm) != h.n or len(set(vm)) != h.n:
+        return False
+    if not all(0 <= w < g.n for w in vm):
+        return False
+    return all(g.has_edge(vm[p], vm[q]) == h.has_edge(p, q)
+               for p, q in combinations(range(h.n), 2))
 
 
 def verify_subgraph_map(g: Graph, h: Graph, vm: VertexMap) -> bool:

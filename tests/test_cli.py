@@ -396,6 +396,21 @@ class TestDeterminism:
         assert exc.value.code == 2
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [["sweep", "7", "50"], ["family", "Trt:r=3,t=1"],
+                                      ["realize", "1", "1"]])
+    def test_exits_quietly(self, argv):
+        # The reader is gone before the first write.  Large output fails on a
+        # write, small output at the final flush, and so does a domain error's
+        # JSON; each exits 1 with nothing on stderr.
+        proc = subprocess.Popen([sys.executable, "-m", "indturan.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=ROOT, env=ENV)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1 and err == b"", err
+
+
 # Runs the CLI with this process's arguments, then writes the loaded package
 # modules to stderr as a JSON list.
 LOADED_PROBE = """import json, sys

@@ -44,7 +44,7 @@ from indturan.graph import (
     edge_subgraph,
     first_clique,
 )
-from indturan.oracles import is_induced_copy, verify_induced_map
+from indturan.oracles import verify_induced_map
 from indturan.regularity import (
     RegularizeReport,
     almost_regular_exponent,
@@ -64,6 +64,7 @@ from helpers import (
     random_kss_free_bipartite,
     rich_s_set_reference,
     tree_bad_sets_reference,
+    verify_induced_map_reference,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -287,7 +288,7 @@ from indturan.errors import DisprovesLemma
 from indturan.families import theta
 from indturan.graph import Graph, Host
 
-emb.is_induced_copy = lambda *args: False
+emb.verify_induced_map = lambda *args: False
 g = theta(3, 2)
 try:
     next(emb.greedy_tree_embed(Host(g, 2), g, Graph(3, [(0, 1), (1, 2)]), 24))
@@ -374,7 +375,7 @@ class TestGreedyTreeEmbed:
         l = g
         p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
         for vm in greedy_tree_embed(host, l, p4, 30):
-            assert verify_induced_map(g, p4, vm)
+            assert verify_induced_map_reference(g, p4, vm)
 
     def test_admissible_filter(self):
         g = theta(2, 3)  # K_{2,3}: vertices 0,1 on one side
@@ -509,6 +510,51 @@ class TestKeyLemma:
         b = key_lemma_embed(*args, seed=5)
         assert a.mapping == b.mapping and a.trace == b.trace
 
+    def test_empty_b_side(self):
+        # no B vertex, so no Hall sets: the A placement alone is the copy
+        host = k45_host()
+        template = as_template(Graph(2, []))
+        assert template.b_side == ()
+        out = key_lemma_embed(host, cross_subgraph(host), template, {0: (0, 1), 1: (2, 3)},
+                              lambda ss: True, Thresholds(c_hs=3, m_blow=2), seed=0)
+        assert out.found and out.trace[-1]["stage"] == "success"
+        assert out.mapping == tuple(out.trace[-1]["phi"])
+
+    def test_b_side_is_first_compatible_choice(self):
+        # C4 template, A = {0, 1} on X = {0, 1}; both B vertices have the Hall
+        # sets' common pool Y, and c_hs = 16 gives sets of 2.  Y's edges rule
+        # out the first product-order pair, so B takes the next one.
+        g = Graph(6, [(x, y) for x in range(2) for y in range(2, 6)] + [(2, 4), (2, 5)])
+        host = Host(g, 2, ((0, 1), (2, 3, 4, 5)))
+        out = key_lemma_embed(host, cross_subgraph(host), as_template(theta(2, 2)),
+                              {0: (0,), 1: (1,)}, lambda ss: True,
+                              Thresholds(c_hs=16, m_blow=1), seed=0)
+        assert out.found and out.mapping == (0, 1, 4, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_placement_with_edges_inside_y(self, data):
+        # Hall sets of 2 or 3 inside a Y with its own edges, and X joined to
+        # Y but for a few pairs: a found copy takes one B image per set,
+        # pairwise non-adjacent (a wrong placement raises DisprovesLemma)
+        nx, ny = data.draw(st.integers(4, 6)), data.draw(st.integers(4, 10))
+        cross = [(x, y) for x in range(nx) for y in range(nx, nx + ny)]
+        missing = data.draw(st.sets(st.sampled_from(cross), max_size=6))
+        inner = list(combinations(range(nx, nx + ny), 2))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(inner), max_size=len(inner)))
+        g = Graph(nx + ny, [e for e in cross if e not in missing]
+                  + [e for e, k in zip(inner, keep) if k])
+        host = Host(g, 2, (tuple(range(nx)), tuple(range(nx, nx + ny))))
+        template = as_template(data.draw(st.sampled_from([theta(2, 2), theta(3, 1)])))
+        phi = data.draw(st.permutations(range(nx)))
+        parts = {a: (phi[i],) for i, a in enumerate(template.a_side)}
+        th = Thresholds(c_hs=data.draw(st.sampled_from([16, 24])), m_blow=1)
+        out = key_lemma_embed(host, cross_subgraph(host), template, parts,
+                              lambda ss: True, th)
+        if out.found:
+            assert verify_induced_map_reference(g, template.graph, out.mapping)
+            assert all(out.mapping[b] >= nx for b in template.b_side)
+
 
 class TestAsymmetric:
     def test_planted_success(self):
@@ -578,7 +624,7 @@ class TestExtraction:
         from indturan.families import rooted_power
 
         power = rooted_power(f, 3)
-        assert verify_induced_map(g, power.graph, out.mapping)
+        assert verify_induced_map_reference(g, power.graph, out.mapping)
 
     def test_kss_branch(self):
         # all five middle vertices mutually adjacent: no independent pair,
@@ -704,8 +750,7 @@ class TestAgainstDefinitional:
     @given(graphs(8), graphs(5), st.data())
     def test_row_recheck(self, g, h, data):
         vm = data.draw(maps_into(g, h.n))
-        nbrs = [h.neighbors(p) for p in range(h.n)]
-        assert is_induced_copy(g.adj, nbrs, vm) == verify_induced_map(g, h, vm)
+        assert verify_induced_map(g, h, vm) == verify_induced_map_reference(g, h, vm)
 
     @settings(max_examples=200, deadline=None)
     @given(graphs(7), st.data())
@@ -717,9 +762,8 @@ class TestAgainstDefinitional:
         h = Graph(k, [(p, q) for p, q in combinations(range(k), 2) if g.has_edge(vm[p], vm[q])])
         if k and data.draw(st.booleans()):
             vm[data.draw(st.integers(0, k - 1))] = data.draw(st.integers(0, g.n - 1))
-        nbrs = [h.neighbors(p) for p in range(h.n)]
-        got = is_induced_copy(g.adj, nbrs, tuple(vm))
-        assert got == verify_induced_map(g, h, tuple(vm))
+        vm = tuple(vm)
+        assert verify_induced_map(g, h, vm) == verify_induced_map_reference(g, h, vm)
 
     @settings(max_examples=200, deadline=None)
     @given(graphs(10, min_n=1), st.integers(2, 4), st.data())
@@ -732,12 +776,17 @@ class TestAgainstDefinitional:
         assert extraction_aux(g, copies, f) == extraction_aux_reference(g, copies, f)
 
     @settings(max_examples=300, deadline=None)
-    @given(graphs(9), st.integers(1, 6))
+    @given(graphs(9), st.integers(0, 6))
     def test_first_clique(self, g, k):
         first = next((c for c in combinations(range(g.n), k)
                       if all(g.has_edge(u, v) for u, v in combinations(c, 2))), None)
         got = first_clique(g.adj, k)
         assert (tuple(got) if got is not None else None) == first
+
+    def test_first_clique_size_zero_and_negative(self):
+        assert first_clique([], 0) == [] and first_clique([0b10, 0b01], 0) == []
+        with pytest.raises(ValueError):
+            first_clique([0b10, 0b01], -1)
 
     @settings(max_examples=300, deadline=None)
     @given(semi_induced_cases())

@@ -12,7 +12,7 @@ from indturan.errors import (
     Multigraph,
     NotBipartite,
 )
-from indturan.families import BipartiteTemplate
+from indturan.families import BipartiteTemplate, as_template
 from indturan.graph import (
     Graph,
     Host,
@@ -40,6 +40,16 @@ def path(n):
 def graphs(draw, max_n=9):
     n = draw(st.integers(0, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def bipartite_graphs(draw, max_n=9):
+    """A graph whose edges all join two random sides, so it is bipartite."""
+    n = draw(st.integers(0, max_n))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v]]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [e for e, k in zip(pairs, keep) if k])
 
@@ -157,6 +167,27 @@ class TestBipartition:
     def test_disconnected(self):
         parts = bipartition(Graph(4, [(0, 1), (2, 3)]))
         assert parts is not None
+
+    @given(bipartite_graphs() | graphs())
+    def test_least_vertex_of_each_component_first(self, g):
+        # `as_template` relies on this to put vertex 0 on side A
+        parts = bipartition(g)
+        assume(parts is not None)
+        seen = 0
+        for v in range(g.n):
+            if seen >> v & 1:
+                continue
+            assert v in parts[0]  # v is the least vertex of its component
+            reach, frontier = 1 << v, 1 << v
+            while frontier:
+                nxt = 0
+                for u in bits(frontier):
+                    nxt |= g.adj[u]
+                frontier = nxt & ~reach
+                reach |= frontier
+            seen |= reach
+        if g.n:
+            assert 0 in as_template(g).a_side
 
 
 class TestHost:
