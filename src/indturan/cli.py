@@ -1,10 +1,18 @@
 """Command-line interface.
 
 All results are printed as JSON with sorted keys so identical invocations are
-byte-identical.  Exit codes: 0 success, 1 domain error (printed as an
-{"error", "message"} object), 2 usage error (argparse), 3 internal fault: a
-re-check failed (DisprovesLemma), which means a bug, printed like a domain
-error.  A closed stdout exits 1, the rest of the output dropped, no traceback.
+byte-identical: the bytes of json.dumps(obj, sort_keys=True, indent=2) and a
+newline.  One writer, `_dump`, produces them for every command, `export`
+files included; it writes each list of integers with one format and hands
+the text out in batches of about 16 KiB.  Exit codes: 0 success, 1 domain error
+(printed as an {"error", "message"} object), 2 usage error (argparse), 3
+internal fault: a re-check failed (DisprovesLemma), which means a bug,
+printed like a domain error.  A closed stdout exits 1, the rest of the output
+dropped, no traceback.
+
+`embed tree` takes an optional "limit": at most that many copies are printed,
+0 prints none (the tree is still checked) and a negative limit is a domain
+error (ValueError).
 
 The `thresholds` object of `embed keylemma` and `embed asym` accepts exactly
 the `embeddings.Thresholds` fields: integers `c_hs` and `m_blow`, rationals
@@ -23,6 +31,7 @@ import os
 import sys
 from fractions import Fraction
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 # The layers (density, embeddings, oracles, realizability, regularity) are
@@ -34,15 +43,85 @@ from .graph import (Graph, Host, common_neighborhood_mask, cross_subgraph, edge_
                     graph_from_json_dict, graph_to_json_dict, to_dot)
 
 
-def _dump(obj) -> None:
-    # The bytes of json.dumps(obj, sort_keys=True, indent=2), written 4,096
-    # encoder chunks at a time: json.dumps holds every chunk and then the
-    # joined text at once (23 MB for 46,500 tree maps), and one write per
-    # chunk is slow on an unbuffered stdout.
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
-    for first in chunks:
-        sys.stdout.write(first + "".join(islice(chunks, 4095)))
-    sys.stdout.write("\n")
+_BATCH = 1 << 14  # characters per write: one syscall each on an unbuffered stdout
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if k is None or isinstance(k, (int, float)):
+        return encode_basestring_ascii(json.dumps(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _leaf(v, pad: str, formats: dict) -> Optional[str]:
+    """The text of v at indent pad when v is a scalar, an empty container or a
+    list of exact ints; None otherwise.  A list of k ints is written with one
+    "%d" format per (k, pad), kept in formats."""
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        for x in v:
+            if type(x) is not int:  # bools and int subclasses take the slow path
+                return None
+        fmt = formats.get((len(v), pad))
+        if fmt is None:
+            inner = pad + "  "
+            fmt = formats[len(v), pad] = \
+                "[\n" + inner + (",\n" + inner).join(["%d"] * len(v)) + "\n" + pad + "]"
+        return fmt % tuple(v)
+    if isinstance(v, dict):
+        return None if v else "{}"
+    if type(v) is int:
+        return int.__repr__(v)
+    if type(v) is str:
+        return encode_basestring_ascii(v)
+    return json.dumps(v)  # the other scalars; TypeError for what JSON cannot hold
+
+
+def _dump(obj, out=None) -> None:
+    """Write json.dumps(obj, sort_keys=True, indent=2) + "\n" to out (by
+    default stdout), byte for byte.  With an indent, json.dumps runs the
+    pure-Python encoder, one generator step per integer, and holds the whole
+    text (23 MB for 46,500 tree maps); this writer formats each integer list at
+    once and writes in batches of about _BATCH characters."""
+    write = (sys.stdout if out is None else out).write
+    batch: list[str] = []
+    size = 0
+    formats: dict = {}
+
+    def put(text: str) -> None:
+        nonlocal size
+        batch.append(text)
+        size += len(text)
+        if size >= _BATCH:
+            write("".join(batch))
+            batch.clear()
+            size = 0
+
+    def emit(v, pad: str, head: str) -> None:
+        """Put head, then v's text at indent pad."""
+        text = _leaf(v, pad, formats)
+        if text is not None:
+            put(head + text)
+            return
+        inner = pad + "  "
+        if isinstance(v, dict):
+            sep = head + "{\n" + inner
+            for k, item in sorted(v.items()):
+                emit(item, inner, f"{sep}{_key(k)}: ")
+                sep = ",\n" + inner
+            put(f"\n{pad}}}")
+        else:
+            sep = head + "[\n" + inner
+            for item in v:
+                emit(item, inner, sep)
+                sep = ",\n" + inner
+            put(f"\n{pad}]")
+
+    emit(obj, "", "")
+    batch.append("\n")
+    write("".join(batch))
 
 
 def _load_input(path: str) -> dict:
@@ -229,11 +308,11 @@ def _cmd_embed_tree(args) -> int:
         stream = embeddings.admissible_tree_copies(
             l_sub, tree, stream, _int(spec["star_leaves"]), _int(spec["star_threshold"]))
     limit = spec.get("limit")
-    copies = []
-    for vm in stream:
-        copies.append(vm)  # json writes a tuple as a list
-        if limit is not None and len(copies) >= _int(limit):
-            break
+    if limit is not None:
+        limit = _int(limit)
+        if limit < 0:
+            raise ValueError(f"limit must be non-negative, got {limit}")
+    copies = list(islice(stream, limit))  # json writes a tuple as a list
     _dump({"count": len(copies), "copies": copies})
     return 0
 
@@ -332,13 +411,20 @@ def _cmd_export(args) -> int:
         obj = parse_descriptor(args.descriptor)
         roots, parts = _roots_and_parts(obj)
         text = to_dot(as_graph(obj), roots=roots, partition=parts)
+
+        def emit(fh) -> None:
+            fh.write(text)
     else:
-        text = json.dumps(_family_payload(args.descriptor), sort_keys=True, indent=2) + "\n"
+        payload = _family_payload(args.descriptor)
+
+        def emit(fh) -> None:
+            _dump(payload, fh)
+    # The file is opened only once the descriptor has been built.
     if args.out == "-":
-        sys.stdout.write(text)
+        emit(sys.stdout)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            emit(fh)
     return 0
 
 

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -187,14 +188,26 @@ def greedy_tree_embed(host: Host, l: Graph, t: Graph, d: int) -> Iterator[Vertex
     graph, and no copy vertex lies in another's bad set B(x) (common-neighbor
     count threshold d/(4|V(t)|)).  Enumeration is exhaustive; each emitted map
     is re-checked in full (`oracles.verify_induced_map` against the host
-    graph, and its tree edges against l) before being yielded.
+    graph, and its tree edges against l) before being yielded.  Copies come
+    out in increasing lexicographic order of their images listed in grow
+    order.  The tree is checked, and the bad sets built, when the function
+    is called, before the first copy is asked for.
     """
-    g, n = host.graph, t.n
     order, parent = _grow_order(t)
-    bad = tree_bad_sets(g, l, n, d)
+    return _tree_copies(host.graph, l, t, order, parent, tree_bad_sets(host.graph, l, t.n, d))
+
+
+def _tree_copies(g: Graph, l: Graph, t: Graph, order: list[int], parent: dict[int, int],
+                 bad: dict[int, int]) -> Iterator[VertexMap]:
+    """The search of `greedy_tree_embed` over the grow order (order, parent)."""
+    n = t.n
     pos = {v: i for i, v in enumerate(order)}
     up = [pos.get(parent[v], -1) for v in order]  # up[i]: the position of order[i]'s parent
     at = [pos[p] for p in range(n)]
+    last = n - 1
+    gadj, ladj = g.adj, l.adj
+    copy_of = itemgetter(*at) if n > 1 else tuple  # itemgetter(p) alone returns a scalar
+    tree_edges = list(t.edges)
     # An explicit stack, as in `oracles._embed`: position i holds order[i].
     img = [0] * n           # img[i]: the host image at position i
     used = [0] * n          # used[i]: the images of positions < i, as a mask
@@ -213,22 +226,23 @@ def greedy_tree_embed(host: Host, l: Graph, t: Graph, d: int) -> Iterator[Vertex
         if bad[w] & used[i]:  # some placed vertex is bad for w
             continue
         img[i] = w
-        if i + 1 == n:
-            vm = tuple([img[k] for k in at])
+        if i == last:
+            vm = copy_of(img)
             if not verify_induced_map(g, t, vm):
                 raise DisprovesLemma("tree copy failed the induced re-check")
-            if not all(l.adj[vm[a]] >> vm[b] & 1 for a, b in t.edges):
-                raise DisprovesLemma("tree copy uses an edge outside l")
+            for a, b in tree_edges:
+                if not ladj[vm[a]] >> vm[b] & 1:
+                    raise DisprovesLemma("tree copy uses an edge outside l")
             yield vm
             continue
         i += 1
         used[i] = used[i - 1] | low
         badmask[i] = badmask[i - 1] | bad[w]
         u_img = img[up[i]]
-        cand = l.adj[u_img] & ~used[i] & ~badmask[i]
+        cand = ladj[u_img] & ~used[i] & ~badmask[i]
         for k in range(i):
             if img[k] != u_img:  # induced: no edge to a placed non-parent
-                cand &= ~g.adj[img[k]]
+                cand &= ~gadj[img[k]]
         left[i] = cand
 
 

@@ -146,17 +146,18 @@ def qualifies(a: int, b: int) -> bool:
     return b0 > a0 and b0 >= max(a0, (a0 - 1) ** 2)
 
 
-def build_witness(cert: RealizabilityCertificate) -> RootedGraph:
-    """The rooted witness of a certificate: l copies of the base glued along
-    their roots, then one K_{r,r} attached for the r = cert.reductions
-    reductions (its 2r vertices are roots).  Its graph is H, and s0 = H.n.
+def build_witness(cert: RealizabilityCertificate, base: RootedGraph) -> RootedGraph:
+    """The rooted witness of a certificate: l copies of base, the rooted graph
+    of cert.base, glued along their roots, then one K_{r,r} attached for the
+    r = cert.reductions reductions (its 2r vertices are roots).  Its graph is
+    H, and s0 = H.n.
 
     Attaching first and gluing second would name the same graph H (the added
     vertices are roots, shared by every copy), but gluing an attached graph
     would put an edge inside the root set, which the power constructor
     rejects; this order keeps every operand legal and yields H directly.
     """
-    f = rooted_power(cert.base.rooted_graph(), cert.l)
+    f = rooted_power(base, cert.l)
     return attach_ktt_rooted(f, cert.reductions)
 
 
@@ -185,7 +186,7 @@ def verify_certificate(cert: RealizabilityCertificate) -> VerificationResult:
     if rho(base_graph) + cert.reductions != target_rho:
         return VerificationResult(False, "RhoMismatch")
     try:
-        witness = build_witness(cert)
+        witness = build_witness(cert, base_graph)
     except NotBipartite:
         return VerificationResult(False, "NotBipartite")
     report = is_balanced(witness)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -81,6 +82,15 @@ class TestRealizeSweep:
         assert all(row["verified"] for row in d["certificates"])
         pairs = {(row["a"], row["b"]) for row in d["certificates"]}
         assert (1, 2) in pairs and (3, 10) in pairs
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (["sweep", "7", "50"], "07e48148b066fe5948133eb1a2ac2129ad8009b89f8d7b32c057895a27f5e857"),
+        (["realize", "5", "26", "--l", "3"],
+         "cab4459cf3b39b8eebb7bc9602847a1ed82037b71d7f77df4e5bf0e999597101"),
+    ], ids=["sweep", "realize"])
+    def test_pinned_bytes(self, capsys, argv, sha256):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
 class TestExtremal:
@@ -192,6 +202,31 @@ class TestEmbedCommands:
         p.write_text(json.dumps(spec))
         code, d = run_json(capsys, "embed", "tree", "--input", str(p))
         assert code == 0 and d["count"] == 12
+
+    TREE_SPEC = {"host": {"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)], "s": 2},
+                 "tree": {"n": 3, "edges": [[0, 1], [1, 2]]}, "d": 24}
+
+    @pytest.mark.parametrize("limit", [0, 1, 5, 12, 13])
+    def test_tree_limit(self, limit):
+        _, everything = run_stdin(["embed", "tree"], self.TREE_SPEC)
+        code, out = run_stdin(["embed", "tree"], dict(self.TREE_SPEC, limit=limit))
+        copies = json.loads(everything)["copies"][:limit]
+        assert code == 0 and json.loads(out) == {"count": len(copies), "copies": copies}
+
+    @pytest.mark.parametrize("limit", [-1, -5])
+    def test_tree_negative_limit(self, limit):
+        code, out = run_stdin(["embed", "tree"], dict(self.TREE_SPEC, limit=limit))
+        assert code == 1
+        assert json.loads(out) == {"error": "ValueError",
+                                   "message": f"limit must be non-negative, got {limit}"}
+
+    @pytest.mark.parametrize("tree, message", [
+        ({"n": 3, "edges": []}, "pattern is not a tree"),
+        ({"n": 0, "edges": []}, "tree must be nonempty")])
+    def test_tree_zero_limit_still_checks_the_tree(self, tree, message):
+        code, out = run_stdin(["embed", "tree"], dict(self.TREE_SPEC, tree=tree, limit=0))
+        assert code == 1
+        assert json.loads(out) == {"error": "ValueError", "message": message}
 
     def test_extract(self, capsys, tmp_path):
         spec = {
@@ -371,6 +406,17 @@ class TestExport:
         d = json.loads(target.read_text())
         assert d["graph"]["n"] == 3
 
+    @pytest.mark.parametrize("desc", ["path:len=2", "power:base=(Trt:r=2,t=3),l=2", "Kst:s=2,t=3"])
+    def test_json_bytes(self, tmp_path, capsys, desc):
+        # stdout and --out carry the same bytes: json.dumps with sorted keys
+        # and an indent of 2, then a newline
+        want = json.dumps(cli._family_payload(desc), sort_keys=True, indent=2) + "\n"
+        code, out = run_cli(capsys, "export", desc)
+        assert code == 0 and out == want
+        target = tmp_path / "fam.json"
+        assert cli.main(["export", desc, "--out", str(target)]) == 0
+        assert target.read_bytes() == want.encode("utf-8")
+
     def test_dot_needs_no_balance_check(self, capsys):
         # one non-root per copy: l copies exceed the balance budget, and DOT
         # output never needs it.
@@ -470,9 +516,9 @@ _THRESHOLDS = {"c_hs": 3, "m_blow": 2}
 
 VALID_INPUTS = {
     ("embed", "tree"): ({"host": {"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)], "s": 2},
-                        "tree": _PATH3, "d": 24},
+                        "tree": _PATH3, "d": 24, "limit": 0},
                        ["host", "tree", "d"],
-                       [("d",), ("host", "s"), ("host", "n"), ("tree", "n")]),
+                       [("d",), ("limit",), ("host", "s"), ("host", "n"), ("tree", "n")]),
     ("embed", "keylemma"): ({"host": _HOST, "template": _PATH3,
                             "parts": {"0": [0, 1], "2": [2, 3]},
                             "rich_threshold": 2, "thresholds": _THRESHOLDS},
@@ -607,3 +653,62 @@ class TestMalformedInputFuzz:
         doc = VALID_INPUTS[argv][0]
         template = dict(doc["template"], A=sides[0], B=sides[1])
         assert run_stdin(argv, dict(doc, template=template))[0] == code
+
+
+# --- the JSON writer -----------------------------------------------------------------
+
+def _json_values():
+    scalars = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80)
+               | st.floats() | st.text() | st.sampled_from(["", "\"", "\\", "\n\t\x00\x1f", "é✓𝄞"]))
+    int_lists = st.lists(st.integers() | st.booleans(), max_size=6)
+
+    def containers(children):
+        keys = st.text(max_size=4) | st.integers(-3, 3)
+        return (st.lists(children, max_size=4)
+                | st.lists(children, max_size=4).map(tuple)
+                | int_lists | int_lists.map(tuple)
+                | st.dictionaries(st.text(max_size=4), children, max_size=4)
+                | st.dictionaries(st.integers(-300, 300), children, max_size=4)
+                | st.dictionaries(keys, children, max_size=3)
+                | st.dictionaries(st.none() | st.booleans() | st.floats(), children, max_size=2))
+
+    return st.recursive(scalars, containers, max_leaves=30)
+
+
+def _writer_outcome(dump, value):
+    try:
+        return dump(value)
+    except TypeError:  # a dict mixing key types fails to sort, in either writer
+        return TypeError
+
+
+def _written(value) -> str:
+    out = io.StringIO()
+    cli._dump(value, out)
+    return out.getvalue()
+
+
+class TestJsonWriter:
+    @settings(max_examples=400, deadline=None)
+    @given(_json_values())
+    def test_bytes_of_json_dumps(self, value):
+        want = _writer_outcome(lambda v: json.dumps(v, sort_keys=True, indent=2) + "\n", value)
+        assert _writer_outcome(_written, value) == want
+
+    @pytest.mark.parametrize("value", [
+        Fraction(1, 2), [1, 2, Fraction(1, 2)], (3, Fraction(1, 2)), {"a": Fraction(1)},
+        {Fraction(1, 2): 1}, {(1, 2): 3}, [{1, 2}], {"a": [[0, 1], b"x"]},
+    ])
+    def test_unserialisable_raises(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            _written(value)
+
+    def test_batched_writes(self):
+        # 3,000 integer lists: several writes, each about the batch size
+        value = {"count": 3000, "copies": [(i, i + 1, 10 ** 9 + i) for i in range(3000)]}
+        writes = []
+        cli._dump(value, mock.Mock(write=writes.append))
+        assert "".join(writes) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+        assert len(writes) > 2 and max(map(len, writes)) < cli._BATCH + 100

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from indturan.embeddings import (
     Thresholds,
+    _grow_order,
     admissible_tree_copies,
     asymmetric_embed,
     bad_set,
@@ -323,9 +324,38 @@ def raises_under_optimize(script: str) -> None:
     assert out.stdout.strip() == "raised"
 
 
+@st.composite
+def tree_embed_cases(draw):
+    """A K_{s,s}-free host on 1 to 8 vertices, L a random part of its edges, a
+    tree on 1 to 5 vertices (each vertex hung from an earlier one, then the
+    ids shuffled) and d, small enough that some bad sets are not empty."""
+    s = draw(st.integers(2, 3))
+    g = random_kss_free(draw(st.integers(1, 8)), s, draw(st.randoms(use_true_random=False)),
+                        keep=draw(st.sampled_from([0.5, 0.8, 1.0])))
+    edges = sorted(g.edges)
+    kept = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    l = edge_subgraph(g, [e for e, k in zip(edges, kept) if k])
+    k = draw(st.integers(1, 5))
+    label = draw(st.permutations(range(k)))
+    t = Graph(k, [(label[v], label[draw(st.integers(0, v - 1))]) for v in range(1, k)])
+    return Host(g, s), l, t, draw(st.integers(0, 40))
+
+
 class TestGreedyTreeEmbed:
     def test_failed_recheck_raises_under_optimize(self):
         raises_under_optimize(OPTIMIZED_RECHECK)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tree_embed_cases())
+    def test_matches_reference_in_order(self, case):
+        # every good copy, each once, in increasing order of its images
+        # listed in grow order
+        host, l, t, d = case
+        copies = list(greedy_tree_embed(host, l, t, d))
+        assert set(copies) == naive_good_copies(host.graph, l, t, d)
+        order, _ = _grow_order(t)
+        keys = [tuple(vm[v] for v in order) for vm in copies]
+        assert keys == sorted(set(keys))
 
     def test_c6_p3_matches_reference(self):
         g = theta(3, 2)

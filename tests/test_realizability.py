@@ -119,22 +119,24 @@ def stepwise_witness(cert: RealizabilityCertificate, l: int) -> RootedGraph:
 
 class TestBuildWitness:
     def test_k34(self):
-        w = build_witness(derive(1, 3, l=4))
+        cert = derive(1, 3, l=4)
+        w = build_witness(cert, cert.base.rooted_graph())
         k34 = Graph(7, [(i, j) for i in range(3) for j in range(3, 7)])
         assert is_isomorphic(w.graph, k34)
 
     def test_c6(self):
-        w = build_witness(derive(2, 3, l=2))
+        cert = derive(2, 3, l=2)
+        w = build_witness(cert, cert.base.rooted_graph())
         assert is_isomorphic(w.graph, theta(3, 2))
 
     def test_s0_is_vertex_count(self):
         cert = derive(5, 16)
-        w = build_witness(cert)
+        w = build_witness(cert, cert.base.rooted_graph())
         assert cert.s0 == w.graph.n
 
     def test_reduced_witness_properties(self):
         cert = derive(2, 5)
-        w = build_witness(cert)
+        w = build_witness(cert, cert.base.rooted_graph())
         assert rho(w) == Fraction(5, 2)
         assert is_balanced(w).balanced
         assert bipartition(w.graph) is not None
@@ -147,7 +149,7 @@ class TestBuildWitness:
             old = stepwise_witness(cert, l)
             r, n = cert.reductions, old.graph.n - 2 * cert.reductions
             label = list(range(n)) + [n + (i // 2) + (i % 2) * r for i in range(2 * r)]
-            w = build_witness(cert)
+            w = build_witness(cert, cert.base.rooted_graph())
             assert w.graph.edges == {tuple(sorted((label[u], label[v])))
                                      for u, v in old.graph.edges}
             assert w.roots == {label[v] for v in old.roots}
@@ -202,6 +204,16 @@ class TestSweep:
     def test_budget(self):
         with pytest.raises(TooLarge):
             enumerate_realizable(3, 51)
+
+    def test_two_base_builds_per_certificate(self, monkeypatch):
+        # derive builds the base once for s0, and verify_certificate once for
+        # rho(base) and the witness.
+        calls = []
+        built = BaseFamily.rooted_graph
+        monkeypatch.setattr(BaseFamily, "rooted_graph",
+                            lambda self: calls.append(self) or built(self))
+        rows = enumerate_realizable(7, 50)
+        assert len(rows) == 176 and len(calls) == 2 * len(rows)
 
     def test_matches_arithmetic_filter(self):
         rows = enumerate_realizable(4, 20)
