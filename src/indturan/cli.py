@@ -10,17 +10,16 @@ internal fault: a re-check failed (DisprovesLemma), which means a bug,
 printed like a domain error.  A closed stdout exits 1, the rest of the output
 dropped, no traceback.
 
-`embed tree` takes an optional "limit": at most that many copies are printed,
-0 prints none (the tree is still checked) and a negative limit is a domain
-error (ValueError).
+`embed tree` takes an optional integer "limit": at most that many copies are
+printed, 0 prints none (the tree is still checked) and a negative limit or a
+null is a domain error.
 
 The `thresholds` object of `embed keylemma` and `embed asym` accepts exactly
 the `embeddings.Thresholds` fields: integers `c_hs` and `m_blow`, rationals
 `gamma` and `c3` (a JSON number or a "p/q" string).  Any other key is a
 domain error (TypeError).  Every integer field of an `--input` document,
-a graph object's "n", edge endpoints, roots, partition sides and template
-sides included, rejects a boolean or a non-integral number (ValueError)
-instead of truncating it.
+a graph's "n" and every vertex id included, rejects a boolean or a
+non-integral number (ValueError) instead of truncating it.
 """
 
 from __future__ import annotations
@@ -307,9 +306,9 @@ def _cmd_embed_tree(args) -> int:
     if "star_leaves" in spec:
         stream = embeddings.admissible_tree_copies(
             l_sub, tree, stream, _int(spec["star_leaves"]), _int(spec["star_threshold"]))
-    limit = spec.get("limit")
-    if limit is not None:
-        limit = _int(limit)
+    limit = None
+    if "limit" in spec:  # an integer field when present: null is an error, not "no limit"
+        limit = _int(spec["limit"])
         if limit < 0:
             raise ValueError(f"limit must be non-negative, got {limit}")
     copies = list(islice(stream, limit))  # json writes a tuple as a list
@@ -324,9 +323,9 @@ def _cmd_embed_keylemma(args) -> int:
     l_sub = _subgraph_from(host, spec.get("l_edges"))
     template = _template_from(spec["template"])
     th = _thresholds_from(spec.get("thresholds"))
-    parts = {_int(k): tuple(v) for k, v in _object(spec["parts"], "parts").items()}
+    parts = {_int(k): _ids(v) for k, v in _object(spec["parts"], "parts").items()}
     if "rich_sets" in spec:
-        rich = {frozenset(s) for s in spec["rich_sets"]}.__contains__
+        rich = {frozenset(_ids(s)) for s in spec["rich_sets"]}.__contains__
     else:
         thr = _int(spec["rich_threshold"])
         rich = (lambda ss: common_neighborhood_mask(l_sub.adj, ss).bit_count() >= thr)
@@ -341,7 +340,7 @@ def _cmd_embed_extract(args) -> int:
     spec = _load_input(args.input)
     g = _graph_from(spec["host"])
     pattern = _rooted_from(spec["pattern"])
-    copies = [tuple(vm) for vm in spec["copies"]]
+    copies = [_ids(vm) for vm in spec["copies"]]
     outcome = embeddings.extract_induced_power(g, copies, pattern,
                                                _int(spec["l"]), _int(spec["s"]))
     _dump(outcome.as_json_dict())
@@ -368,7 +367,7 @@ def _cmd_check_badset(args) -> int:
     spec = _load_input(args.input)
     g = _graph_from(spec["graph"])
     s = spec.get("s")
-    bad = embeddings.bad_set(g, spec["w"], _fraction(spec["c"]),
+    bad = embeddings.bad_set(g, _ids(spec["w"]), _fraction(spec["c"]),
                              s=None if s is None else _int(s))
     _dump({"bad": sorted(bad), "size": len(bad)})
     return 0
@@ -378,7 +377,7 @@ def _cmd_check_rich(args) -> int:
     from . import embeddings
     spec = _load_input(args.input)
     g = _graph_from(spec["graph"])
-    rich = embeddings.rich_s_set(g, spec["x"], spec["y"],
+    rich = embeddings.rich_s_set(g, _ids(spec["x"]), _ids(spec["y"]),
                                  _fraction(spec["c"]), _int(spec["s"]))
     _dump({"rich_set": list(rich)})
     return 0

@@ -8,8 +8,11 @@ floats.  Balancedness is decided exactly in polynomial time: the minimum of
 e_S - lam*|S| is a minimum cut (a maximum-closure problem: Picard 1976,
 Picard-Queyranne 1982), Dinkelbach iteration (1967) finds the minimum ratio,
 and the lexicographically least minimizing subset is read off the residual
-network of the last cut.  All capacities are ints, and a hard budget on the
-number of non-roots still bounds the work.
+network of the last cut.  The network has a node per non-root and per edge
+between two non-roots; the edges from a non-root to the roots, which meet S
+exactly when it lies in S, fold into one arc from it to the sink.  e_S
+itself is counted from the bitset rows.  All capacities are ints, and a
+hard budget on the number of non-roots still bounds the work.
 """
 
 from __future__ import annotations
@@ -20,12 +23,14 @@ from typing import Iterable, Optional
 
 from .errors import EmptyQuery, TooLarge
 from .families import RootedGraph, as_graph
+from .graph import bits, mask_of
 
 BALANCE_BUDGET = 400
 
 
 def edges_incident(f, s: Iterable[int]) -> int:
-    """Number of edges with at least one endpoint in s."""
+    """Number of edges with at least one endpoint in s: the degrees over s
+    minus the edges inside s, which that sum counts twice."""
     sv = set(s)
     if not sv:
         raise EmptyQuery("edges_incident needs a nonempty set")
@@ -33,7 +38,12 @@ def edges_incident(f, s: Iterable[int]) -> int:
     for v in sv:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    return sum(1 for u, v in g.edges if u in sv or v in sv)
+    inside = mask_of(sv)
+    degrees = twice_inside = 0
+    for v in sv:
+        degrees += g.adj[v].bit_count()
+        twice_inside += (g.adj[v] & inside).bit_count()
+    return degrees - (twice_inside >> 1)
 
 
 def rho_subset(f, s: Iterable[int]) -> Fraction:
@@ -65,13 +75,18 @@ class DensityReport:
 class _ClosureNetwork:
     """The min-cut network of min_S (e_S - lam*|S|) over S ⊆ non-roots, solved.
 
-    Node v < q is non-root v and node q + j the j-th edge meeting the
-    non-roots (`ends[j]` lists its non-root ends); then come the source and
-    the sink.  For lam = p/r the arcs are source -> vertex (capacity p),
-    vertex -> incident edge (uncuttable) and edge -> sink (r), so a cut whose
-    source side holds S and the edges meeting S costs p*(q - |S|) + r*e_S.
-    The uncuttable capacity is a finite int above the sum of all the others,
-    so no minimum cut takes another form, and every capacity is an int.
+    Node v < q is non-root v and node q + j the j-th inner edge, `inner[j]`,
+    whose two ends are non-roots; then come the source and the sink.  For
+    lam = p/r the arcs are source -> vertex (capacity p), vertex -> sink
+    (r*forced[v], for the forced[v] edges from v to the roots), vertex ->
+    incident inner edge (uncuttable) and inner edge -> sink (r), so a cut
+    whose source side holds S and the inner edges meeting S costs
+    p*(q - |S|) + r*e_S.  A node for an edge with one non-root end v would be
+    entered only from v and left only to the sink, so it is contracted into
+    v's sink arc: every cut keeps its value, and so do the max-flow and the
+    residual reachability between non-roots.  The uncuttable capacity is a
+    finite int above the sum of all the others, so no minimum cut takes
+    another form, and every capacity is an int.
 
     After the max-flow, `value` is min_S (r*e_S - p*|S|).  The minimizing S
     are closed under union and intersection: the least is what the source
@@ -79,20 +94,22 @@ class _ClosureNetwork:
     cannot reach the sink.
     """
 
-    def __init__(self, ends: list, q: int, lam: Fraction):
+    def __init__(self, forced: list, inner: list, lam: Fraction):
         p, r = lam.numerator, lam.denominator
-        uncut = p * q + r * len(ends) + 1
-        self.q = q
-        self.source, self.sink = q + len(ends), q + len(ends) + 1
+        q = self.q = len(forced)
+        uncut = p * q + r * (sum(forced) + len(inner)) + 1
+        self.source, self.sink = q + len(inner), q + len(inner) + 1
         self.adj: list[list[int]] = [[] for _ in range(self.sink + 1)]
         self.head: list[int] = []  # arc a runs to head[a]; a ^ 1 is its reverse
         self.cap: list[int] = []   # residual capacities once solved
-        for v in range(q):
+        for v, k in enumerate(forced):
             self._arc(self.source, v, p)
-        for j, vs in enumerate(ends):
-            for v in vs:
-                self._arc(v, q + j, uncut)
-            self._arc(q + j, self.sink, r)
+            if k:
+                self._arc(v, self.sink, r * k)
+        for j, (u, w) in enumerate(inner, q):
+            self._arc(u, j, uncut)
+            self._arc(w, j, uncut)
+            self._arc(j, self.sink, r)
         self.value = self._max_flow() - p * q
 
     def _arc(self, u: int, v: int, c: int) -> None:
@@ -181,21 +198,29 @@ def is_balanced(f: RootedGraph) -> DensityReport:
     the flow maximum, so the least minimizer containing a chosen set is its
     closure in the residual network.  The lexicographically least minimizer
     is then the shortest nonempty prefix of sorted(U) that is closed.
+
+    The network is read off the adjacency rows with one root mask: a
+    non-root's edges to the roots are only counted (`forced`), and the edges
+    between two non-roots are listed (`inner`), so e_S is the forced count
+    over S plus the inner edges that meet S.
     """
     non = f.non_roots()
     q = len(non)
     if q > BALANCE_BUDGET:
         raise TooLarge(f"{q} non-roots exceed the balance budget of {BALANCE_BUDGET}")
+    adj, rootm = f.graph.adj, mask_of(f.roots)
     index = {v: i for i, v in enumerate(non)}
-    ends = [tuple(index[w] for w in e if w in index)
-            for e in sorted(f.graph.edges) if e[0] in index or e[1] in index]
-    lam = target = Fraction(len(ends), q)  # rho(F): ends lists e_S for S = every non-root
-    cut = _ClosureNetwork(ends, q, lam)
+    forced = [(adj[v] & rootm).bit_count() for v in non]
+    inner = [(i, index[w]) for i, v in enumerate(non)
+             for w in bits(adj[v] >> (v + 1) << (v + 1) & ~rootm)]
+    lam = target = Fraction(sum(forced) + len(inner), q)  # rho(F): e_S for S = every non-root
+    cut = _ClosureNetwork(forced, inner, lam)
     while cut.value < 0:
         seen = [False] * len(cut.adj)
         size = cut.spread(seen, cut.source)
-        lam = Fraction(sum(1 for e in ends if any(seen[v] for v in e)), size)
-        cut = _ClosureNetwork(ends, q, lam)
+        lam = Fraction(sum(k for k, got in zip(forced, seen) if got)
+                       + sum(1 for u, w in inner if seen[u] or seen[w]), size)
+        cut = _ClosureNetwork(forced, inner, lam)
     exponent = 2 - 1 / target if target > 0 else None
     if lam == target:
         return DensityReport(target, True, None, exponent)

@@ -38,7 +38,7 @@ from .families import (
 
 S0_RULE = "s0 = |V(H)|"
 
-ENUMERATION_BUDGET = 50
+ENUMERATION_BUDGET = 400
 
 
 @dataclass(frozen=True)

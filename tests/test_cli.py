@@ -87,7 +87,9 @@ class TestRealizeSweep:
         (["sweep", "7", "50"], "07e48148b066fe5948133eb1a2ac2129ad8009b89f8d7b32c057895a27f5e857"),
         (["realize", "5", "26", "--l", "3"],
          "cab4459cf3b39b8eebb7bc9602847a1ed82037b71d7f77df4e5bf0e999597101"),
-    ], ids=["sweep", "realize"])
+        (["sweep", "12", "150", "--l", "3"],
+         "3c51065a6f87ae29ac35028e52d6860a273fe88f0d774fab8dcbfb7e422f7ecf"),
+    ], ids=["sweep", "realize", "sweep-12-150-l3"])
     def test_pinned_bytes(self, capsys, argv, sha256):
         code, out = run_cli(capsys, *argv)
         assert code == 0 and hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
@@ -219,6 +221,10 @@ class TestEmbedCommands:
         assert code == 1
         assert json.loads(out) == {"error": "ValueError",
                                    "message": f"limit must be non-negative, got {limit}"}
+
+    def test_tree_null_limit(self):
+        code, out = run_stdin(["embed", "tree"], dict(self.TREE_SPEC, limit=None))
+        assert code == 1 and json.loads(out)["error"] == "TypeError"
 
     @pytest.mark.parametrize("tree, message", [
         ({"n": 3, "edges": []}, "pattern is not a tree"),
@@ -551,6 +557,15 @@ VALID_INPUTS = {
                               ["graph", "alpha", "c"], [("alpha",), ("c",), ("graph", "n")]),
 }
 
+# Paths of the vertex-id lists each instance reads outside its graph objects;
+# ("rich_sets", 0) is read only when the instance carries "rich_sets".
+_VERTEX_LISTS = {
+    ("check", "badset"): [("w",)],
+    ("check", "rich"): [("x",), ("y",)],
+    ("embed", "keylemma"): [("parts", "0"), ("parts", "2"), ("rich_sets", 0)],
+    ("embed", "extract"): [("copies", 0), ("copies", 4)],
+}
+
 _SMALL = st.integers(-2, 9)
 _NON_OBJECTS = st.one_of(st.lists(_SMALL, max_size=3), _SMALL, st.text(max_size=3), st.booleans())
 _NON_NUMBERS = st.sampled_from(["x", "", "1/0", [1], {}, None, 2.5, True])
@@ -586,6 +601,14 @@ def _get(doc, path):
     return doc
 
 
+def _spoil_id(draw, doc, path):
+    """doc with one member of the id list at path made a boolean or a
+    non-integral number."""
+    ids = list(_get(doc, path))
+    ids[draw(st.integers(0, len(ids) - 1))] = draw(st.sampled_from([True, 2.5]))
+    return _set(doc, path, ids)
+
+
 @st.composite
 def malformed_inputs(draw):
     argv = draw(st.sampled_from(sorted(VALID_INPUTS)))
@@ -609,10 +632,13 @@ def malformed_inputs(draw):
         labels += [p + ("partition", side) for p in graphs if "partition" in _get(doc, p)
                    for side in ("X", "Y")]
         assume(labels)
-        path = draw(st.sampled_from(labels))
-        ids = list(_get(doc, path))
-        ids[draw(st.integers(0, len(ids) - 1))] = draw(st.sampled_from([True, 2.5]))
-        return argv, _set(doc, path, ids)
+        return argv, _spoil_id(draw, doc, draw(st.sampled_from(labels)))
+    if how == "vertex" and argv in _VERTEX_LISTS and draw(st.booleans()):
+        # one member of a vertex-id list outside the graph objects, likewise
+        path = draw(st.sampled_from(_VERTEX_LISTS[argv]))
+        if path[0] == "rich_sets":
+            doc = dict(doc, rich_sets=[[0, 1], [2, 3]])
+        return argv, _spoil_id(draw, doc, path)
     path = draw(st.sampled_from(graphs))
     if how == "vertex":
         # a graph's n (its edges dropped, so no range check fires first) or

@@ -88,10 +88,21 @@ def rooted_pieces(draw):
 @st.composite
 def rooted_graphs(draw, max_q=16):
     """Rooted graphs with 1..max_q non-roots: random, edgeless (every subset
-    ties at 0), or tie-heavy (relabelled disjoint copies of one or two small
-    rooted pieces, so many subsets share the minimum ratio).  Roots may be
-    empty."""
-    style = draw(st.sampled_from(["random", "edgeless", "ties"]))
+    ties at 0), tie-heavy (relabelled disjoint copies of one or two small
+    rooted pieces, so many subsets share the minimum ratio), or attached (a
+    random bipartite graph, edgeless or not, with `attach_ktt_rooted`: every
+    non-root gains t root edges, which alone can meet its share of rho).
+    Roots may be empty, except in the attached style."""
+    style = draw(st.sampled_from(["random", "edgeless", "ties", "attached"]))
+    if style == "attached":
+        n = draw(st.integers(1, max_q))
+        side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v]]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) \
+            if pairs and draw(st.booleans()) else []
+        roots = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+        return attach_ktt_rooted(RootedGraph(Graph(n, edges), frozenset(roots)),
+                                 draw(st.integers(1, 3)))
     if style == "ties":
         n, edges, roots = 0, [], set()
         for k, piece in draw(st.lists(rooted_pieces(), min_size=1, max_size=2)):

@@ -203,7 +203,7 @@ class TestSweep:
 
     def test_budget(self):
         with pytest.raises(TooLarge):
-            enumerate_realizable(3, 51)
+            enumerate_realizable(3, realizability.ENUMERATION_BUDGET + 1)
 
     def test_two_base_builds_per_certificate(self, monkeypatch):
         # derive builds the base once for s0, and verify_certificate once for
