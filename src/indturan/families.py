@@ -145,30 +145,40 @@ def rooted_power(f: RootedGraph, l: int) -> RootedGraph:
     """
     if l < 1:
         raise ValueError("power needs l >= 1")
+    adj = f.graph.adj
     roots = sorted(f.roots)
     if l >= 2:
-        rset = f.roots
-        for u, v in f.graph.edges:
-            if u in rset and v in rset:
-                raise RootEdgeCollision(f"edge {(u, v)} lies inside the root set")
+        rootm = mask_of(roots)
+        for u in roots:
+            inside = adj[u] & rootm
+            if inside:  # u is the least root on a root edge, so its least root neighbour is above it
+                raise RootEdgeCollision(f"edge {(u, next(bits(inside)))} lies inside the root set")
     non = f.non_roots()
-    q = len(non)
-    base_pos = {v: i for i, v in enumerate(roots)}
-    maps = []
-    for c in range(l):
-        m = [0] * f.graph.n
-        for v in range(f.graph.n):
-            if v in f.roots:
-                m[v] = base_pos[v]
-            else:
-                m[v] = len(roots) + c * q + non.index(v)
-        maps.append(tuple(m))
-    edges = []
-    for cm in maps:
-        for u, v in f.graph.edges:
-            edges.append((cm[u], cm[v]))
-    g = Graph(len(roots) + l * q, edges)
-    return RootedGraph(g, frozenset(range(len(roots))), copy_maps=tuple(maps))
+    r, q = len(roots), len(non)
+    pos = [0] * f.graph.n  # copy 0's numbering
+    for i, v in enumerate(roots + list(non)):
+        pos[v] = i
+    maps = tuple(tuple(p if p < r else p + c * q for p in pos) for c in range(l))
+    # A row in copy 0's numbering splits into its root bits, which every copy
+    # shares, and its non-root bits, which copy c shifts up by c * q; a root's
+    # row holds every copy's shift at once, one product with `spread`.
+    bit = [1 << p for p in pos]
+    low = (1 << r) - 1
+    spread = sum(1 << c * q for c in range(l))
+    rows = [0] * (r + l * q)
+    for v, row in enumerate(adj):
+        new = 0
+        while row:
+            b = row & -row
+            new |= bit[b.bit_length() - 1]
+            row ^= b
+        inner, outer = new & low, new & ~low
+        if pos[v] < r:
+            rows[pos[v]] = inner | outer * spread
+        else:
+            for c in range(l):
+                rows[pos[v] + c * q] = inner | outer << c * q
+    return RootedGraph(Graph.from_rows(rows), frozenset(range(r)), copy_maps=maps)
 
 
 def theta(length: int, t: int) -> Graph:

@@ -10,27 +10,36 @@ vertex per automorphism orbit.  Each extremal oracle compiles its pattern once
 per call, and a "copy through the new vertex" test pins only one vertex per
 orbit to it.
 
-The extremal oracles work by orderly vertex-extension generation: a graph is
-grown one vertex at a time, and both constraints (no K_{s,s} subgraph, no
-induced copy of h) are hereditary under adding vertices, so a branch can be
-pruned the moment either pattern appears through the newest vertex.
-Isomorphism-class deduplication only skips duplicate branches; correctness
-never depends on it.  Only the best graph of the final order is wanted, so the
-last step is bounded: the star and classical oracles test the last vertex's
-extensions by decreasing edge count and stop at the first count that has a
-free graph, and the bip oracle hands the matcher only the partitions that can
-still beat the best one found.  `explored` counts the states actually tested:
-extensions handed to the extension test, plus partitions handed to the bip
-matcher.
+The extremal oracles work by orderly vertex-extension generation
+(`_Generator`): a graph is grown one vertex at a time, and both constraints
+(no K_{s,s} subgraph, no induced copy of h) are hereditary, so a branch is
+pruned the moment either pattern appears through the newest vertex.  The
+children are deduplicated by a dict keyed by their canonical form
+(`canonical`), which keeps the first-seen child of each class.  A parent
+automorphism that maps a neighbour mask to a lesser one makes that mask's
+child a duplicate, so only the least mask of each orbit is tested.
+
+The star and classical oracles search by branch and bound on the edge count
+(`_densest_classes`).  They find ex(k) for k = 1, .., n in turn.  A target
+starts at the averaging bound floor(k ex(k-1) / (k-2)) and goes down until
+some class has that many edges; order j keeps only the classes with at least
+ceil(target j(j-1) / (k(k-1))) edges.  Their witness is a property of its
+class: among the densest classes, the one whose canonical form has the least
+edge list, printed in its canonical labelling.  The bip oracle generates every
+class and hands the matcher only the partitions that can still beat the best
+one found.  `explored` counts the states actually tested: each (class, mask)
+handed to the extension test once over every order and target, plus the
+partitions handed to the bip matcher.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
+from .canonical import canonical
 from .errors import DisprovesLemma, InvalidPartition, NoPartition, NotKssFree, TooLarge
 from .families import BipartiteTemplate, Parts
 from .graph import (
@@ -44,7 +53,7 @@ from .graph import (
     mask_of,
 )
 
-STAR_BUDGET = 9
+STAR_BUDGET = 11
 BIP_BUDGET = 7
 
 
@@ -227,14 +236,6 @@ def verify_induced_map(g: Graph, h: Graph, vm: VertexMap) -> bool:
     return [g.adj[w] & image for w in vm] == want
 
 
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.m != h.m:
-        return False
-    if sorted(g.degree(v) for v in range(g.n)) != sorted(h.degree(v) for v in range(h.n)):
-        return False
-    return contains_induced(g, h) is not None
-
-
 def contains_bip_induced(host: Host, h: BipartiteTemplate) -> Optional[VertexMap]:
     """A copy of h in the cross graph G[X, Y] that is induced in all of G.
 
@@ -273,6 +274,11 @@ def verify_bip_induced_map(g: Graph, x: Sequence[int], y: Sequence[int],
     return a_in_x or a_in_y
 
 
+def is_isomorphic(g: Graph, h: Graph) -> bool:
+    """Equal canonical forms."""
+    return g.n == h.n and canonical(g.adj)[0] == canonical(h.adj)[0]
+
+
 # --- orderly vertex-extension generation ---------------------------------------
 
 
@@ -283,86 +289,154 @@ def _extend(g: Graph, mask: int) -> Graph:
                             for v, row in enumerate(g.adj)] + [mask])
 
 
-def _iso_key(g: Graph) -> tuple:
-    """Cheap isomorphism invariant used to bucket candidates before exact tests:
-    per vertex, its degree, its triangle count and its neighbours' degrees."""
-    adj = g.adj
-    deg = [row.bit_count() for row in adj]
-    prof = []
-    for d, row in zip(deg, adj):
-        tri = 0
-        nbr = []
-        for w in bits(row):
-            tri += (row & adj[w]).bit_count()
-            nbr.append(deg[w])
-        nbr.sort()
-        prof.append((d, tri // 2, tuple(nbr)))
-    prof.sort()
-    return g.n, sum(deg) >> 1, tuple(prof)
+@lru_cache(maxsize=None)
+def _masks(k: int, fewest: int, below: int) -> Sequence[int]:
+    """The subsets of vertices 0..k-1 with at least fewest and fewer than
+    below members, as masks in increasing order."""
+    if fewest <= 0 and below > k:
+        return range(1 << k)
+    return tuple(m for m in range(1 << k) if fewest <= m.bit_count() < below)
 
 
-def _children(reps: Sequence[Graph], k: int, masks_of: Callable[[Graph], Iterable[int]],
-              extend_ok: Callable[[Graph, int], bool]) -> tuple[list[Graph], int]:
-    """Iso-class representatives of the children g + vertex k, for g in reps
-    and mask in masks_of(g), that pass extend_ok(child, k); each class is
-    represented by its first child in (rep, mask) order.  Returns
-    (representatives, children tested)."""
-    buckets: dict[tuple, list[Graph]] = {}
-    tested = 0
-    for g in reps:
-        for mask in masks_of(g):
-            tested += 1
-            g2 = _extend(g, mask)
-            if not extend_ok(g2, k):
-                continue
-            bucket = buckets.setdefault(_iso_key(g2), [])
-            if not any(is_isomorphic(g2, r) for r in bucket):
-                bucket.append(g2)
-    return [g for bucket in buckets.values() for g in bucket], tested
+def _least_in_orbit(masks: Sequence[int], autos: Sequence[Sequence[int]]) -> list[int]:
+    """The masks, given in increasing order and closed under the permutations
+    autos, that are the least in their orbit."""
+    seen: set[int] = set()
+    out = []
+    for mask in masks:
+        if mask in seen:
+            continue
+        out.append(mask)
+        seen.add(mask)
+        todo = [mask]
+        while todo:
+            x = todo.pop()
+            for g in autos:
+                y, rest = 0, x
+                while rest:
+                    low = rest & -rest
+                    y |= 1 << g[low.bit_length() - 1]
+                    rest ^= low
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+    return out
+
+
+class _Node:
+    """One class found by the generation: its first-seen graph, with m edges
+    and automorphisms generating its group, and its children found so far,
+    which come from every mask with at least `low` members."""
+
+    __slots__ = ("graph", "m", "autos", "kids", "low")
+
+    def __init__(self, graph: Graph, autos: list):
+        self.graph, self.m, self.autos = graph, graph.m, autos
+        self.kids: list[_Node] = []
+        self.low = graph.n + 1
+
+
+class _Generator:
+    """Orderly vertex-extension generation of the classes of graphs every
+    prefix of which passes extend_ok(new_graph, new_vertex).
+
+    A class's children are the graphs g + vertex k, for g its first-seen
+    graph and each mask of neighbours, that pass extend_ok; each child class
+    is kept once, keyed by its canonical form, as its first child in (class,
+    mask) order.  A mask that an automorphism of g maps to a lesser one gives
+    a child isomorphic to an earlier one, so only the least mask of each orbit
+    is tested.  Every (class, mask) is tested at most once over all calls of
+    `classes`, whatever their targets: `explored` counts those tests."""
+
+    def __init__(self, extend_ok: Callable[[Graph, int], bool]):
+        self.extend_ok = extend_ok
+        self.levels: list[dict[tuple[int, ...], _Node]] = [{(): _Node(Graph(0, []), [])}]
+        self.explored = 0
+
+    def classes(self, n: int, target: int = 0) -> list[_Node]:
+        """The classes of order n with at least target edges.
+
+        Order k keeps only the classes with at least
+        ceil(target * k(k-1) / (n(n-1))) edges.  This is exact: deleting a
+        vertex of least degree from a graph with m edges on j vertices leaves
+        at least m (j-2)/j edges, so deleting such vertices one at a time
+        leaves prefixes above that line; and extend_ok only asks for a
+        forbidden copy through the new vertex, so isomorphic children pass
+        alike."""
+        frontier = list(self.levels[0].values())
+        for k in range(n):
+            if len(self.levels) == k + 1:
+                self.levels.append({})
+            least = -(-target * (k + 1) * k // (n * (n - 1))) if target else 0
+            reached: dict[_Node, None] = {}
+            for node in frontier:
+                self._expand(node, k, max(least - node.m, 0))
+                for child in node.kids:
+                    if child.m >= least:
+                        reached[child] = None
+            frontier = list(reached)
+        return frontier
+
+    def _expand(self, node: _Node, k: int, fewest: int) -> None:
+        """Test node's masks with at least fewest members not tested yet."""
+        if fewest >= node.low:
+            return
+        masks = _masks(k, fewest, node.low)
+        if node.autos:
+            masks = _least_in_orbit(masks, node.autos)
+        self.explored += len(masks)
+        level = self.levels[k + 1]
+        for mask in masks:
+            child = _extend(node.graph, mask)
+            if self.extend_ok(child, k):
+                form, autos = canonical(child.adj)
+                kid = level.get(form)
+                if kid is None:
+                    kid = level[form] = _Node(child, autos)
+                node.kids.append(kid)
+        node.low = fewest
 
 
 def _generate_classes(n: int, extend_ok: Callable[[Graph, int], bool]) -> tuple[list[Graph], int]:
-    """Iso-class representatives of n-vertex graphs every prefix of which passes
-    extend_ok(new_graph, new_vertex).  Returns (representatives, extensions
+    """Iso-class representatives of the n-vertex graphs every prefix of which
+    passes extend_ok(new_graph, new_vertex), each the first child of its
+    class in (class, mask) order.  Returns (representatives, extensions
     tested)."""
-    reps = [Graph(0, [])]
-    explored = 0
-    for k in range(n):
-        reps, tested = _children(reps, k, lambda g: range(1 << k), extend_ok)
-        explored += tested
-    return reps, explored
+    gen = _Generator(extend_ok)
+    return [node.graph for node in gen.classes(n)], gen.explored
 
 
 def _densest_classes(n: int, extend_ok: Callable[[Graph, int], bool]) -> tuple[list[Graph], int]:
-    """The representatives that `_generate_classes(n, extend_ok)` returns with
-    the most edges, and the extensions tested to find them.
+    """The classes of the n-vertex graphs that `_generate_classes(n, extend_ok)`
+    returns with the most edges, by branch and bound on the edge count, and
+    the extensions tested to find them.
 
-    The last vertex's extensions are tested by decreasing edge count, and the
-    scan stops at the first count where a child passes.  This is exact when
-    extend_ok(child, k) only asks for a forbidden copy through the new vertex
-    k: every parent passed its own prefixes and so has no forbidden copy, a
-    child passes iff it has none at all, and isomorphic children pass alike.
-    Restricted to one edge count the scan keeps the (rep, mask) order, so
-    each class keeps the same first-seen representative."""
-    if n == 0:
-        return _generate_classes(0, extend_ok)
-    k = n - 1
-    parents, explored = _generate_classes(k, extend_ok)
-    # the masks of each popcount, in increasing order
-    by_count = {c: [m for m in range(1 << k) if m.bit_count() == c] for c in range(k + 1)}
-    for target in range(max((g.m for g in parents), default=-1) + k, -1, -1):
-        reps, tested = _children(parents, k, lambda g: by_count.get(target - g.m, ()), extend_ok)
-        explored += tested
-        if reps:
-            return reps, explored
-    return [], explored
+    ex(k), the most edges on k vertices, is found for k = 1, .., n in turn.
+    Every edge of a k-vertex graph lies in k-2 of its k vertex-deleted
+    subgraphs, so ex(k) <= floor(k ex(k-1) / (k-2)).  A target starts at that
+    bound and goes down, to 0 if need be (ex(k) < ex(k-1) can happen when the
+    pattern has an isolated vertex), until the generator finds a class with
+    that many edges.  One generator serves every order and every target, so
+    `explored` counts each (class, mask) tested once."""
+    gen = _Generator(extend_ok)
+    found, best = gen.classes(0), 0
+    for k in range(1, n + 1):
+        for target in range(k * (k - 1) // 2 if k < 3 else k * best // (k - 2), -1, -1):
+            found = gen.classes(k, target)
+            if found:
+                break
+        else:
+            return [], gen.explored
+        best = target
+    return [node.graph for node in found], gen.explored
 
 
 @dataclass
 class ExtremalResult:
     """An extremal value with its witness (and, for bip, its partition).
-    `explored` is the number of extensions tested plus, for bip, the number
-    of partitions handed to the matcher."""
+    `explored` is the number of extensions tested, each (class, mask) once
+    over the whole search, plus, for bip, the number of partitions handed to
+    the matcher."""
     value: int
     witness: Graph
     explored: int
@@ -386,10 +460,28 @@ def _extremal_result(candidates: Iterable[tuple[tuple, Graph, Optional[Parts]]],
     return ExtremalResult(-key[0], witness, explored, partition=partition)
 
 
+def _densest_result(reps: Sequence[Graph], explored: int,
+                    is_free: Callable[[Graph, Optional[Parts]], bool]) -> ExtremalResult:
+    """The result over class representatives of the most edges: the witness
+    is, among the densest classes, the one whose canonical form has the least
+    edge list, printed in its canonical labelling.  The witness is re-checked
+    with is_free, and against its representative with `is_isomorphic`."""
+    top = max((g.m for g in reps), default=0)
+    best = min(((Graph.from_rows(canonical(g.adj)[0]), g) for g in reps if g.m == top),
+               key=lambda c: c[0].edge_list(), default=None)
+    if best is None:
+        return _extremal_result([], explored, is_free)
+    witness, rep = best
+    if not is_isomorphic(witness, rep):
+        raise DisprovesLemma("the extremal witness is not a relabelling of its class")
+    return _extremal_result([((-top,), witness, None)], explored, is_free)
+
+
 def extremal_star(n: int, h: Graph, s: int, budget: int = STAR_BUDGET) -> ExtremalResult:
     """Exact max edge count of an n-vertex graph with no K_{s,s} subgraph and no
-    induced copy of h.  Witness ties break toward the lexicographically least
-    edge list among the representatives of the densest classes; `explored`
+    induced copy of h, by branch and bound on the edge count
+    (`_densest_classes`).  The witness is the densest class whose canonical
+    form has the least edge list, in its canonical labelling; `explored`
     counts the extensions tested."""
     if n > budget:
         raise TooLarge(f"n={n} exceeds the search budget {budget}")
@@ -405,15 +497,14 @@ def extremal_star(n: int, h: Graph, s: int, budget: int = STAR_BUDGET) -> Extrem
         return not _contains_using(g2, h, k, induced=True)
 
     reps, explored = _densest_classes(n, ok)
-    return _extremal_result((((-g.m, g.edge_list()), g, None) for g in reps), explored,
-                            lambda w, _: contains_kss(w, s) is None
-                            and contains_induced(w, h) is None)
+    return _densest_result(reps, explored, lambda w, _: contains_kss(w, s) is None
+                           and contains_induced(w, h) is None)
 
 
 def extremal_classical(n: int, h: Graph, budget: int = STAR_BUDGET) -> ExtremalResult:
-    """Exact max edges of an n-vertex graph with no copy of h (induced or not).
-    Witness ties break as in `extremal_star`; `explored` counts the extensions
-    tested."""
+    """Exact max edges of an n-vertex graph with no copy of h (induced or not),
+    searched and witnessed as in `extremal_star`; `explored` counts the
+    extensions tested."""
     if n > budget:
         raise TooLarge(f"n={n} exceeds the search budget {budget}")
     if h.n == 0:
@@ -424,8 +515,7 @@ def extremal_classical(n: int, h: Graph, budget: int = STAR_BUDGET) -> ExtremalR
         return not _contains_using(g2, h, k, induced=False)
 
     reps, explored = _densest_classes(n, ok)
-    return _extremal_result((((-g.m, g.edge_list()), g, None) for g in reps), explored,
-                            lambda w, _: contains_subgraph(w, h) is None)
+    return _densest_result(reps, explored, lambda w, _: contains_subgraph(w, h) is None)
 
 
 def extremal_bip_star(n: int, h: BipartiteTemplate, s: int,

@@ -8,9 +8,10 @@ check `oracles.verify_induced_map`.  The
 `*_reference` functions are the embedding helpers as first written, with
 `Fraction` thresholds and pairwise scans: the package's integer and bitset
 versions must give the same answers.  The `extremal_*_reference` oracles
-generate, test and deduplicate every extension at the final order and hand
-every bip partition to the matcher: the package's bounded last step must
-find the same value, witness and partition.
+generate every class of every order up to the final one, with no edge-count
+bound, and hand every bip partition to the matcher: the package's branch and
+bound and its bounded bip scan must find the same value, witness and
+partition (the witness rule, `oracles._densest_result`, is shared).
 """
 
 from fractions import Fraction
@@ -26,6 +27,7 @@ from indturan.oracles import (
     Pattern,
     _bip_embed,
     _contains_using,
+    _densest_result,
     _extremal_result,
     _generate_classes,
     _kss_through_vertex,
@@ -193,9 +195,19 @@ def first_mono_clique_reference(aux: dict, s: int):
 # --- the extremal oracles as first written ---------------------------------------
 
 
-def _max_edges_result(reps, explored, is_free):
-    return _extremal_result((((-g.m, g.edge_list()), g, None) for g in reps), explored,
-                            is_free)
+def star_classes_reference(n: int, h: Graph, s: int) -> tuple[list[Graph], int]:
+    """Every class of n-vertex graphs with no K_{s,s} and no induced h, and
+    the extensions tested to generate them."""
+    pat = Pattern(h)
+    return _generate_classes(n, lambda g2, k: not _kss_through_vertex(g2.adj, k, s)
+                             and not _contains_using(g2, pat, k, induced=True))
+
+
+def classical_classes_reference(n: int, h: Graph) -> tuple[list[Graph], int]:
+    """Every class of n-vertex graphs with no copy of h, and the extensions
+    tested to generate them."""
+    pat = Pattern(h)
+    return _generate_classes(n, lambda g2, k: not _contains_using(g2, pat, k, induced=False))
 
 
 def extremal_star_reference(n: int, h: Graph, s: int) -> ExtremalResult:
@@ -203,22 +215,17 @@ def extremal_star_reference(n: int, h: Graph, s: int) -> ExtremalResult:
     counts every extension."""
     if s < 1 or h.n == 0:
         raise ValueError("s must be positive and the pattern nonempty")
-    pat = Pattern(h)
-    reps, explored = _generate_classes(
-        n, lambda g2, k: not _kss_through_vertex(g2.adj, k, s)
-        and not _contains_using(g2, pat, k, induced=True))
-    return _max_edges_result(reps, explored, lambda w, _: contains_kss(w, s) is None
-                             and contains_induced(w, h) is None)
+    reps, explored = star_classes_reference(n, h, s)
+    return _densest_result(reps, explored, lambda w, _: contains_kss(w, s) is None
+                           and contains_induced(w, h) is None)
 
 
 def extremal_classical_reference(n: int, h: Graph) -> ExtremalResult:
     """`oracles.extremal_classical` with every n-vertex class generated."""
     if h.n == 0:
         raise ValueError("pattern must have at least one vertex")
-    pat = Pattern(h)
-    reps, explored = _generate_classes(
-        n, lambda g2, k: not _contains_using(g2, pat, k, induced=False))
-    return _max_edges_result(reps, explored, lambda w, _: contains_subgraph(w, h) is None)
+    reps, explored = classical_classes_reference(n, h)
+    return _densest_result(reps, explored, lambda w, _: contains_subgraph(w, h) is None)
 
 
 def extremal_bip_star_reference(n: int, h, s: int) -> ExtremalResult:

@@ -16,6 +16,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from importlib import import_module
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -429,6 +430,25 @@ def test_no_dead_names_or_floats_in_source(capsys):
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Constant) and isinstance(node.value, float)]
         assert not unused and not floats, {"unreferenced": unused, "float literals": floats}
+
+
+def test_traced_names_resolve(capsys):
+    # The benchmark's traced runs wrap each (module, attribute) of
+    # perfbench/traced.py's TRACED list by name; a refactor that drops one
+    # fails here rather than in the benchmark.
+    with scoreboard("every function the benchmark traces exists in indturan", capsys):
+        tree = ast.parse((ROOT / "perfbench" / "traced.py").read_text(encoding="utf-8"))
+        traced = next(ast.literal_eval(node.value) for node in tree.body
+                      if isinstance(node, ast.Assign)
+                      and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+        missing = []
+        for module, attribute, _ in traced:
+            obj = import_module(f"indturan.{module}")
+            for part in attribute.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"{module}.{attribute}")
+        assert traced and not missing, missing
 
 
 def test_checks_run_under_python_O(capsys, tmp_path):

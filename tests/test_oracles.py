@@ -1,8 +1,10 @@
 import json
 import random
+from collections import Counter
 from itertools import combinations, permutations
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +18,11 @@ from indturan.errors import (
     NotKssFree,
     TooLarge,
 )
+from indturan.canonical import canonical
 from indturan.families import as_template, theta
 from indturan.graph import Graph, Host
 from indturan.oracles import (
+    _generate_classes,
     contains_bip_induced,
     contains_induced,
     contains_kss,
@@ -32,12 +36,14 @@ from indturan.oracles import (
 )
 
 from helpers import (
+    classical_classes_reference,
     extremal_bip_star_reference,
     extremal_classical_reference,
     extremal_star_reference,
     graphs,
     random_kss_free,
     random_kss_free_bipartite,
+    star_classes_reference,
     verify_induced_map_reference,
     verify_subgraph_map,
 )
@@ -158,9 +164,12 @@ class TestCompiledPattern:
 
 
 # ExtremalResult.as_json_dict() of each oracle on C4, C6 and P4 for n <= 6 and
-# s in {2, 3}.  The values, witnesses and partitions were recorded from the
-# full scans that `helpers` keeps as references; the `explored` counts are
-# those of the bounded last step, which tests fewer extensions and partitions.
+# s in {2, 3}.  The values, witnesses and partitions are those of the full
+# scans that `helpers` keeps as references; the star and classical witnesses
+# are the densest classes with the least canonical edge list, in their
+# canonical labelling.  The `explored` counts are those of the branch and
+# bound and of the bounded bip scan, which test fewer extensions and
+# partitions.
 PINNED = json.loads((Path(__file__).parent / "extremal_grid.json").read_text(encoding="utf-8"))
 
 
@@ -244,6 +253,151 @@ class TestBoundedLastStep:
                     (extremal_classical, extremal_classical_reference, (n, h)),
                     (extremal_bip_star, extremal_bip_star_reference, (n, as_template(h), 2))):
                 assert oracle_outcome(fast, *args) == oracle_outcome(reference, *args)
+
+
+def relabelled(g, perm):
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def to_nx(g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges)
+    return out
+
+
+def form(g):
+    return canonical(g.adj)[0]
+
+
+def petersen():
+    return Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def pentagonal_prism():
+    return Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+
+
+def cayley_z4z4(steps):
+    """The Cayley graph of Z4 x Z4 with the connection set steps and their
+    negatives; vertex (i, j) is 4i + j."""
+    conn = {(a % 4, b % 4) for a, b in steps} | {(-a % 4, -b % 4) for a, b in steps}
+    return Graph(16, [(4 * i + j, 4 * ((i + a) % 4) + (j + b) % 4)
+                      for i in range(4) for j in range(4) for a, b in conn
+                      if 4 * i + j < 4 * ((i + a) % 4) + (j + b) % 4])
+
+
+def brute_automorphism_count(g):
+    return sum(1 for p in permutations(range(g.n))
+               if all(g.adj[p[u]] >> p[v] & 1 for u, v in g.edges))
+
+
+def generated_group_order(gens, n):
+    seen = {tuple(range(n))}
+    todo = list(seen)
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = tuple(g[v] for v in x)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return len(seen)
+
+
+class TestCanonicalForm:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_invariant_under_relabelling(self, data):
+        g = data.draw(graphs(9))
+        perm = data.draw(st.permutations(range(g.n)))
+        assert form(relabelled(g, perm)) == form(g)
+
+    def test_equal_forms_exactly_when_networkx_isomorphic(self):
+        rng = random.Random(43)
+        agree = Counter()
+        for _ in range(600):
+            n = rng.randrange(1, 10)
+            g = random_graph(rng, n, rng.random())
+            if rng.random() < 0.3:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h = relabelled(g, perm)
+            else:  # the same order and size, so only the structure tells them apart
+                pairs = list(combinations(range(n), 2))
+                h = Graph(n, rng.sample(pairs, g.m))
+            same = nx.is_isomorphic(to_nx(g), to_nx(h))
+            assert (form(g) == form(h)) == same
+            assert nx.is_isomorphic(to_nx(Graph.from_rows(form(g))), to_nx(g))
+            agree[same] += 1
+        assert agree[True] > 100 and agree[False] > 100
+
+    def test_regular_hard_cases(self):
+        rng = random.Random(5)
+        shrikhande = cayley_z4z4([(0, 1), (1, 0), (1, 1)])
+        rook = cayley_z4z4([(0, 1), (0, 2), (1, 0), (2, 0)])  # K4 x K4
+        for g in (petersen(), pentagonal_prism(), shrikhande, rook):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert is_isomorphic(g, relabelled(g, perm))
+        # both srg(16, 6, 2, 2), and both cubic on 10 vertices
+        assert sorted(map(int.bit_count, shrikhande.adj)) == sorted(map(int.bit_count, rook.adj))
+        assert not is_isomorphic(shrikhande, rook)
+        assert not is_isomorphic(petersen(), pentagonal_prism())
+
+    def test_automorphisms_generate_the_group(self):
+        rng = random.Random(11)
+        for _ in range(150):
+            g = random_graph(rng, rng.randrange(1, 7), rng.random())
+            _, autos = canonical(g.adj)
+            for a in autos:
+                assert sorted(a) == list(range(g.n))
+                assert all(g.adj[a[u]] >> a[v] & 1 for u, v in g.edges)
+            assert generated_group_order(autos, g.n) == brute_automorphism_count(g)
+
+    @pytest.mark.parametrize("n, count", enumerate([1, 2, 4, 11, 34, 156, 1044], start=1))
+    def test_counts_all_graphs(self, n, count):
+        # OEIS A000088: graphs on n unlabelled vertices
+        reps, _ = _generate_classes(n, lambda g, k: True)
+        assert len(reps) == count
+
+
+# ex(n, C4) for n = 1..11 (Clapham, Flockhart and Sheehan; OEIS A006855)
+EX_C4 = (0, 1, 3, 4, 6, 7, 9, 11, 13, 16, 18)
+
+
+class TestBranchAndBound:
+    def test_classical_c4(self):
+        assert tuple(extremal_classical(n, c4()).value for n in range(1, 12)) == EX_C4
+
+    def test_classical_triangle_is_turan(self):
+        k3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
+        for n in range(1, 11):
+            assert extremal_classical(n, k3).value == n * n // 4
+
+    @pytest.mark.parametrize("mode", ["star", "classical"])
+    @pytest.mark.parametrize("name", ["C4", "C6", "P4"])
+    def test_pinned_witness_is_canonical_densest_class(self, mode, name):
+        h = {"C4": c4, "C6": c6, "P4": p4}[name]()
+        for key, pinned in PINNED.items():
+            got_mode, got_name, n, *s = key.split()
+            if (got_mode, got_name) != (mode, name):
+                continue
+            w = Graph(pinned["witness"]["n"], pinned["witness"]["edges"])
+            assert w.n == int(n) and w.m == pinned["value"], key
+            if s:
+                assert not naive_kss(w, int(s[0])) and not naive_contains(w, h, True), key
+                reps, _ = star_classes_reference(int(n), h, int(s[0]))
+            else:
+                assert not naive_contains(w, h, False), key
+                reps, _ = classical_classes_reference(int(n), h)
+            densest = [g for g in reps if g.m == pinned["value"]]
+            assert max(g.m for g in reps) == pinned["value"], key
+            assert sum(nx.is_isomorphic(to_nx(w), to_nx(g)) for g in densest) == 1, key
+            assert form(w) == w.adj, key
+            assert w.edge_list() == min(Graph.from_rows(form(g)).edge_list() for g in densest), key
 
 
 class TestKss:
