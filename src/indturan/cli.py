@@ -3,8 +3,9 @@
 All results are printed as JSON with sorted keys so identical invocations are
 byte-identical: the bytes of json.dumps(obj, sort_keys=True, indent=2) and a
 newline.  One writer, `_dump`, produces them for every command, `export`
-files included; it writes each list of integers with one format and hands
-the text out in batches of about 16 KiB.  Exit codes: 0 success, 1 domain error
+files included; it writes each list of integers with one format, a list of
+integer rows of one length a chunk of rows per format, and hands the text out
+in batches of at most 16 KiB.  Exit codes: 0 success, 1 domain error
 (printed as an {"error", "message"} object), 2 usage error (argparse), 3
 internal fault: a re-check failed (DisprovesLemma), which means a bug,
 printed like a domain error.  A closed stdout exits 1, the rest of the output
@@ -29,7 +30,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -53,22 +54,26 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
+def _int_list_format(k: int, pad: str, formats: dict) -> str:
+    """The "%d" format of a list of k ints at indent pad, kept in formats."""
+    fmt = formats.get((k, pad))
+    if fmt is None:
+        inner = pad + "  "
+        fmt = formats[k, pad] = \
+            "[\n" + inner + (",\n" + inner).join(["%d"] * k) + "\n" + pad + "]"
+    return fmt
+
+
 def _leaf(v, pad: str, formats: dict) -> Optional[str]:
     """The text of v at indent pad when v is a scalar, an empty container or a
-    list of exact ints; None otherwise.  A list of k ints is written with one
-    "%d" format per (k, pad), kept in formats."""
+    list of exact ints; None otherwise."""
     if isinstance(v, (list, tuple)):
         if not v:
             return "[]"
         for x in v:
             if type(x) is not int:  # bools and int subclasses take the slow path
                 return None
-        fmt = formats.get((len(v), pad))
-        if fmt is None:
-            inner = pad + "  "
-            fmt = formats[len(v), pad] = \
-                "[\n" + inner + (",\n" + inner).join(["%d"] * len(v)) + "\n" + pad + "]"
-        return fmt % tuple(v)
+        return _int_list_format(len(v), pad, formats) % tuple(v)
     if isinstance(v, dict):
         return None if v else "{}"
     if type(v) is int:
@@ -78,12 +83,25 @@ def _leaf(v, pad: str, formats: dict) -> Optional[str]:
     return json.dumps(v)  # the other scalars; TypeError for what JSON cannot hold
 
 
+def _row_width(v) -> int:
+    """k when v is a non-empty list of lists or tuples holding k >= 1 exact
+    ints each, else 0."""
+    if not v or not set(map(type, v)) <= {list, tuple}:
+        return 0
+    lengths = set(map(len, v))
+    if len(lengths) != 1 or set(map(type, chain.from_iterable(v))) != {int}:
+        return 0
+    return lengths.pop()
+
+
 def _dump(obj, out=None) -> None:
     """Write json.dumps(obj, sort_keys=True, indent=2) + "\n" to out (by
     default stdout), byte for byte.  With an indent, json.dumps runs the
     pure-Python encoder, one generator step per integer, and holds the whole
-    text (23 MB for 46,500 tree maps); this writer formats each integer list at
-    once and writes in batches of about _BATCH characters."""
+    text (23 MB for 46,500 tree maps).  This writer formats each integer list
+    with one format, and a list of equal-length integer rows a chunk of rows
+    (about half a batch of text) at a time; it writes in batches of at most
+    _BATCH characters, or one longer piece of text."""
     write = (sys.stdout if out is None else out).write
     batch: list[str] = []
     size = 0
@@ -91,12 +109,12 @@ def _dump(obj, out=None) -> None:
 
     def put(text: str) -> None:
         nonlocal size
-        batch.append(text)
-        size += len(text)
-        if size >= _BATCH:
+        if size + len(text) > _BATCH and batch:
             write("".join(batch))
             batch.clear()
             size = 0
+        batch.append(text)
+        size += len(text)
 
     def emit(v, pad: str, head: str) -> None:
         """Put head, then v's text at indent pad."""
@@ -111,6 +129,18 @@ def _dump(obj, out=None) -> None:
                 emit(item, inner, f"{sep}{_key(k)}: ")
                 sep = ",\n" + inner
             put(f"\n{pad}}}")
+        elif width := _row_width(v):
+            row = _int_list_format(width, inner, formats)
+            sep = head + "[\n" + inner
+            start, step = 0, 1  # step: the rows of the next chunk, sized from the last
+            while start < len(v):
+                part = v[start:start + step]
+                text = (",\n" + inner).join([row] * len(part)) % tuple(chain.from_iterable(part))
+                put(sep + text)
+                start += step
+                step = max(1, step * _BATCH // (2 * len(text)))
+                sep = ",\n" + inner
+            put(f"\n{pad}]")
         else:
             sep = head + "[\n" + inner
             for item in v:

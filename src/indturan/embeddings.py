@@ -2,10 +2,13 @@
 
 Each procedure runs real constructive steps (bad-set avoidance, rich-set
 extraction, Hall-style placement, copy extraction) with all thresholds exposed
-as parameters, every emitted map re-checked in full, and `found=False`
-a legitimate outcome when the small parameters used in tests do not reach the
-asymptotic guarantees.  A violation of a bound that is guaranteed once its
-hypotheses are verified raises DisprovesLemma, which is never expected.
+as parameters, every emitted map re-checked, and `found=False` a legitimate
+outcome when the small parameters used in tests do not reach the asymptotic
+guarantees.  A map is re-checked in full, except a tree copy that shares all
+images but its last leaf's with the copy before it: the leaf's row is checked
+against the shared rest, which the full check of the first such copy covers.
+A violation of a bound that is guaranteed once its hypotheses are verified
+raises DisprovesLemma, which is never expected.
 """
 
 from __future__ import annotations
@@ -141,6 +144,18 @@ def rich_s_set(g: Graph, x: Iterable[int], y: Iterable[int], c: Fraction,
 # --- greedy tree embedding ----------------------------------------------------------
 
 
+def _check_spanning(g: Graph, sub: Graph, name: str) -> None:
+    """ValueError unless sub is a spanning subgraph of g: the same vertices,
+    and every edge of sub an edge of g."""
+    if sub.n != g.n:
+        raise ValueError(f"{name} has {sub.n} vertices, the host graph {g.n}")
+    for v, (row, host_row) in enumerate(zip(sub.adj, g.adj)):
+        extra = row & ~host_row
+        if extra:
+            raise ValueError(f"{name} edge {(v, (extra & -extra).bit_length() - 1)} "
+                             "is not an edge of the host graph")
+
+
 def tree_bad_sets(g: Graph, l: Graph, t_count: int, d: int) -> dict[int, int]:
     """B(x) per L-vertex x as bitmasks: y with |N_G(y) ∩ N_L(x)| >= d/(4t),
     tested as 4t |N_G(y) ∩ N_L(x)| >= d."""
@@ -186,26 +201,34 @@ def greedy_tree_embed(host: Host, l: Graph, t: Graph, d: int) -> Iterator[Vertex
 
     A copy is good when its tree edges lie in l, it is induced in the host
     graph, and no copy vertex lies in another's bad set B(x) (common-neighbor
-    count threshold d/(4|V(t)|)).  Enumeration is exhaustive; each emitted map
-    is re-checked in full (`oracles.verify_induced_map` against the host
-    graph, and its tree edges against l) before being yielded.  Copies come
-    out in increasing lexicographic order of their images listed in grow
-    order.  The tree is checked, and the bad sets built, when the function
-    is called, before the first copy is asked for.
+    count threshold d/(4|V(t)|)).  Enumeration is exhaustive.  Copies come out
+    in increasing lexicographic order of their images listed in grow order, so
+    the copies that share all images but the last vertex's, a leaf, come out
+    together as one batch.  Each is re-checked before being yielded: the first
+    of a batch in full (`oracles.verify_induced_map` against the host graph,
+    and its tree edges against l), each later one by its leaf x's row against
+    the prefix image P (x a host vertex outside P, the host row of x meeting P
+    in the parent's image alone, and the parent's l row holding x).  The tree
+    is checked, l checked to be a spanning subgraph of the host graph
+    (ValueError otherwise), and the bad sets built, when the function is
+    called, before the first copy is asked for.
     """
     order, parent = _grow_order(t)
+    _check_spanning(host.graph, l, "l")
     return _tree_copies(host.graph, l, t, order, parent, tree_bad_sets(host.graph, l, t.n, d))
 
 
 def _tree_copies(g: Graph, l: Graph, t: Graph, order: list[int], parent: dict[int, int],
                  bad: dict[int, int]) -> Iterator[VertexMap]:
-    """The search of `greedy_tree_embed` over the grow order (order, parent)."""
+    """The search of `greedy_tree_embed` over the grow order (order, parent);
+    the last position is filled a whole batch at a time."""
     n = t.n
     pos = {v: i for i, v in enumerate(order)}
     up = [pos.get(parent[v], -1) for v in order]  # up[i]: the position of order[i]'s parent
     at = [pos[p] for p in range(n)]
     last = n - 1
-    gadj, ladj = g.adj, l.adj
+    leaf = order[last]
+    gn, gadj, ladj = g.n, g.adj, l.adj
     copy_of = itemgetter(*at) if n > 1 else tuple  # itemgetter(p) alone returns a scalar
     tree_edges = list(t.edges)
     # An explicit stack, as in `oracles._embed`: position i holds order[i].
@@ -216,6 +239,38 @@ def _tree_copies(g: Graph, l: Graph, t: Graph, order: list[int], parent: dict[in
     left[0] = l.vertex_mask()
     i = 0
     while i >= 0:
+        if i == last:  # the leaf batch: every candidate of the last position at once
+            i -= 1
+            prefix = used[last]
+            if last:  # the leaf's row meets the prefix in its parent, an l-neighbour
+                u_img = img[up[last]]
+                pbit, lrow = 1 << u_img, ladj[u_img]
+            else:  # a one-vertex tree: no prefix and no parent
+                pbit, lrow = 0, l.vertex_mask()
+            first = True
+            m = left[last]
+            while m:
+                low = m & -m
+                m ^= low
+                w = low.bit_length() - 1
+                if bad[w] & prefix:  # some placed vertex is bad for w
+                    continue
+                img[last] = w
+                vm = copy_of(img)
+                if first:
+                    if not verify_induced_map(g, t, vm):
+                        raise DisprovesLemma("tree copy failed the induced re-check")
+                    for a, b in tree_edges:
+                        if not ladj[vm[a]] >> vm[b] & 1:
+                            raise DisprovesLemma("tree copy uses an edge outside l")
+                    first = False
+                else:
+                    x = vm[leaf]
+                    if not (0 <= x < gn and not prefix >> x & 1 and gadj[x] & prefix == pbit
+                            and lrow >> x & 1):
+                        raise DisprovesLemma("tree copy failed the leaf row re-check")
+                yield vm
+            continue
         m = left[i]
         if not m:
             i -= 1
@@ -226,15 +281,6 @@ def _tree_copies(g: Graph, l: Graph, t: Graph, order: list[int], parent: dict[in
         if bad[w] & used[i]:  # some placed vertex is bad for w
             continue
         img[i] = w
-        if i == last:
-            vm = copy_of(img)
-            if not verify_induced_map(g, t, vm):
-                raise DisprovesLemma("tree copy failed the induced re-check")
-            for a, b in tree_edges:
-                if not ladj[vm[a]] >> vm[b] & 1:
-                    raise DisprovesLemma("tree copy uses an edge outside l")
-            yield vm
-            continue
         i += 1
         used[i] = used[i - 1] | low
         badmask[i] = badmask[i - 1] | bad[w]
@@ -356,6 +402,7 @@ def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
         raise NoPartition("key_lemma_embed needs an (X, Y) partition")
     x_side, y_side = host.partition
     g = host.graph
+    _check_spanning(g, l, "l")
     h = template.graph.n
     parts_map = {int(v): tuple(ws) for v, ws in parts.items()}
     if set(parts_map) != set(template.a_side):
@@ -501,6 +548,7 @@ def asymmetric_embed(host: Host, m_sub: Graph, template: BipartiteTemplate,
     for u, v in m_sub.edges:
         if (u in xset) == (v in xset):
             raise InvalidPartition(f"M edge {(u, v)} does not cross the partition")
+    _check_spanning(host.graph, m_sub, "M")
     if not template.b_side:
         raise ValueError("template must have a nonempty B side")
     p = max(template.graph.degree(b) for b in template.b_side)

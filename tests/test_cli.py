@@ -701,6 +701,30 @@ def _json_values():
     return st.recursive(scalars, containers, max_leaves=30)
 
 
+class _IntSubclass(int):
+    """An int whose repr is not its JSON text: json writes int.__repr__."""
+
+    def __repr__(self):
+        return "subclass"
+
+
+@st.composite
+def _row_values(draw):
+    """Lists of integer rows, the writer's chunked path: k ints per row, or
+    ragged or empty rows; each row a list or a tuple; now and then a bool or
+    an int subclass; the list alone, under dict keys or in a list."""
+    ints = st.integers() | st.integers(-2 ** 80, 2 ** 80)
+    if draw(st.booleans()):
+        ints = ints | st.booleans() | st.integers(-9, 9).map(_IntSubclass)
+    k = draw(st.integers(0, 4))
+    size = st.integers(0, 4) if draw(st.booleans()) else st.just(k)
+    rows = draw(st.lists(size.flatmap(lambda n: st.lists(ints, min_size=n, max_size=n)),
+                         min_size=1, max_size=12))
+    rows = [tuple(r) if draw(st.booleans()) else r for r in rows]
+    return draw(st.sampled_from([rows, {"n": len(rows), "edges": rows},
+                                 {"witness": {"edges": rows}}, [rows, rows[:1]]]))
+
+
 def _writer_outcome(dump, value):
     try:
         return dump(value)
@@ -730,6 +754,22 @@ class TestJsonWriter:
             json.dumps(value, sort_keys=True, indent=2)
         with pytest.raises(TypeError):
             _written(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_row_values())
+    def test_rows_bytes_of_json_dumps(self, value):
+        assert _written(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    def test_chunked_rows(self):
+        # rows that grow from 1 to 60 digits, over many chunks: each chunk is
+        # sized from the one before it, so no write passes the batch size
+        rows = [[i, -i, 7 ** (i // 40)] if i % 3 else (i, -i, 7 ** (i // 40))
+                for i in range(3000)]
+        value = {"count": len(rows), "copies": rows}
+        writes = []
+        cli._dump(value, mock.Mock(write=writes.append))
+        assert "".join(writes) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+        assert len(writes) > 10 and max(map(len, writes)) <= cli._BATCH
 
     def test_batched_writes(self):
         # 3,000 integer lists: several writes, each about the batch size

@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from pathlib import Path
 
 import pytest
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from indturan.embeddings import (
     Thresholds,
     _grow_order,
+    _tree_copies,
     admissible_tree_copies,
     asymmetric_embed,
     bad_set,
@@ -314,6 +315,28 @@ except DisprovesLemma:
 """
 
 
+# l holds 0-1 and 0-2, the host only HOST_EDGE, and _tree_copies is called
+# past greedy_tree_embed's check that l lies in the host: the leaf batch of
+# the prefix 0 is 1, then 2, and the copy off the host is its first or its
+# second copy, re-checked in full or by its row.
+LEAF_RECHECK = """
+from indturan.embeddings import _grow_order, _tree_copies
+from indturan.errors import DisprovesLemma
+from indturan.graph import Graph
+
+k2 = Graph(2, [(0, 1)])
+order, parent = _grow_order(k2)
+copies = _tree_copies(Graph(3, [HOST_EDGE]), Graph(3, [(0, 1), (0, 2)]), k2, order, parent,
+                      {v: 0 for v in range(3)})
+emitted = []
+try:
+    for vm in copies:
+        emitted.append(vm)
+except DisprovesLemma:
+    print("raised" if emitted == EMITTED else emitted)
+"""
+
+
 def raises_under_optimize(script: str) -> None:
     # `python -O` strips asserts; the re-check of every emitted object must
     # still run there and raise DisprovesLemma.
@@ -399,6 +422,23 @@ class TestGreedyTreeEmbed:
         with pytest.raises(ValueError):
             list(greedy_tree_embed(Host(g, 2), g, theta(2, 2), 4))
 
+    @pytest.mark.parametrize("host_edge, emitted", [((0, 2), []), ((0, 1), [(0, 1)])])
+    def test_corrupt_leaf_raises(self, capsys, host_edge, emitted):
+        # the bad copy first in its batch fails the full re-check, a later
+        # one its leaf row; both here and under python -O
+        script = LEAF_RECHECK.replace("HOST_EDGE", repr(host_edge)).replace("EMITTED", repr(emitted))
+        exec(script, {})
+        assert capsys.readouterr().out.strip() == "raised"
+        raises_under_optimize(script)
+
+    def test_one_vertex_leaf_row_in_range(self):
+        # a one-vertex tree is one batch: l's vertex 2 is past the host's end
+        copies = _tree_copies(Graph(2, []), Graph(3, []), Graph(1, []), [0], {0: -1},
+                              {v: 0 for v in range(3)})
+        assert list(islice(copies, 2)) == [(0,), (1,)]
+        with pytest.raises(DisprovesLemma):
+            next(copies)
+
     def test_emitted_maps_reverify(self):
         g = theta(3, 3)
         host = Host(g, 2)
@@ -427,6 +467,44 @@ class TestGreedyTreeEmbed:
             assert kept[threshold] == [vm for vm in all_copies if not heavy(vm, threshold)]
         assert kept[1] == [] and kept[4] == all_copies
         assert all(vm[1] in (0, 1) for vm in kept[3]) and len(kept[3]) == 12
+
+
+# L or M must be a spanning subgraph of the host graph: on more vertices, on
+# fewer, or with an edge the host lacks, each procedure raises ValueError.
+P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+NOT_SPANNING_P4 = [Graph(6, [(0, 1)]), Graph(3, [(0, 1)]), Graph(4, [(0, 2)])]
+# the host K_{4,5} minus the cross pair 0-4; M has no edge inside a side
+K45_LESS_04 = Host(Graph(9, [(i, j) for i in range(4) for j in range(4, 9) if (i, j) != (0, 4)]),
+                   2, (tuple(range(4)), tuple(range(4, 9))))
+NOT_SPANNING_K45 = [Graph(12, [(0, 4)]), Graph(7, [(0, 4)]), Graph(9, [(0, 4), (1, 4)])]
+
+
+class TestSpanningSubgraph:
+    @pytest.mark.parametrize("l", NOT_SPANNING_P4)
+    def test_tree(self, l):
+        with pytest.raises(ValueError, match="host graph"):
+            greedy_tree_embed(Host(P4, 2), l, Graph(2, [(0, 1)]), 100)
+
+    @pytest.mark.parametrize("l", NOT_SPANNING_K45)
+    def test_key_lemma(self, l):
+        with pytest.raises(ValueError, match="host graph"):
+            key_lemma_embed(K45_LESS_04, l, p3_template(), {0: (1,), 2: (2,)},
+                            lambda ss: True, Thresholds())
+
+    @pytest.mark.parametrize("m", NOT_SPANNING_K45)
+    def test_asym(self, m):
+        with pytest.raises(ValueError, match="host graph"):
+            asymmetric_embed(K45_LESS_04, m, p3_template(), Thresholds())
+
+    def test_spanning_subgraphs_pass(self):
+        # the same hosts with a spanning L or M run as before
+        host = K45_LESS_04
+        m = cross_subgraph(host)
+        assert list(greedy_tree_embed(Host(P4, 2), edge_subgraph(P4, [(1, 2)]),
+                                      Graph(2, [(0, 1)]), 100)) == [(1, 2), (2, 1)]
+        assert key_lemma_embed(host, m, p3_template(), {0: (1,), 2: (2,)},
+                               lambda ss: True, Thresholds()).found
+        asymmetric_embed(host, m, p3_template(), Thresholds())
 
 
 def naive_hall(sets, t):
