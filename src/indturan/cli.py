@@ -2,10 +2,12 @@
 
 All results are printed as JSON with sorted keys so identical invocations are
 byte-identical: the bytes of json.dumps(obj, sort_keys=True, indent=2) and a
-newline.  One writer, `_dump`, produces them for every command, `export`
-files included; it writes each list of integers with one format, a list of
-integer rows of one length a chunk of rows per format, and hands the text out
-in batches of at most 16 KiB.  Exit codes: 0 success, 1 domain error
+newline.  Each handler returns its payload and `main` writes it with the one
+writer, `_dump`; `export`, which may write to a file, calls `_dump` itself
+and returns None.  The writer joins the reprs of a list of integers in one
+step, writes a list of integer rows of one length a chunk of rows at a time
+through one row format built for that list, and hands the text out in
+batches of at most 16 KiB.  Exit codes: 0 success, 1 domain error
 (printed as an {"error", "message"} object), 2 usage error (argparse), 3
 internal fault: a re-check failed (DisprovesLemma), which means a bug,
 printed like a domain error.  A closed stdout exits 1, the rest of the output
@@ -19,8 +21,9 @@ The `thresholds` object of `embed keylemma` and `embed asym` accepts exactly
 the `embeddings.Thresholds` fields: integers `c_hs` and `m_blow`, rationals
 `gamma` and `c3` (a JSON number or a "p/q" string).  Any other key is a
 domain error (TypeError).  Every integer field of an `--input` document,
-a graph's "n" and every vertex id included, rejects a boolean or a
-non-integral number (ValueError) instead of truncating it.
+a graph's "n" and every vertex id included, follows `graph.int_field`: a
+boolean or a non-integral number is a ValueError, never truncated.  Graph
+objects are read by `graph.graph_from_json_dict` alone.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Optional
 from .errors import DisprovesLemma, IndturanError
 from .families import BipartiteTemplate, RootedGraph, as_graph, as_template, parse_descriptor
 from .graph import (Graph, Host, common_neighborhood_mask, cross_subgraph, edge_subgraph,
-                    graph_from_json_dict, graph_to_json_dict, to_dot)
+                    graph_from_json_dict, graph_to_json_dict, int_field, to_dot)
 
 
 _BATCH = 1 << 14  # characters per write: one syscall each on an unbuffered stdout
@@ -54,17 +57,7 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
-def _int_list_format(k: int, pad: str, formats: dict) -> str:
-    """The "%d" format of a list of k ints at indent pad, kept in formats."""
-    fmt = formats.get((k, pad))
-    if fmt is None:
-        inner = pad + "  "
-        fmt = formats[k, pad] = \
-            "[\n" + inner + (",\n" + inner).join(["%d"] * k) + "\n" + pad + "]"
-    return fmt
-
-
-def _leaf(v, pad: str, formats: dict) -> Optional[str]:
+def _leaf(v, pad: str) -> Optional[str]:
     """The text of v at indent pad when v is a scalar, an empty container or a
     list of exact ints; None otherwise."""
     if isinstance(v, (list, tuple)):
@@ -73,7 +66,8 @@ def _leaf(v, pad: str, formats: dict) -> Optional[str]:
         for x in v:
             if type(x) is not int:  # bools and int subclasses take the slow path
                 return None
-        return _int_list_format(len(v), pad, formats) % tuple(v)
+        inner = pad + "  "
+        return "[\n" + inner + (",\n" + inner).join(map(int.__repr__, v)) + "\n" + pad + "]"
     if isinstance(v, dict):
         return None if v else "{}"
     if type(v) is int:
@@ -98,14 +92,14 @@ def _dump(obj, out=None) -> None:
     """Write json.dumps(obj, sort_keys=True, indent=2) + "\n" to out (by
     default stdout), byte for byte.  With an indent, json.dumps runs the
     pure-Python encoder, one generator step per integer, and holds the whole
-    text (23 MB for 46,500 tree maps).  This writer formats each integer list
-    with one format, and a list of equal-length integer rows a chunk of rows
-    (about half a batch of text) at a time; it writes in batches of at most
-    _BATCH characters, or one longer piece of text."""
+    text (23 MB for 46,500 tree maps).  This writer joins the reprs of each
+    list of integers at once, and formats a list of equal-length integer rows
+    with one row format built for the list, a chunk of rows (about half a
+    batch of text) at a time; it writes in batches of at most _BATCH
+    characters, or one longer piece of text."""
     write = (sys.stdout if out is None else out).write
     batch: list[str] = []
     size = 0
-    formats: dict = {}
 
     def put(text: str) -> None:
         nonlocal size
@@ -118,7 +112,7 @@ def _dump(obj, out=None) -> None:
 
     def emit(v, pad: str, head: str) -> None:
         """Put head, then v's text at indent pad."""
-        text = _leaf(v, pad, formats)
+        text = _leaf(v, pad)
         if text is not None:
             put(head + text)
             return
@@ -130,7 +124,8 @@ def _dump(obj, out=None) -> None:
                 sep = ",\n" + inner
             put(f"\n{pad}}}")
         elif width := _row_width(v):
-            row = _int_list_format(width, inner, formats)
+            cell = inner + "  "
+            row = "[\n" + cell + (",\n" + cell).join(["%d"] * width) + "\n" + inner + "]"
             sep = head + "[\n" + inner
             start, step = 0, 1  # step: the rows of the next chunk, sized from the last
             while start < len(v):
@@ -160,47 +155,26 @@ def _load_input(path: str) -> dict:
         return json.load(fh)
 
 
-def _int(value) -> int:
-    """An integer field.  A bare int() would read true as 1 and truncate 2.9
-    to 2; both are errors here.  Integral strings such as "2" still pass."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
 def _edges(rows: list) -> list[tuple[int, int]]:
     """An edge list whose endpoints are integer fields."""
-    return [(_int(u), _int(v)) for u, v in map(tuple, rows)]
+    return [(int_field(u), int_field(v)) for u, v in map(tuple, rows)]
 
 
 def _ids(values) -> tuple[int, ...]:
     """A list of vertex ids, each an integer field."""
-    return tuple(_int(v) for v in values)
-
-
-def _read_graph(d: dict) -> tuple:
-    """(graph, roots, partition) of a graph object whose "n", edge endpoints,
-    roots and partition sides are integer fields."""
-    n = _int(d["n"])  # before {**d}, so that a non-object fails on this lookup
-    doc = {**d, "n": n, "edges": _edges(d.get("edges", []))}
-    if "roots" in d:
-        doc["roots"] = _ids(d["roots"])
-    if "partition" in d:
-        part = _object(d["partition"], "partition")
-        doc["partition"] = {"X": _ids(part["X"]), "Y": _ids(part["Y"])}
-    return graph_from_json_dict(doc)
+    return tuple(int_field(v) for v in values)
 
 
 def _graph_from(d: dict) -> Graph:
-    return _read_graph(d)[0]
+    return graph_from_json_dict(d)[0]
 
 
 def _host_from(d: dict) -> Host:
-    g, _, part = _read_graph(d)
+    g, _, part = graph_from_json_dict(d)
     s = d.get("s")
     if s is None:
         raise ValueError("host object needs an 's' field")
-    return Host(g, _int(s), part)
+    return Host(g, int_field(s), part)
 
 
 def _template_from(d: dict) -> BipartiteTemplate:
@@ -211,7 +185,7 @@ def _template_from(d: dict) -> BipartiteTemplate:
 
 
 def _rooted_from(d: dict) -> RootedGraph:
-    g, roots, _ = _read_graph(d)
+    g, roots, _ = graph_from_json_dict(d)
     if roots is None:
         raise ValueError("pattern object needs a 'roots' field")
     return RootedGraph(g, frozenset(roots))
@@ -244,7 +218,7 @@ def _thresholds_from(d: Optional[dict]) -> embeddings.Thresholds:
     from . import embeddings
     if d is None:
         return embeddings.Thresholds()
-    kwargs = {key: _int(val) if key in ("c_hs", "m_blow") else _fraction(val)
+    kwargs = {key: int_field(val) if key in ("c_hs", "m_blow") else _fraction(val)
               for key, val in _object(d, "thresholds").items()}
     return embeddings.Thresholds(**kwargs)
 
@@ -269,9 +243,8 @@ def _family_payload(desc: str) -> dict:
 # --- subcommand handlers ---------------------------------------------------------
 
 
-def _cmd_family(args) -> int:
-    _dump(_family_payload(args.descriptor))
-    return 0
+def _cmd_family(args) -> dict:
+    return _family_payload(args.descriptor)
 
 
 def _rooted_report(args) -> density.DensityReport:
@@ -282,35 +255,31 @@ def _rooted_report(args) -> density.DensityReport:
     return density.is_balanced(obj)
 
 
-def _cmd_rho(args) -> int:
-    _dump({"descriptor": args.descriptor, **_rooted_report(args).as_json_dict()})
-    return 0
+def _cmd_rho(args) -> dict:
+    return {"descriptor": args.descriptor, **_rooted_report(args).as_json_dict()}
 
 
-def _cmd_balanced(args) -> int:
+def _cmd_balanced(args) -> dict:
     report = _rooted_report(args)
-    _dump({"balanced": report.balanced,
-           "witness": list(report.witness) if report.witness else None})
-    return 0
+    return {"balanced": report.balanced,
+            "witness": list(report.witness) if report.witness else None}
 
 
-def _cmd_realize(args) -> int:
+def _cmd_realize(args) -> dict:
     from . import realizability
     # derive verifies every certificate it returns, so "verified" is always true.
     cert = realizability.derive(args.a, args.b, l=args.l)
-    _dump({**cert.as_json_dict(), "verified": True})
-    return 0
+    return {**cert.as_json_dict(), "verified": True}
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> dict:
     from . import realizability
     found = realizability.enumerate_realizable(args.a_max, args.b_max, l=args.l)  # via derive
     rows = [{**cert.as_json_dict(), "verified": True} for _, _, cert in found]
-    _dump({"count": len(rows), "certificates": rows})
-    return 0
+    return {"count": len(rows), "certificates": rows}
 
 
-def _cmd_extremal(args) -> int:
+def _cmd_extremal(args) -> dict:
     from . import oracles
     budget = {} if args.budget is None else {"budget": args.budget}
     if args.mode == "bip":
@@ -322,62 +291,59 @@ def _cmd_extremal(args) -> int:
     else:
         res = oracles.extremal_star(args.n, as_graph(parse_descriptor(args.pattern)),
                                     args.s, **budget)
-    _dump(res.as_json_dict())
-    return 0
+    return res.as_json_dict()
 
 
-def _cmd_embed_tree(args) -> int:
+def _cmd_embed_tree(args) -> dict:
     from . import embeddings
     spec = _load_input(args.input)
     host = _host_from(spec["host"])
     l_sub = _subgraph_from(host, spec.get("l_edges"))
     tree = _graph_from(spec["tree"])
-    stream = embeddings.greedy_tree_embed(host, l_sub, tree, _int(spec["d"]))
+    stream = embeddings.greedy_tree_embed(host, l_sub, tree, int_field(spec["d"]))
     if "star_leaves" in spec:
         stream = embeddings.admissible_tree_copies(
-            l_sub, tree, stream, _int(spec["star_leaves"]), _int(spec["star_threshold"]))
+            l_sub, tree, stream, int_field(spec["star_leaves"]),
+            int_field(spec["star_threshold"]))
     limit = None
     if "limit" in spec:  # an integer field when present: null is an error, not "no limit"
-        limit = _int(spec["limit"])
+        limit = int_field(spec["limit"])
         if limit < 0:
             raise ValueError(f"limit must be non-negative, got {limit}")
     copies = list(islice(stream, limit))  # json writes a tuple as a list
-    _dump({"count": len(copies), "copies": copies})
-    return 0
+    return {"count": len(copies), "copies": copies}
 
 
-def _cmd_embed_keylemma(args) -> int:
+def _cmd_embed_keylemma(args) -> dict:
     from . import embeddings
     spec = _load_input(args.input)
     host = _host_from(spec["host"])
     l_sub = _subgraph_from(host, spec.get("l_edges"))
     template = _template_from(spec["template"])
     th = _thresholds_from(spec.get("thresholds"))
-    parts = {_int(k): _ids(v) for k, v in _object(spec["parts"], "parts").items()}
+    parts = {int_field(k): _ids(v) for k, v in _object(spec["parts"], "parts").items()}
     if "rich_sets" in spec:
         rich = {frozenset(_ids(s)) for s in spec["rich_sets"]}.__contains__
     else:
-        thr = _int(spec["rich_threshold"])
+        thr = int_field(spec["rich_threshold"])
         rich = (lambda ss: common_neighborhood_mask(l_sub.adj, ss).bit_count() >= thr)
     outcome = embeddings.key_lemma_embed(host, l_sub, template, parts, rich, th,
                                          seed=args.seed)
-    _dump(outcome.as_json_dict())
-    return 0
+    return outcome.as_json_dict()
 
 
-def _cmd_embed_extract(args) -> int:
+def _cmd_embed_extract(args) -> dict:
     from . import embeddings
     spec = _load_input(args.input)
     g = _graph_from(spec["host"])
     pattern = _rooted_from(spec["pattern"])
     copies = [_ids(vm) for vm in spec["copies"]]
     outcome = embeddings.extract_induced_power(g, copies, pattern,
-                                               _int(spec["l"]), _int(spec["s"]))
-    _dump(outcome.as_json_dict())
-    return 0
+                                               int_field(spec["l"]), int_field(spec["s"]))
+    return outcome.as_json_dict()
 
 
-def _cmd_embed_asym(args) -> int:
+def _cmd_embed_asym(args) -> dict:
     from . import embeddings
     spec = _load_input(args.input)
     host = _host_from(spec["host"])
@@ -386,56 +352,52 @@ def _cmd_embed_asym(args) -> int:
     th = _thresholds_from(spec.get("thresholds"))
     delta = spec.get("delta_y")
     outcome = embeddings.asymmetric_embed(host, m_sub, template, th,
-                                          delta_y=None if delta is None else _int(delta),
+                                          delta_y=None if delta is None else int_field(delta),
                                           seed=args.seed)
-    _dump(outcome.as_json_dict())
-    return 0
+    return outcome.as_json_dict()
 
 
-def _cmd_check_badset(args) -> int:
+def _cmd_check_badset(args) -> dict:
     from . import embeddings
     spec = _load_input(args.input)
     g = _graph_from(spec["graph"])
     s = spec.get("s")
     bad = embeddings.bad_set(g, _ids(spec["w"]), _fraction(spec["c"]),
-                             s=None if s is None else _int(s))
-    _dump({"bad": sorted(bad), "size": len(bad)})
-    return 0
+                             s=None if s is None else int_field(s))
+    return {"bad": sorted(bad), "size": len(bad)}
 
 
-def _cmd_check_rich(args) -> int:
+def _cmd_check_rich(args) -> dict:
     from . import embeddings
     spec = _load_input(args.input)
     g = _graph_from(spec["graph"])
     rich = embeddings.rich_s_set(g, _ids(spec["x"]), _ids(spec["y"]),
-                                 _fraction(spec["c"]), _int(spec["s"]))
-    _dump({"rich_set": list(rich)})
-    return 0
+                                 _fraction(spec["c"]), int_field(spec["s"]))
+    return {"rich_set": list(rich)}
 
 
-def _cmd_check_kst(args) -> int:
+def _cmd_check_kst(args) -> dict:
     from . import oracles
     spec = _load_input(args.input)
     host = _host_from(spec["host"] if "host" in spec else spec)
-    _dump({"holds": oracles.kst_check(host)})
-    return 0
+    return {"holds": oracles.kst_check(host)}
 
 
-def _cmd_check_regularize(args) -> int:
+def _cmd_check_regularize(args) -> dict:
     from . import regularity
     spec = _load_input(args.input)
     g = _graph_from(spec["graph"])
     sub, idx, k, report = regularity.regularize(
         g, _fraction(spec["alpha"]), _fraction(spec["c"]))
-    _dump({"m": report.m, "e": report.e, "k": str(k),
-           "k_log2": str(report.k_log2),
-           "edge_guarantee": report.edge_guarantee,
-           "size_guarantee": report.size_guarantee,
-           "vertices": list(idx)})
-    return 0
+    return {"m": report.m, "e": report.e, "k": str(k),
+            "k_log2": str(report.k_log2),
+            "edge_guarantee": report.edge_guarantee,
+            "size_guarantee": report.size_guarantee,
+            "vertices": list(idx)}
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args) -> None:
+    """Writes to --out itself, so it hands `main` no payload."""
     if args.format == "dot":
         obj = parse_descriptor(args.descriptor)
         roots, parts = _roots_and_parts(obj)
@@ -454,7 +416,6 @@ def _cmd_export(args) -> int:
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
             emit(fh)
-    return 0
 
 
 # --- parser wiring ---------------------------------------------------------------
@@ -531,7 +492,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         try:
-            return args.func(args)
+            payload = args.func(args)
+            if payload is not None:
+                _dump(payload)
+            return 0
         except BrokenPipeError:
             raise
         except (IndturanError, ValueError, KeyError, TypeError, OSError) as exc:

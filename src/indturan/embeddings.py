@@ -220,8 +220,7 @@ def greedy_tree_embed(host: Host, l: Graph, t: Graph, d: int) -> Iterator[Vertex
 
 def _tree_copies(g: Graph, l: Graph, t: Graph, order: list[int], parent: dict[int, int],
                  bad: dict[int, int]) -> Iterator[VertexMap]:
-    """The search of `greedy_tree_embed` over the grow order (order, parent);
-    the last position is filled a whole batch at a time."""
+    """The search of `greedy_tree_embed` over the grow order (order, parent)."""
     n = t.n
     pos = {v: i for i, v in enumerate(order)}
     up = [pos.get(parent[v], -1) for v in order]  # up[i]: the position of order[i]'s parent
@@ -237,40 +236,12 @@ def _tree_copies(g: Graph, l: Graph, t: Graph, order: list[int], parent: dict[in
     badmask = [0] * n       # badmask[i]: the union of their bad sets
     left = [0] * n          # left[i]: the untried candidates at position i
     left[0] = l.vertex_mask()
+    # The batch at the last position: whether its first copy is still to come,
+    # and what its leaf's row must meet the prefix in (the parent's image) and
+    # lie in (the parent's l row).  A one-vertex tree has no prefix and no parent.
+    first, pbit, lrow = True, 0, l.vertex_mask()
     i = 0
     while i >= 0:
-        if i == last:  # the leaf batch: every candidate of the last position at once
-            i -= 1
-            prefix = used[last]
-            if last:  # the leaf's row meets the prefix in its parent, an l-neighbour
-                u_img = img[up[last]]
-                pbit, lrow = 1 << u_img, ladj[u_img]
-            else:  # a one-vertex tree: no prefix and no parent
-                pbit, lrow = 0, l.vertex_mask()
-            first = True
-            m = left[last]
-            while m:
-                low = m & -m
-                m ^= low
-                w = low.bit_length() - 1
-                if bad[w] & prefix:  # some placed vertex is bad for w
-                    continue
-                img[last] = w
-                vm = copy_of(img)
-                if first:
-                    if not verify_induced_map(g, t, vm):
-                        raise DisprovesLemma("tree copy failed the induced re-check")
-                    for a, b in tree_edges:
-                        if not ladj[vm[a]] >> vm[b] & 1:
-                            raise DisprovesLemma("tree copy uses an edge outside l")
-                    first = False
-                else:
-                    x = vm[leaf]
-                    if not (0 <= x < gn and not prefix >> x & 1 and gadj[x] & prefix == pbit
-                            and lrow >> x & 1):
-                        raise DisprovesLemma("tree copy failed the leaf row re-check")
-                yield vm
-            continue
         m = left[i]
         if not m:
             i -= 1
@@ -281,6 +252,22 @@ def _tree_copies(g: Graph, l: Graph, t: Graph, order: list[int], parent: dict[in
         if bad[w] & used[i]:  # some placed vertex is bad for w
             continue
         img[i] = w
+        if i == last:  # a whole copy: re-check it, then yield it
+            vm = copy_of(img)
+            if first:
+                if not verify_induced_map(g, t, vm):
+                    raise DisprovesLemma("tree copy failed the induced re-check")
+                for a, b in tree_edges:
+                    if not ladj[vm[a]] >> vm[b] & 1:
+                        raise DisprovesLemma("tree copy uses an edge outside l")
+                first = False
+            else:
+                x, prefix = vm[leaf], used[i]
+                if not (0 <= x < gn and not prefix >> x & 1 and gadj[x] & prefix == pbit
+                        and lrow >> x & 1):
+                    raise DisprovesLemma("tree copy failed the leaf row re-check")
+            yield vm
+            continue
         i += 1
         used[i] = used[i - 1] | low
         badmask[i] = badmask[i - 1] | bad[w]
@@ -290,14 +277,21 @@ def _tree_copies(g: Graph, l: Graph, t: Graph, order: list[int], parent: dict[in
             if img[k] != u_img:  # induced: no edge to a placed non-parent
                 cand &= ~gadj[img[k]]
         left[i] = cand
+        if i == last:  # a new batch
+            first, pbit, lrow = True, 1 << u_img, ladj[u_img]
 
 
 def admissible_tree_copies(l: Graph, t: Graph, stream: Iterable[VertexMap],
                            star_leaves: int, threshold: int) -> Iterator[VertexMap]:
     """Filter a copy stream down to copies containing no heavy star:
     no copy vertex has star_leaves copy-neighbors whose common L-neighborhood
-    reaches the threshold."""
+    reaches the threshold.  A copy that is not t.n vertex ids of l raises
+    ValueError."""
     for vm in stream:
+        if len(vm) != t.n:
+            raise ValueError(f"copy {list(vm)} has {len(vm)} vertices, the tree {t.n}")
+        if not all(0 <= x < l.n for x in vm):
+            raise ValueError(f"copy {list(vm)} has a vertex outside l's 0..{l.n - 1}")
         heavy = False
         for v in range(t.n):
             nbrs = [vm[w] for w in t.neighbors(v)]

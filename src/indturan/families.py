@@ -266,6 +266,12 @@ def as_template(obj) -> BipartiteTemplate:
 #   Kst:s=2,t=3   power:base=(path:len=2),l=2   f1:base=(Trt:r=2,t=1)
 
 
+# The kinds with integer arguments only: kind -> (constructor, argument names).
+_PLAIN_KINDS = {"Trt": (height_two_tree, ("r", "t")), "Tr11": (tree_r11, ("r",)),
+                "path": (rooted_path, ("len",)), "star": (leaf_rooted_star, ("r",)),
+                "theta": (theta, ("len", "t")), "Kst": (complete_bipartite_template, ("s", "t"))}
+
+
 def _split_args(text: str) -> list[str]:
     out, depth, cur = [], 0, []
     for ch in text:
@@ -316,21 +322,11 @@ def parse_descriptor(desc: str):
             raise ValueError(f"{kind} base must be a rooted descriptor")
         return base
 
-    if kind == "Trt":
-        return height_two_tree(intarg("r"), intarg("t"))
-    if kind == "Tr11":
-        return tree_r11(intarg("r"))
-    if kind == "path":
-        return rooted_path(intarg("len"))
-    if kind == "star":
-        return leaf_rooted_star(intarg("r"))
-    if kind == "theta":
-        return theta(intarg("len"), intarg("t"))
-    if kind == "Kst":
-        return complete_bipartite_template(intarg("s"), intarg("t"))
+    if kind in _PLAIN_KINDS:
+        make, names = _PLAIN_KINDS[kind]
+        return make(*map(intarg, names))
     if kind == "power":
         return rooted_power(rooted_subarg("base"), intarg("l"))
     if kind == "f1":
-        base = rooted_subarg("base")
-        return attach_ktt_rooted(base, 1)
+        return attach_ktt_rooted(rooted_subarg("base"), 1)
     raise ValueError(f"unknown descriptor kind {kind!r}")

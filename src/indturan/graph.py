@@ -241,6 +241,15 @@ def cross_subgraph(host: Host) -> Graph:
 # byte-stable for a given graph.
 
 
+def int_field(value) -> int:
+    """An integer field of outside input.  A bare int() would read true as 1
+    and truncate 2.9 to 2; both raise ValueError here.  Integral strings such
+    as "2" still pass."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def graph_to_json_dict(g: Graph, roots: Iterable[int] | None = None,
                        partition: tuple[Iterable[int], Iterable[int]] | None = None) -> dict:
     d: dict = {"n": g.n, "edges": [list(e) for e in g.edge_list()]}
@@ -253,12 +262,21 @@ def graph_to_json_dict(g: Graph, roots: Iterable[int] | None = None,
 
 def graph_from_json_dict(d: dict) -> tuple[Graph, Optional[tuple[int, ...]],
                                            Optional[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    g = Graph(d["n"], [tuple(e) for e in d.get("edges", [])])
-    roots = tuple(sorted(d["roots"])) if "roots" in d else None
+    """(graph, sorted roots or None, sorted partition sides or None) of a
+    graph object.  "n", the edge endpoints, the roots and the partition sides
+    are integer fields (`int_field`), all read before the graph is built; a
+    partition that is not an object raises TypeError."""
+    n = int_field(d["n"])
+    edges = [(int_field(u), int_field(v)) for u, v in map(tuple, d.get("edges", []))]
+    roots = tuple(sorted(map(int_field, d["roots"]))) if "roots" in d else None
     part = None
     if "partition" in d:
-        part = (tuple(sorted(d["partition"]["X"])), tuple(sorted(d["partition"]["Y"])))
-    return g, roots, part
+        sides = d["partition"]
+        if not isinstance(sides, dict):
+            raise TypeError("partition must be a JSON object")
+        part = (tuple(sorted(map(int_field, sides["X"]))),
+                tuple(sorted(map(int_field, sides["Y"]))))
+    return Graph(n, edges), roots, part
 
 
 def to_dot(g: Graph, roots: Iterable[int] | None = None,

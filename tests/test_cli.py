@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from indturan import cli, density, oracles
 from indturan.errors import DisprovesLemma
 from indturan.families import BipartiteTemplate, RootedGraph, as_graph, parse_descriptor
+from indturan.graph import graph_from_json_dict
 
 # Subprocess runs start in the repository root and import the package from
 # its absolute src directory, whatever the caller's working directory.
@@ -144,7 +145,7 @@ class TestExtremal:
         assert budgets("--budget", "5") == dict.fromkeys(names, 5)
 
     def test_budget_guard(self, capsys):
-        code, d = run_json(capsys, "extremal", "--n", "12", "--s", "2",
+        code, d = run_json(capsys, "extremal", "--n", str(oracles.STAR_BUDGET + 1), "--s", "2",
                            "--pattern", "theta:len=2,t=2", "--mode", "star")
         assert code == 1 and d["error"] == "TooLarge"
 
@@ -393,7 +394,7 @@ class TestExport:
             assert cli.main(["export", desc, "--format", "json"]) == 0
         payload = json.loads(out.getvalue())
         obj = parse_descriptor(desc)
-        g, roots, parts = cli._read_graph(payload["graph"])
+        g, roots, parts = graph_from_json_dict(payload["graph"])
         assert payload["descriptor"] == desc
         assert g == as_graph(obj)
         assert roots == (tuple(sorted(obj.roots)) if isinstance(obj, RootedGraph) else None)

@@ -468,6 +468,14 @@ class TestGreedyTreeEmbed:
         assert kept[1] == [] and kept[4] == all_copies
         assert all(vm[1] in (0, 1) for vm in kept[3]) and len(kept[3]) == 12
 
+    @pytest.mark.parametrize("copy", [(0, 1, 2), (0, 1, -1), (0, 1), (0, 1, 0, 1)])
+    def test_admissible_rejects_a_copy_outside_l(self, copy):
+        # a vertex id outside 0..l.n-1, or a length other than t.n, is bad
+        # input, not an IndexError or a wrong lookup from the end of a row
+        p3 = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError):
+            list(admissible_tree_copies(Graph(2, []), p3, [copy], 2, 1))
+
 
 # L or M must be a spanning subgraph of the host graph: on more vertices, on
 # fewer, or with an edge the host lacks, each procedure raises ValueError.

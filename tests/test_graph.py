@@ -252,6 +252,33 @@ class TestJson:
             graph_from_json_dict(d) and d, sort_keys=True)
 
 
+class TestJsonReader:
+    @pytest.mark.parametrize("doc", [
+        {"n": True, "edges": []},
+        {"n": 2.5, "edges": []},
+        {"n": 3, "edges": [[0, 1.5]]},
+        {"n": 3, "edges": [[False, 1]]},
+        {"n": 3, "roots": [True]},
+        {"n": 3, "partition": {"X": [0, 1.0], "Y": [2.5]}},
+        {"n": 3, "partition": {"X": [0], "Y": [True, 2]}},
+    ])
+    def test_non_integer_fields_raise(self, doc):
+        with pytest.raises(ValueError):
+            graph_from_json_dict(doc)
+
+    @pytest.mark.parametrize("part", [[[0], [1]], "XY", 3])
+    def test_non_object_partition_raises(self, part):
+        with pytest.raises(TypeError):
+            graph_from_json_dict({"n": 2, "partition": part})
+
+    def test_integral_values_pass(self):
+        g, roots, part = graph_from_json_dict(
+            {"n": "2", "edges": [["0", 1.0]], "roots": ["1"],
+             "partition": {"X": [1.0], "Y": ["0"]}})
+        assert g == Graph(2, [(0, 1)]) and g.n == 2 and type(g.n) is int
+        assert roots == (1,) and part == ((1,), (0,))
+
+
 class TestDot:
     def test_roots_doublecircled(self):
         text = to_dot(path(3), roots=[0])

@@ -523,7 +523,7 @@ class TestExtremalBip:
 
     def test_budget(self):
         with pytest.raises(TooLarge):
-            extremal_bip_star(8, as_template(p4()), 2)
+            extremal_bip_star(oracles.BIP_BUDGET + 1, as_template(p4()), 2)
 
     def test_witness_recheck_raises(self, monkeypatch):
         monkeypatch.setattr(oracles, "contains_kss", lambda g, s: ((0,), (1,)))
