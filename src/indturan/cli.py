@@ -32,7 +32,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Optional
@@ -208,6 +207,7 @@ def _object(value, name: str) -> dict:
 
 def _fraction(value) -> Fraction:
     """An exact rational from a JSON number or a "p/q" string."""
+    from fractions import Fraction
     try:
         return Fraction(str(value))
     except ZeroDivisionError:

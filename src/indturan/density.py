@@ -17,9 +17,8 @@ hard budget on the number of non-roots still bounds the work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import EmptyQuery, TooLarge
 from .families import RootedGraph, as_graph
@@ -56,8 +55,7 @@ def rho(f: RootedGraph) -> Fraction:
     return rho_subset(f, f.non_roots())
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     rho: Fraction
     balanced: bool
     witness: Optional[tuple[int, ...]]  # least minimizing subset when unbalanced

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     BadBlowup,
@@ -38,15 +37,16 @@ from .graph import (
     bits,
     common_neighborhood_mask,
     first_clique,
+    int_field,
     mask_of,
+    verify_bip_induced_map,
+    verify_induced_map,
 )
-from .oracles import contains_kss, verify_bip_induced_map, verify_induced_map
 
 
 # --- thresholds -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Thresholds:
     """The constants read by `key_lemma_embed` and `asymmetric_embed`.
 
@@ -54,16 +54,20 @@ class Thresholds:
     ones; tests run with small overrides, exercising mechanisms rather than
     magnitudes.  The source's c is an argument of `bad_set`, and its alpha
     and C are arguments of `regularity.regularize`.
+
+    c_hs is the rich common-neighborhood threshold and m_blow the blowup
+    multiplicity; gamma, the rich-set density fraction in (0, 1), and c3, the
+    asymmetric edge-count coefficient, are stored as Fractions.
     """
 
-    c_hs: int = 3                       # rich common-neighborhood threshold
-    m_blow: int = 1                     # blowup multiplicity
-    gamma: Fraction = Fraction(1, 2)    # rich-set density fraction, 0 < gamma < 1
-    c3: Fraction = Fraction(1)          # asymmetric edge-count coefficient
+    __slots__ = ("c_hs", "m_blow", "gamma", "c3")
 
-    def __post_init__(self):
-        for name in ("gamma", "c3"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, c_hs: int = 3, m_blow: int = 1, gamma: Fraction = Fraction(1, 2),
+                 c3: Fraction = Fraction(1)):
+        self.c_hs = c_hs
+        self.m_blow = m_blow
+        self.gamma = Fraction(gamma)
+        self.c3 = Fraction(c3)
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
         if self.c3 <= 0:
@@ -100,9 +104,11 @@ def bad_set(g: Graph, w: Iterable[int], c: Fraction, s: Optional[int] = None) ->
     if s is not None:
         if s < 1:
             raise ValueError("s must be positive")
-        # |W| >= s (2/c)^s, then |B(W)| >= 2s/c, both cleared of denominators
-        if size * num ** s >= s * (2 * den) ** s and contains_kss(g, s) is None:
-            if len(out) * num >= 2 * s * den:
+        # |W| >= s (2/c)^s and |B(W)| >= 2s/c, cleared of denominators: only
+        # then can the K_{s,s} search decide anything
+        if size * num ** s >= s * (2 * den) ** s and len(out) * num >= 2 * s * den:
+            from .oracles import contains_kss
+            if contains_kss(g, s) is None:
                 raise DisprovesLemma(
                     f"|B(W)| = {len(out)} >= 2s/c on a K_{{{s},{s}}}-free instance")
     return out
@@ -205,7 +211,7 @@ def greedy_tree_embed(host: Host, l: Graph, t: Graph, d: int) -> Iterator[Vertex
     in increasing lexicographic order of their images listed in grow order, so
     the copies that share all images but the last vertex's, a leaf, come out
     together as one batch.  Each is re-checked before being yielded: the first
-    of a batch in full (`oracles.verify_induced_map` against the host graph,
+    of a batch in full (`graph.verify_induced_map` against the host graph,
     and its tree edges against l), each later one by its leaf x's row against
     the prefix image P (x a host vertex outside P, the host row of x meeting P
     in the parent's image alone, and the parent's l row holding x).  The tree
@@ -359,8 +365,7 @@ KEY_LEMMA_RETRIES = 64           # random placements of A tried first
 KEY_LEMMA_EXHAUSTIVE_CAP = 4096  # largest placement space then enumerated in full
 
 
-@dataclass
-class EmbeddingOutcome:
+class EmbeddingOutcome(NamedTuple):
     found: bool
     mapping: Optional[VertexMap]
     trace: list
@@ -389,8 +394,10 @@ def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
     Hall's theorem yields disjoint t-sets, and the B side takes the first
     pairwise non-adjacent choice of one vertex per set (`graph.first_clique`).
     KEY_LEMMA_RETRIES random placements are followed by exhaustive enumeration
-    when there are at most KEY_LEMMA_EXHAUSTIVE_CAP placements.  found=False
-    after that is a legitimate desk-scale outcome.
+    when there are at most KEY_LEMMA_EXHAUSTIVE_CAP placements; drawing stops
+    once every placement has been tried.  Only untried placements reach the
+    trace.  found=False after that is a legitimate desk-scale outcome.  The
+    parts' keys and members are integer fields (`graph.int_field`).
     """
     if host.partition is None:
         raise NoPartition("key_lemma_embed needs an (X, Y) partition")
@@ -398,7 +405,7 @@ def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
     g = host.graph
     _check_spanning(g, l, "l")
     h = template.graph.n
-    parts_map = {int(v): tuple(ws) for v, ws in parts.items()}
+    parts_map = {int_field(v): tuple(map(int_field, ws)) for v, ws in parts.items()}
     if set(parts_map) != set(template.a_side):
         raise BadBlowup("parts must be keyed by the A-side vertices")
     xset = set(x_side)
@@ -423,16 +430,19 @@ def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
     b_order = list(template.b_side)
     rng = random.Random(seed)
     trace: list = []
+    total = th.m_blow ** len(a_order)  # the placements of A
+    tried: set[tuple[int, ...]] = set()
 
     def candidates() -> Iterator[tuple[int, ...]]:
+        """Random draws, then every placement; none once all have been tried."""
         for _ in range(KEY_LEMMA_RETRIES):
+            if len(tried) == total:
+                return
             yield tuple(parts_map[v][rng.randrange(th.m_blow)] for v in a_order)
-        total = th.m_blow ** len(a_order)
-        if total <= KEY_LEMMA_EXHAUSTIVE_CAP:
+        if len(tried) < total <= KEY_LEMMA_EXHAUSTIVE_CAP:
             yield from product(*(parts_map[v] for v in a_order))
 
     t_size = max(1, th.c_hs // (2 * h))
-    tried: set[tuple[int, ...]] = set()
     for phi in candidates():
         if phi in tried:
             continue

@@ -20,8 +20,7 @@ K_{1,1}s attached one after another up to relabelling.  Descriptor strings like
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import DegenerateRoot, Multigraph, NotBipartite, RootEdgeCollision
 from .graph import Graph, bipartition, bits, check_partition, mask_of
@@ -29,7 +28,6 @@ from .graph import Graph, bipartition, bits, check_partition, mask_of
 Parts = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
 class RootedGraph:
     """A graph together with a proper subset of root vertices.
 
@@ -38,39 +36,48 @@ class RootedGraph:
     carried for downstream extraction and ignored by equality.
     """
 
-    graph: Graph
-    roots: frozenset[int]
-    copy_maps: Optional[tuple[tuple[int, ...], ...]] = field(default=None, compare=False)
+    __slots__ = ("graph", "roots", "copy_maps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "roots", frozenset(self.roots))
-        if self.graph.n == 0:
+    def __init__(self, graph: Graph, roots: Iterable[int],
+                 copy_maps: Optional[tuple[tuple[int, ...], ...]] = None):
+        roots = frozenset(roots)
+        if graph.n == 0:
             raise DegenerateRoot("rooted graph needs at least one vertex")
-        if not all(0 <= v < self.graph.n for v in self.roots):
+        if not all(0 <= v < graph.n for v in roots):
             raise ValueError("root outside vertex range")
-        if len(self.roots) >= self.graph.n:
+        if len(roots) >= graph.n:
             raise DegenerateRoot("roots must form a proper subset of the vertices")
+        self.graph = graph
+        self.roots = roots
+        self.copy_maps = copy_maps
+
+    def __eq__(self, other):
+        return (isinstance(other, RootedGraph)
+                and (self.graph, self.roots) == (other.graph, other.roots))
+
+    def __hash__(self):
+        return hash((self.graph, self.roots))
 
     def non_roots(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.graph.n) if v not in self.roots)
 
 
-@dataclass(frozen=True)
 class BipartiteTemplate:
-    """A bipartite graph with an ordered bipartition (A, B); all edges cross."""
+    """A bipartite graph with an ordered bipartition (A, B); all edges cross.
+    The parts are stored as `check_partition` returns them."""
 
-    graph: Graph
-    parts: Parts
+    __slots__ = ("graph", "parts")
 
-    def __post_init__(self):
-        parts = check_partition(self.graph.n, self.parts, NotBipartite)
+    def __init__(self, graph: Graph, parts: Parts):
+        parts = check_partition(graph.n, parts, NotBipartite)
         for side in parts:
             inside = mask_of(side)
             for u in side:
-                clash = self.graph.adj[u] & inside
+                clash = graph.adj[u] & inside
                 if clash:  # u is the least vertex of an inside edge
                     raise NotBipartite(f"edge {(u, next(bits(clash)))} lies inside one part")
-        object.__setattr__(self, "parts", parts)
+        self.graph = graph
+        self.parts = parts
 
     @property
     def a_side(self) -> tuple[int, ...]:
@@ -81,8 +88,7 @@ class BipartiteTemplate:
         return self.parts[1]
 
 
-@dataclass(frozen=True)
-class NeighborhoodHypergraph:
+class NeighborhoodHypergraph(NamedTuple):
     """Ground set A with one hyperedge N_H(b) per B-vertex, multiplicity kept."""
 
     ground: tuple[int, ...]

@@ -9,11 +9,12 @@ index map back to the original vertex ids where relabeling happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import EmptyGraph, InvalidPartition, Multigraph, NoPartition
+
+if TYPE_CHECKING:
+    from .families import BipartiteTemplate
 
 # An injective map from pattern vertices to host vertices, indexed by pattern id.
 VertexMap = tuple[int, ...]
@@ -165,12 +166,42 @@ def edge_subgraph(g: Graph, edges: Iterable[Sequence[int]]) -> Graph:
     return Graph(g.n, es)
 
 
-def degree_stats(g: Graph) -> tuple[int, int, Fraction]:
-    """(min degree, max degree, average degree as an exact rational)."""
+def degree_stats(g: Graph) -> tuple[int, int]:
+    """(min degree, max degree)."""
     if g.n == 0:
         raise EmptyGraph("degree stats need at least one vertex")
     degs = [g.degree(v) for v in range(g.n)]
-    return min(degs), max(degs), Fraction(2 * g.m, g.n)
+    return min(degs), max(degs)
+
+
+def verify_induced_map(g: Graph, h: Graph, vm: VertexMap) -> bool:
+    """Row check that vm is an induced embedding of h into g: vm is injective
+    and in range, and for every pattern vertex p the host row of vm[p], cut to
+    the image, is the image of h's row p (the pairwise definition, row-wise)."""
+    if len(vm) != h.n:
+        return False
+    image = 0
+    for w in vm:
+        if not 0 <= w < g.n or image >> w & 1:
+            return False
+        image |= 1 << w
+    want = [0] * h.n  # want[p]: the image of h's row p, built from h's edges
+    for p, q in h.edges:
+        want[p] |= 1 << vm[q]
+        want[q] |= 1 << vm[p]
+    return [g.adj[w] & image for w in vm] == want
+
+
+def verify_bip_induced_map(g: Graph, x: Sequence[int], y: Sequence[int],
+                           h: BipartiteTemplate, vm: VertexMap) -> bool:
+    """Definitional check for a bip-induced copy: induced in g, with the A side
+    in one of x, y and the B side in the other."""
+    if not verify_induced_map(g, h.graph, vm):
+        return False
+    xs, ys = set(x), set(y)
+    a_in_x = all(vm[p] in xs for p in h.a_side) and all(vm[p] in ys for p in h.b_side)
+    a_in_y = all(vm[p] in ys for p in h.a_side) and all(vm[p] in xs for p in h.b_side)
+    return a_in_x or a_in_y
 
 
 def bipartition(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -210,19 +241,19 @@ def check_partition(n: int, sides, error: type[Exception] = InvalidPartition
     return tuple(sorted(xs)), tuple(sorted(ys))
 
 
-@dataclass(frozen=True)
 class Host:
-    """A host graph, an optional (X, Y) vertex partition, and the K_{s,s} size s."""
+    """A host graph, an optional (X, Y) vertex partition, and the K_{s,s} size s.
+    The partition is stored as `check_partition` returns it."""
 
-    graph: Graph
-    s: int
-    partition: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+    __slots__ = ("graph", "s", "partition")
 
-    def __post_init__(self):
-        if self.s < 1:
+    def __init__(self, graph: Graph, s: int,
+                 partition: Optional[tuple[Sequence[int], Sequence[int]]] = None):
+        if s < 1:
             raise ValueError("s must be positive")
-        if self.partition is not None:
-            object.__setattr__(self, "partition", check_partition(self.graph.n, self.partition))
+        self.graph = graph
+        self.s = s
+        self.partition = None if partition is None else check_partition(graph.n, partition)
 
 
 def cross_subgraph(host: Host) -> Graph:

@@ -34,10 +34,9 @@ partitions handed to the bip matcher.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .canonical import canonical
 from .errors import DisprovesLemma, InvalidPartition, NoPartition, NotKssFree, TooLarge
@@ -51,6 +50,8 @@ from .graph import (
     cross_subgraph,
     graph_to_json_dict,
     mask_of,
+    verify_bip_induced_map,  # the row checks live in graph; oracles keeps their names
+    verify_induced_map,
 )
 
 STAR_BUDGET = 11
@@ -218,24 +219,6 @@ def _contains_using(g: Graph, h: Graph, v: int, induced: bool) -> bool:
                is not None for p in pat.orbit_reps)
 
 
-def verify_induced_map(g: Graph, h: Graph, vm: VertexMap) -> bool:
-    """Row check that vm is an induced embedding of h into g: vm is injective
-    and in range, and for every pattern vertex p the host row of vm[p], cut to
-    the image, is the image of h's row p (the pairwise definition, row-wise)."""
-    if len(vm) != h.n:
-        return False
-    image = 0
-    for w in vm:
-        if not 0 <= w < g.n or image >> w & 1:
-            return False
-        image |= 1 << w
-    want = [0] * h.n  # want[p]: the image of h's row p, built from h's edges
-    for p, q in h.edges:
-        want[p] |= 1 << vm[q]
-        want[q] |= 1 << vm[p]
-    return [g.adj[w] & image for w in vm] == want
-
-
 def contains_bip_induced(host: Host, h: BipartiteTemplate) -> Optional[VertexMap]:
     """A copy of h in the cross graph G[X, Y] that is induced in all of G.
 
@@ -260,18 +243,6 @@ def _bip_embed(g: Graph, h: BipartiteTemplate, xm: int, ym: int) -> Optional[Ver
         if vm is not None:
             return vm
     return None
-
-
-def verify_bip_induced_map(g: Graph, x: Sequence[int], y: Sequence[int],
-                           h: BipartiteTemplate, vm: VertexMap) -> bool:
-    """Definitional check for a bip-induced copy: induced in g, with the A side
-    in one of x, y and the B side in the other."""
-    if not verify_induced_map(g, h.graph, vm):
-        return False
-    xs, ys = set(x), set(y)
-    a_in_x = all(vm[p] in xs for p in h.a_side) and all(vm[p] in ys for p in h.b_side)
-    a_in_y = all(vm[p] in ys for p in h.a_side) and all(vm[p] in xs for p in h.b_side)
-    return a_in_x or a_in_y
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -431,8 +402,7 @@ def _densest_classes(n: int, extend_ok: Callable[[Graph, int], bool]) -> tuple[l
     return [node.graph for node in found], gen.explored
 
 
-@dataclass
-class ExtremalResult:
+class ExtremalResult(NamedTuple):
     """An extremal value with its witness (and, for bip, its partition).
     `explored` is the number of extensions tested, each (class, mask) once
     over the whole search, plus, for bip, the number of partitions handed to

@@ -20,9 +20,8 @@ balancedness of the rebuilt witness from scratch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .density import is_balanced, rho
 from .errors import CertificateInvalid, NotBipartite, NotQualified, TooLarge
@@ -41,20 +40,26 @@ S0_RULE = "s0 = |V(H)|"
 ENUMERATION_BUDGET = 400
 
 
-@dataclass(frozen=True)
 class ReducedRational:
     """The pair (a, b) of 2 - a/b, stored reduced with 0 < a < b."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1:
+    def __init__(self, a: int, b: int):
+        if a < 1 or b < 1:
             raise ValueError("a and b must be positive")
-        if math.gcd(self.a, self.b) != 1:
+        if math.gcd(a, b) != 1:
             raise ValueError("a/b must be reduced")
-        if self.a >= self.b:
+        if a >= b:
             raise ValueError("need a < b for an exponent in (1, 2)")
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other):
+        return isinstance(other, ReducedRational) and (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.a, self.b))
 
     @property
     def density(self) -> Fraction:
@@ -80,8 +85,7 @@ def _base_kind(kind: str):
     return _BASE_KINDS[kind]
 
 
-@dataclass(frozen=True)
-class BaseFamily:
+class BaseFamily(NamedTuple):
     kind: str  # "ktl" | "theta" | "tr11" | "height_two"
     r: Optional[int] = None
     t: Optional[int] = None
@@ -101,8 +105,7 @@ class BaseFamily:
         return BaseFamily(d["kind"], **{name: d[key] for name, key in args})
 
 
-@dataclass(frozen=True)
-class RealizabilityCertificate:
+class RealizabilityCertificate(NamedTuple):
     target: ReducedRational
     base: BaseFamily
     reductions: int
@@ -161,8 +164,7 @@ def build_witness(cert: RealizabilityCertificate, base: RootedGraph) -> RootedGr
     return attach_ktt_rooted(f, cert.reductions)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     ok: bool
     reason: Optional[str] = None  # RhoMismatch | Unbalanced | NotBipartite |
                                   # ExponentMismatch | BadParameters

@@ -11,9 +11,8 @@ regularize` does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DisprovesLemma, EmptyGraph, HypothesisUnmet
 from .graph import Graph, degree_stats, induced_subgraph
@@ -51,8 +50,7 @@ def product_pow_le(lhs: Sequence[tuple], rhs: Sequence[tuple]) -> bool:
     return value(lhs) <= value(rhs)
 
 
-@dataclass
-class RegularizeReport:
+class RegularizeReport(NamedTuple):
     m: int
     e: int
     k_log2: Fraction             # exact exponent 4/alpha + 2
@@ -97,7 +95,7 @@ def regularize(g: Graph, alpha: Fraction, c_big: Fraction) -> tuple[Graph, tuple
     k_exact = almost_regular_factor(alpha)
 
     def is_almost_regular(sub: Graph) -> bool:
-        dmin, dmax, _ = degree_stats(sub)
+        dmin, dmax = degree_stats(sub)
         if dmin == 0:
             return dmax == 0
         return _ratio_le_pow2(dmax, dmin, exponent)
@@ -118,7 +116,7 @@ def regularize(g: Graph, alpha: Fraction, c_big: Fraction) -> tuple[Graph, tuple
             _, sub, idx = fallback
             dense = _ge_coeff_pow(sub.m, c_big / 4, sub.n, 1 + alpha)
             break
-        dmin, dmax, _ = degree_stats(sub)
+        dmin, dmax = degree_stats(sub)
         if 2 * dmin * sub.n < sub.m:  # dmin < avg/4
             drop = min(v for v in range(sub.n) if sub.degree(v) == dmin)
             current = tuple(v for v in idx if v != idx[drop])

@@ -4,21 +4,25 @@ The seeded K_{s,s}-free host generators and the `graphs` strategy feed the
 fuzz and property tests; the map and regularity checkers are definitional
 references that tests compare the package's answers against, and
 `verify_induced_map_reference` is the pairwise twin of the package's row
-check `oracles.verify_induced_map`.  The
+check `graph.verify_induced_map`.  The
 `*_reference` functions are the embedding helpers as first written, with
 `Fraction` thresholds and pairwise scans: the package's integer and bitset
-versions must give the same answers.  The `extremal_*_reference` oracles
+versions must give the same answers; `key_lemma_candidates_reference` is
+the key lemma's placement order by its definition, every random draw then
+the whole product.  The `extremal_*_reference` oracles
 generate every class of every order up to the final one, with no edge-count
 bound, and hand every bip partition to the matcher: the package's branch and
 bound and its bounded bip scan must find the same value, witness and
 partition (the witness rule, `oracles._densest_result`, is shared).
 """
 
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import strategies as st
 
+from indturan.embeddings import KEY_LEMMA_EXHAUSTIVE_CAP, KEY_LEMMA_RETRIES
 from indturan.errors import DisprovesLemma, HypothesisUnmet, InvalidPartition
 from indturan.families import BipartiteTemplate, RootedGraph
 from indturan.graph import Graph, Host, VertexMap, bits, degree_stats, mask_of
@@ -79,7 +83,7 @@ def _greedy_kss_free(n: int, pairs, s: int, rng, keep: float) -> Graph:
 
 def verify_induced_map_reference(g: Graph, h: Graph, vm: VertexMap) -> bool:
     """Definitional check that vm is an induced embedding of h into g, pair by
-    pair: the oracle of the package's row check `oracles.verify_induced_map`."""
+    pair: the oracle of the package's row check `graph.verify_induced_map`."""
     if len(vm) != h.n or len(set(vm)) != h.n:
         return False
     if not all(0 <= w < g.n for w in vm):
@@ -100,7 +104,7 @@ def is_k_almost_regular(g: Graph, k: Fraction | int) -> bool:
     k = Fraction(k)
     if k < 1:
         raise ValueError("k must be at least 1")
-    dmin, dmax, _ = degree_stats(g)
+    dmin, dmax = degree_stats(g)
     return Fraction(dmax) <= k * dmin
 
 
@@ -147,6 +151,18 @@ def tree_bad_sets_reference(g: Graph, l: Graph, t_count: int, d: int) -> dict[in
     return {x: mask_of(y for y in range(l.n)
                        if Fraction((g.adj[y] & l.adj[x]).bit_count()) >= thresh)
             for x in range(l.n)}
+
+
+def key_lemma_candidates_reference(parts: dict, a_order, m_blow: int, seed: int) -> list:
+    """The placements `key_lemma_embed` tries, in order: all KEY_LEMMA_RETRIES
+    draws from random.Random(seed), then the whole product when it has at most
+    KEY_LEMMA_EXHAUSTIVE_CAP placements, each placement at its first sight."""
+    rng = random.Random(seed)
+    order = [tuple(parts[v][rng.randrange(m_blow)] for v in a_order)
+             for _ in range(KEY_LEMMA_RETRIES)]
+    if m_blow ** len(a_order) <= KEY_LEMMA_EXHAUSTIVE_CAP:
+        order += product(*(parts[v] for v in a_order))
+    return list(dict.fromkeys(order))
 
 
 def extraction_aux_reference(g: Graph, copies, f: RootedGraph) -> dict:

@@ -472,16 +472,33 @@ try:
     cli.main()
 except SystemExit:
     pass
-sys.stderr.write(json.dumps([m for m in sys.modules if m.startswith("indturan.")]))
+sys.stderr.write(json.dumps([m for m in sys.modules if m.startswith("indturan.")
+                             or m in ("dataclasses", "fractions")]))
 """
+
+# --help and one job of each benchmark workload, with the instance an embed
+# job reads from --input (an entry of VALID_INPUTS).
+STARTUP_JOBS = {
+    "help": ["--help"],
+    "extremal-star": ["extremal", "--n", "5", "--pattern", "theta:len=3,t=2"],
+    "extremal-bip": ["extremal", "--mode", "bip", "--n", "5", "--s", "3",
+                     "--pattern", "theta:len=2,t=2"],
+    "sweep": ["sweep", "3", "10"],
+    "balanced": ["balanced", "power:base=(Trt:r=2,t=3),l=2"],
+    "embed-tree": ["embed", "tree"],
+    "embed-asym": ["embed", "asym"],
+    "embed-extract": ["embed", "extract"],
+}
 
 
 class TestLazyLayers:
     def loaded(self, *argv):
+        """The indturan modules a CLI run loads (without the package prefix),
+        and dataclasses and fractions if it loads them."""
         r = subprocess.run([sys.executable, "-c", LOADED_PROBE, *argv],
                            capture_output=True, cwd=ROOT, env=ENV)
         assert r.returncode == 0 and r.stdout, r.stderr
-        return {m.split(".")[1] for m in json.loads(r.stderr)}
+        return {m.removeprefix("indturan.") for m in json.loads(r.stderr)}
 
     def test_help_loads_no_layer(self):
         layers = {"density", "embeddings", "oracles", "realizability", "regularity"}
@@ -490,6 +507,22 @@ class TestLazyLayers:
     def test_extremal_loads_neither_embeddings_nor_realizability(self):
         loaded = self.loaded("extremal", "--n", "4", "--pattern", "theta:len=2,t=2")
         assert "oracles" in loaded and not loaded & {"embeddings", "realizability"}
+
+    @pytest.mark.parametrize("job", sorted(STARTUP_JOBS))
+    def test_start_up_imports(self, job, tmp_path):
+        # No job pays for dataclasses; the embed procedures load neither the
+        # oracles nor the canonical form, and the extremal oracles no Fraction.
+        argv = STARTUP_JOBS[job]
+        if argv[0] == "embed":
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(VALID_INPUTS[tuple(argv)][0]), encoding="utf-8")
+            argv = [*argv, "--input", str(path)]
+        loaded = self.loaded(*argv)
+        assert "dataclasses" not in loaded
+        if job.startswith("embed"):
+            assert "embeddings" in loaded and not loaded & {"oracles", "canonical"}
+        if job.startswith("extremal"):
+            assert "oracles" in loaded and "fractions" not in loaded
 
 
 EMBED_DIGESTS = json.loads((Path(__file__).parent / "embed_digests.json").read_text(encoding="utf-8"))

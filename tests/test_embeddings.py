@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import math
 import os
 import random
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indturan import oracles
 from indturan.embeddings import (
     Thresholds,
     _grow_order,
@@ -37,7 +37,7 @@ from indturan.errors import (
     NoPartition,
     NotSemiInduced,
 )
-from indturan.families import as_template, rooted_path, theta
+from indturan.families import BipartiteTemplate, as_template, rooted_path, theta
 from indturan.graph import (
     Graph,
     Host,
@@ -62,6 +62,7 @@ from helpers import (
     first_mono_clique_reference,
     graphs,
     is_k_almost_regular,
+    key_lemma_candidates_reference,
     random_kss_free,
     random_kss_free_bipartite,
     rich_s_set_reference,
@@ -126,7 +127,8 @@ class TestThresholds:
                 read |= {node.attr for node in ast.walk(tree)
                          if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
                          and id(node) not in own}
-            unread = [f.name for f in dataclasses.fields(cls) if f.name not in read]
+            names = getattr(cls, "_fields", None) or cls.__slots__  # NamedTuple or slots
+            unread = [name for name in names if name not in read]
             assert not unread, (cls.__name__, unread)
 
     def test_source_formulas(self):
@@ -173,6 +175,18 @@ class TestBadSet:
             assert Fraction(len(b)) < 2 * s / c
             checked += 1
         assert checked == 60
+
+    def test_lemma_check_searches_only_past_the_bound(self, monkeypatch):
+        # The K_{s,s} search decides only once |B(W)| >= 2s/c.  Faked to answer
+        # "free", it makes that case raise, and below the bound it is not asked.
+        calls = []
+        monkeypatch.setattr(oracles, "contains_kss", lambda g, s: calls.append(s))
+        k22 = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+        with pytest.raises(DisprovesLemma):
+            bad_set(k22, [0, 1], 1, s=1)
+        assert calls == [1]
+        assert bad_set(Graph(4, [(0, 2), (1, 2)]), [0, 1], 1, s=1) == {2}
+        assert calls == [1]
 
 
 class TestRichSet:
@@ -670,6 +684,44 @@ class TestKeyLemma:
         if out.found:
             assert verify_induced_map_reference(g, template.graph, out.mapping)
             assert all(out.mapping[b] >= nx for b in template.b_side)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_candidates_follow_the_reference_order(self, data):
+        # Placements reach the trace in their definitional order (every random
+        # draw, then the product, each at its first sight), up to the one that
+        # succeeds; a search that finds nothing has tried them all.
+        k, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        a_side, b_side = tuple(range(k)), tuple(range(k, k + data.draw(st.integers(1, 2))))
+        template = BipartiteTemplate(Graph(k + len(b_side), [
+            (a, b) for b in b_side
+            for a in data.draw(st.sets(st.sampled_from(a_side), min_size=1))]), (a_side, b_side))
+        nx, ny = k * m + data.draw(st.integers(0, 2)), data.draw(st.integers(2, 6))
+        pairs = list(combinations(range(nx + ny), 2))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        host = Host(Graph(nx + ny, [e for e, kept in zip(pairs, keep) if kept]), 2,
+                    (tuple(range(nx)), tuple(range(nx, nx + ny))))
+        xs = data.draw(st.permutations(range(nx)))
+        parts = {a: tuple(xs[a * m:(a + 1) * m]) for a in a_side}
+        seed = data.draw(st.integers(0, 9))
+        th = Thresholds(c_hs=data.draw(st.integers(1, 4)), m_blow=m)
+        out = key_lemma_embed(host, cross_subgraph(host), template, parts, lambda ss: True,
+                              th, seed=seed)
+        tried = [tuple(entry["phi"]) for entry in out.trace]
+        want = key_lemma_candidates_reference(parts, a_side, m, seed)
+        assert tried == want[:len(tried)]
+        assert out.found or len(tried) == len(want)
+
+    def test_parts_are_integer_fields(self):
+        # int() would read the key 0.7 as vertex 0 and find the copy (0, 2)
+        g = Graph(4, [(0, 2), (1, 3), (0, 3)])
+        host = Host(g, 2, ((0, 1), (2, 3)))
+        tpl = BipartiteTemplate(Graph(2, [(0, 1)]), ((0,), (1,)))
+        with pytest.raises(ValueError):
+            key_lemma_embed(host, g, tpl, {0.7: (0,)}, lambda s: True, Thresholds(c_hs=1))
+        for parts in ({True: (0,)}, {0: (False,)}, {0: (0.5,)}):
+            with pytest.raises(ValueError):
+                key_lemma_embed(host, g, tpl, parts, lambda s: True, Thresholds(c_hs=1))
 
 
 class TestAsymmetric:

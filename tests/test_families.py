@@ -41,6 +41,13 @@ class TestRootedGraph:
         f = RootedGraph(Graph(4, [(0, 1), (2, 3)]), frozenset({1, 3}))
         assert f.non_roots() == (0, 2)
 
+    def test_equality_ignores_copy_maps(self):
+        p = rooted_power(rooted_path(3), 2)
+        bare = RootedGraph(p.graph, p.roots)
+        assert p.copy_maps is not None and bare.copy_maps is None
+        assert p == bare and hash(p) == hash(bare)
+        assert p != RootedGraph(p.graph, p.roots - {0})
+
 
 class TestHeightTwoTree:
     def test_counts_3_1(self):

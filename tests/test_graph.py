@@ -138,7 +138,7 @@ class TestInducedSubgraph:
 class TestDegreeStats:
     def test_stats(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        assert degree_stats(g) == (1, 3, Fraction(3, 2))
+        assert degree_stats(g) == (1, 3)
 
     def test_empty_graph(self):
         with pytest.raises(EmptyGraph):
