@@ -381,6 +381,12 @@ class EmbeddingOutcome(NamedTuple):
         }
 
 
+def _check_no_isolated_b(template: BipartiteTemplate) -> None:
+    """ValueError unless every B-side vertex of the template has a neighbour."""
+    if any(not template.graph.adj[b] for b in template.b_side):
+        raise ValueError("template has an isolated B-side vertex")
+
+
 def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
                     parts: dict[int, Sequence[int]], rich: Callable[[frozenset], bool],
                     th: Thresholds, seed: int = 0) -> EmbeddingOutcome:
@@ -418,9 +424,8 @@ def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
         if seen_vertices & set(ws):
             raise BadBlowup("parts must be pairwise disjoint")
         seen_vertices |= set(ws)
+    _check_no_isolated_b(template)
     fa = neighborhood_hypergraph(template)
-    if any(not e for e in fa.hyperedges):
-        raise ValueError("template has an isolated B-side vertex")
     for e in fa.hyperedges:
         for combo in product(*(parts_map[v] for v in sorted(e))):
             if not rich(frozenset(combo)):
@@ -555,9 +560,8 @@ def asymmetric_embed(host: Host, m_sub: Graph, template: BipartiteTemplate,
     _check_spanning(host.graph, m_sub, "M")
     if not template.b_side:
         raise ValueError("template must have a nonempty B side")
+    _check_no_isolated_b(template)
     p = max(template.graph.degree(b) for b in template.b_side)
-    if p < 1:
-        raise ValueError("template has an isolated B-side vertex")
     degrees = {y: (m_sub.adj[y] & mask_of(xset)).bit_count() for y in y_side}
     dmin = min(degrees.values()) if degrees else 0
     if delta_y is not None and dmin < delta_y:

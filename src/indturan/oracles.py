@@ -19,17 +19,18 @@ children are deduplicated by a dict keyed by their canonical form
 automorphism that maps a neighbour mask to a lesser one makes that mask's
 child a duplicate, so only the least mask of each orbit is tested.
 
-The star and classical oracles search by branch and bound on the edge count
-(`_densest_classes`).  They find ex(k) for k = 1, .., n in turn.  A target
-starts at the averaging bound floor(k ex(k-1) / (k-2)) and goes down until
-some class has that many edges; order j keeps only the classes with at least
-ceil(target j(j-1) / (k(k-1))) edges.  Their witness is a property of its
-class: among the densest classes, the one whose canonical form has the least
-edge list, printed in its canonical labelling.  The bip oracle generates every
-class and hands the matcher only the partitions that can still beat the best
-one found.  `explored` counts the states actually tested: each (class, mask)
-handed to the extension test once over every order and target, plus the
-partitions handed to the bip matcher.
+All three oracles search by branch and bound on the edge count.  A target
+starts at n(n-1)/2 and goes down on one generator; order j keeps only the
+classes with at least ceil(target j(j-1) / (n(n-1))) edges.  The star and
+classical oracles stop at the first target that some class reaches
+(`_densest_classes`).  The bip oracle scans the classes with exactly target
+edges and stops once the target falls below the best cross count, since a
+class's cross count is at most its edge count.  Every witness is a property
+of its class, printed in its canonical labelling: for star and classical,
+the densest class whose canonical form has the least edge list; for bip, the
+least key (-cross, canonical edge list, X).  `explored` counts the states
+actually tested: each (class, mask) handed to the extension test once over
+every target, plus the partitions handed to the bip matcher.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .graph import (
 )
 
 STAR_BUDGET = 11
-BIP_BUDGET = 7
+BIP_BUDGET = 8
 
 
 # --- K_{s,s} as a subgraph ----------------------------------------------------
@@ -121,19 +122,10 @@ class Pattern(Graph):
 
     @cached_property
     def orbit_reps(self) -> tuple[int, ...]:
-        """q is in p's orbit iff the pattern embeds into itself, induced, with
-        p pinned to q: an induced self-embedding is an automorphism."""
-        full = self.vertex_mask()
-        reps, seen = [], 0
-        for p in range(self.n):
-            if seen >> p & 1:
-                continue
-            reps.append(p)
-            for q in range(p + 1, self.n):
-                if not seen >> q & 1 and _embed(self, self, True, [
-                        1 << q if r == p else full for r in range(self.n)]) is not None:
-                    seen |= 1 << q
-        return tuple(reps)
+        """The least vertex of each orbit of the automorphisms that
+        `canonical` returns, which generate the whole group."""
+        return tuple(m.bit_length() - 1 for m in _least_in_orbit(
+            [1 << p for p in range(self.n)], canonical(self.adj)[1]))
 
 
 def _compiled(h: Graph) -> Pattern:
@@ -368,42 +360,30 @@ class _Generator:
         node.low = fewest
 
 
-def _generate_classes(n: int, extend_ok: Callable[[Graph, int], bool]) -> tuple[list[Graph], int]:
-    """Iso-class representatives of the n-vertex graphs every prefix of which
-    passes extend_ok(new_graph, new_vertex), each the first child of its
-    class in (class, mask) order.  Returns (representatives, extensions
-    tested)."""
-    gen = _Generator(extend_ok)
-    return [node.graph for node in gen.classes(n)], gen.explored
-
-
 def _densest_classes(n: int, extend_ok: Callable[[Graph, int], bool]) -> tuple[list[Graph], int]:
-    """The classes of the n-vertex graphs that `_generate_classes(n, extend_ok)`
-    returns with the most edges, by branch and bound on the edge count, and
-    the extensions tested to find them.
+    """The classes of the n-vertex graphs every prefix of which passes
+    extend_ok with the most edges, and the extensions tested to find them.
 
-    ex(k), the most edges on k vertices, is found for k = 1, .., n in turn.
-    Every edge of a k-vertex graph lies in k-2 of its k vertex-deleted
-    subgraphs, so ex(k) <= floor(k ex(k-1) / (k-2)).  A target starts at that
-    bound and goes down, to 0 if need be (ex(k) < ex(k-1) can happen when the
-    pattern has an isolated vertex), until the generator finds a class with
-    that many edges.  One generator serves every order and every target, so
-    `explored` counts each (class, mask) tested once."""
+    A target goes down from n(n-1)/2 on one generator until some class has
+    that many edges.  Each target keeps a subset of the (class, mask) pairs
+    that the last one keeps, and the generator tests each pair once, so the
+    search tests exactly what the last target needs.  Bounds for smaller
+    orders would prune nothing more: the property is hereditary, so
+    ex(k)/C(k,2) never increases with k (Katona, Nemetz and Simonovits,
+    1964), and a target of ex(k) at order k keeps a subset of what a target
+    of ex(n) at order n keeps.
+    """
     gen = _Generator(extend_ok)
-    found, best = gen.classes(0), 0
-    for k in range(1, n + 1):
-        for target in range(k * (k - 1) // 2 if k < 3 else k * best // (k - 2), -1, -1):
-            found = gen.classes(k, target)
-            if found:
-                break
-        else:
-            return [], gen.explored
-        best = target
-    return [node.graph for node in found], gen.explored
+    for target in range(n * (n - 1) // 2, -1, -1):
+        found = gen.classes(n, target)
+        if found:
+            return [node.graph for node in found], gen.explored
+    return [], gen.explored
 
 
 class ExtremalResult(NamedTuple):
     """An extremal value with its witness (and, for bip, its partition).
+    The witness is a property of its class, in its canonical labelling.
     `explored` is the number of extensions tested, each (class, mask) once
     over the whole search, plus, for bip, the number of partitions handed to
     the matcher."""
@@ -417,34 +397,32 @@ class ExtremalResult(NamedTuple):
                 "witness": graph_to_json_dict(self.witness, partition=self.partition)}
 
 
-def _extremal_result(candidates: Iterable[tuple[tuple, Graph, Optional[Parts]]], explored: int,
+def _extremal_result(candidates: Iterable[tuple[tuple, Graph, Graph, Optional[Parts]]],
+                     explored: int,
                      is_free: Callable[[Graph, Optional[Parts]], bool]) -> ExtremalResult:
-    """The (key, graph, partition) candidate with the least key, whose first
-    entry is minus the value; the winner is re-checked with is_free."""
+    """The (key, witness, rep, partition) candidate with the least key, whose
+    first entry is minus the value.  The winner is re-checked with
+    `is_isomorphic` against rep, the class representative it was relabelled
+    from, and with is_free."""
     best = min(candidates, key=lambda c: c[0], default=None)
     if best is None:
         raise ValueError("no graph of this order avoids the pattern")
-    key, witness, partition = best
+    key, witness, rep, partition = best
+    if not is_isomorphic(witness, rep):
+        raise DisprovesLemma("the extremal witness is not a relabelling of its class")
     if not is_free(witness, partition):
         raise DisprovesLemma("the extremal witness contains a forbidden pattern")
     return ExtremalResult(-key[0], witness, explored, partition=partition)
 
 
-def _densest_result(reps: Sequence[Graph], explored: int,
+def _densest_result(reps: Iterable[Graph], explored: int,
                     is_free: Callable[[Graph, Optional[Parts]], bool]) -> ExtremalResult:
-    """The result over class representatives of the most edges: the witness
-    is, among the densest classes, the one whose canonical form has the least
-    edge list, printed in its canonical labelling.  The witness is re-checked
-    with is_free, and against its representative with `is_isomorphic`."""
-    top = max((g.m for g in reps), default=0)
-    best = min(((Graph.from_rows(canonical(g.adj)[0]), g) for g in reps if g.m == top),
-               key=lambda c: c[0].edge_list(), default=None)
-    if best is None:
-        return _extremal_result([], explored, is_free)
-    witness, rep = best
-    if not is_isomorphic(witness, rep):
-        raise DisprovesLemma("the extremal witness is not a relabelling of its class")
-    return _extremal_result([((-top,), witness, None)], explored, is_free)
+    """The result over class representatives: the witness is, among the
+    densest classes, the one whose canonical form has the least edge list,
+    printed in its canonical labelling."""
+    forms = ((Graph.from_rows(canonical(g.adj)[0]), g) for g in reps)
+    return _extremal_result((((-w.m, w.edge_list()), w, g, None) for w, g in forms),
+                            explored, is_free)
 
 
 def extremal_star(n: int, h: Graph, s: int, budget: int = STAR_BUDGET) -> ExtremalResult:
@@ -494,8 +472,13 @@ def extremal_bip_star(n: int, h: BipartiteTemplate, s: int,
     partitions (X, Y) such that G[X, Y] has no copy of h induced in G.
 
     Partitions are enumerated up to swapping the sides (vertex 0 stays in X).
-    The least key (-cross edges, edge list, X) wins; `explored` counts the
-    extensions tested plus the partitions handed to the matcher.
+    A target goes down from n(n-1)/2 on one generator, as in
+    `_densest_classes`; each class with exactly target edges is scanned in its
+    canonical labelling, and the search stops once the target falls below the
+    best cross count, since cross <= m.  The least key (-cross edges,
+    canonical edge list, X) wins, so the witness and its partition depend
+    only on the class; `explored` counts the extensions tested plus the
+    partitions handed to the matcher.
     """
     if n > budget:
         raise TooLarge(f"n={n} exceeds the search budget {budget}")
@@ -512,27 +495,30 @@ def extremal_bip_star(n: int, h: BipartiteTemplate, s: int,
         return contains_kss(w, s) is None \
             and contains_bip_induced(Host(w, s, partition), h) is None
 
-    reps, explored = _generate_classes(n, ok)
-    # The key (-cross, edge list, X) orders the candidates totally, so the least
-    # one does not depend on the scan order.  cross <= m, so once m falls below
-    # the best cross no later representative can win, and a partition whose key
-    # is no better than the best one goes to no matcher.
+    # The key orders the candidates totally, so the least one does not depend
+    # on the scan order, and a partition whose key is no better than the best
+    # one found goes to no matcher.
+    gen = _Generator(ok)
     full = (1 << n) - 1
+    sides = [(xm, tuple(bits(xm)), tuple(bits(full ^ xm))) for xm in range(1, 1 << n, 2)]
+    matched = 0
     found = []  # each candidate that beats every one found before it
-    for g in sorted(reps, key=lambda g: -g.m):
-        if found and g.m < -found[-1][0][0]:
+    for target in range(n * (n - 1) // 2, -1, -1):
+        if found and target < -found[-1][0][0]:
             break
-        edge_list = g.edge_list()
-        for sub in range(1 << (n - 1)):
-            xm = (sub << 1) | 1
-            x = tuple(bits(xm))
-            key = (-sum((g.adj[v] & ~xm).bit_count() for v in x), edge_list, x)
-            if found and key >= found[-1][0]:
-                continue
-            explored += 1
-            if _bip_embed(g, h, xm, full ^ xm) is None:
-                found.append((key, g, (x, tuple(bits(full ^ xm)))))
-    return _extremal_result(found, explored, is_free)
+        for node in gen.classes(n, target):
+            if node.m != target:
+                continue  # scanned at its own target
+            g = Graph.from_rows(canonical(node.graph.adj)[0])
+            edge_list = g.edge_list()
+            for xm, x, y in sides:
+                key = (-sum((g.adj[v] & ~xm).bit_count() for v in x), edge_list, x)
+                if found and key >= found[-1][0]:
+                    continue
+                matched += 1
+                if _bip_embed(g, h, xm, full ^ xm) is None:
+                    found.append((key, g, node.graph, (x, y)))
+    return _extremal_result(found, gen.explored + matched, is_free)
 
 
 # --- Kovari-Sos-Turan check -----------------------------------------------------

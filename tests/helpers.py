@@ -9,11 +9,13 @@ check `graph.verify_induced_map`.  The
 `Fraction` thresholds and pairwise scans: the package's integer and bitset
 versions must give the same answers; `key_lemma_candidates_reference` is
 the key lemma's placement order by its definition, every random draw then
-the whole product.  The `extremal_*_reference` oracles
-generate every class of every order up to the final one, with no edge-count
-bound, and hand every bip partition to the matcher: the package's branch and
-bound and its bounded bip scan must find the same value, witness and
-partition (the witness rule, `oracles._densest_result`, is shared).
+the whole product.  `generate_classes` generates every class of one order
+with no edge-count bound, on the package's generator.  The
+`extremal_*_reference` oracles use it and hand every bip partition of every
+class, in its canonical labelling, to the matcher: the package's edge-count
+descent and its bounded bip scan must find the same value, witness and
+partition (the witness rule, `oracles._extremal_result` with its re-checks,
+is shared).
 """
 
 import random
@@ -22,6 +24,7 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
+from indturan.canonical import canonical
 from indturan.embeddings import KEY_LEMMA_EXHAUSTIVE_CAP, KEY_LEMMA_RETRIES
 from indturan.errors import DisprovesLemma, HypothesisUnmet, InvalidPartition
 from indturan.families import BipartiteTemplate, RootedGraph
@@ -33,7 +36,7 @@ from indturan.oracles import (
     _contains_using,
     _densest_result,
     _extremal_result,
-    _generate_classes,
+    _Generator,
     _kss_through_vertex,
     contains_bip_induced,
     contains_induced,
@@ -211,19 +214,27 @@ def first_mono_clique_reference(aux: dict, s: int):
 # --- the extremal oracles as first written ---------------------------------------
 
 
+def generate_classes(n: int, extend_ok) -> tuple[list[Graph], int]:
+    """Every class of the n-vertex graphs every prefix of which passes
+    extend_ok(new_graph, new_vertex), with no edge-count bound: the first
+    child of each class in (class, mask) order, and the extensions tested."""
+    gen = _Generator(extend_ok)
+    return [node.graph for node in gen.classes(n)], gen.explored
+
+
 def star_classes_reference(n: int, h: Graph, s: int) -> tuple[list[Graph], int]:
     """Every class of n-vertex graphs with no K_{s,s} and no induced h, and
     the extensions tested to generate them."""
     pat = Pattern(h)
-    return _generate_classes(n, lambda g2, k: not _kss_through_vertex(g2.adj, k, s)
-                             and not _contains_using(g2, pat, k, induced=True))
+    return generate_classes(n, lambda g2, k: not _kss_through_vertex(g2.adj, k, s)
+                            and not _contains_using(g2, pat, k, induced=True))
 
 
 def classical_classes_reference(n: int, h: Graph) -> tuple[list[Graph], int]:
     """Every class of n-vertex graphs with no copy of h, and the extensions
     tested to generate them."""
     pat = Pattern(h)
-    return _generate_classes(n, lambda g2, k: not _contains_using(g2, pat, k, induced=False))
+    return generate_classes(n, lambda g2, k: not _contains_using(g2, pat, k, induced=False))
 
 
 def extremal_star_reference(n: int, h: Graph, s: int) -> ExtremalResult:
@@ -246,24 +257,25 @@ def extremal_classical_reference(n: int, h: Graph) -> ExtremalResult:
 
 def extremal_bip_star_reference(n: int, h, s: int) -> ExtremalResult:
     """`oracles.extremal_bip_star` with every partition (vertex 0 in X) of
-    every n-vertex class handed to the matcher; `explored` counts each
-    extension and each partition."""
+    every n-vertex class, in its canonical labelling, handed to the matcher;
+    `explored` counts each extension and each partition."""
     if s < 1:
         raise ValueError("s must be positive")
     if n == 0:
         return ExtremalResult(0, Graph(0, []), 0, partition=((), ()))
     h = BipartiteTemplate(Pattern(h.graph), h.parts)
-    reps, explored = _generate_classes(n, lambda g2, k: not _kss_through_vertex(g2.adj, k, s))
+    reps, explored = generate_classes(n, lambda g2, k: not _kss_through_vertex(g2.adj, k, s))
     full = (1 << n) - 1
 
     def candidates():
-        for g in reps:
+        for rep in reps:
+            g = Graph.from_rows(canonical(rep.adj)[0])
             for sub in range(1 << (n - 1)):
                 xm = (sub << 1) | 1
                 if _bip_embed(g, h, xm, full ^ xm) is None:
                     x = tuple(bits(xm))
                     cross = sum((g.adj[v] & ~xm).bit_count() for v in x)
-                    yield (-cross, g.edge_list(), x), g, (x, tuple(bits(full ^ xm)))
+                    yield (-cross, g.edge_list(), x), g, rep, (x, tuple(bits(full ^ xm)))
 
     return _extremal_result(candidates(), explored + (len(reps) << (n - 1)),
                             lambda w, part: contains_kss(w, s) is None

@@ -771,6 +771,16 @@ class TestAsymmetric:
         with pytest.raises(InvalidPartition):
             asymmetric_embed(host, bad_l, p3_template(), Thresholds())
 
+    def test_isolated_b_vertex_rejected_on_every_host(self):
+        # B-side vertex 3 has no neighbour: on the complete cross host the
+        # search reaches the key lemma, on the one-edge host every y stops at
+        # the degree stage, and both reject the template
+        tpl = BipartiteTemplate(Graph(4, [(0, 2), (1, 2)]), ((0, 1), (2, 3)))
+        for g in (k45_host().graph, Graph(9, [(0, 4)])):
+            host = Host(g, 2, (tuple(range(4)), tuple(range(4, 9))))
+            with pytest.raises(ValueError, match="isolated B-side vertex"):
+                asymmetric_embed(host, g, tpl, Thresholds(c_hs=1, m_blow=1))
+
 
 class TestExtraction:
     def _theta_fixture(self):

@@ -22,7 +22,6 @@ from indturan.canonical import canonical
 from indturan.families import as_template, theta
 from indturan.graph import Graph, Host
 from indturan.oracles import (
-    _generate_classes,
     contains_bip_induced,
     contains_induced,
     contains_kss,
@@ -40,6 +39,7 @@ from helpers import (
     extremal_bip_star_reference,
     extremal_classical_reference,
     extremal_star_reference,
+    generate_classes,
     graphs,
     random_kss_free,
     random_kss_free_bipartite,
@@ -165,10 +165,11 @@ class TestCompiledPattern:
 
 # ExtremalResult.as_json_dict() of each oracle on C4, C6 and P4 for n <= 6 and
 # s in {2, 3}.  The values, witnesses and partitions are those of the full
-# scans that `helpers` keeps as references; the star and classical witnesses
-# are the densest classes with the least canonical edge list, in their
-# canonical labelling.  The `explored` counts are those of the branch and
-# bound and of the bounded bip scan, which test fewer extensions and
+# scans that `helpers` keeps as references.  Every witness is a property of
+# its class, in its canonical labelling: for star and classical the densest
+# class with the least canonical edge list, for bip the least key (-cross,
+# canonical edge list, X).  The `explored` counts are those of the edge-count
+# descent and of the bounded bip scan, which test fewer extensions and
 # partitions.
 PINNED = json.loads((Path(__file__).parent / "extremal_grid.json").read_text(encoding="utf-8"))
 
@@ -360,7 +361,7 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("n, count", enumerate([1, 2, 4, 11, 34, 156, 1044], start=1))
     def test_counts_all_graphs(self, n, count):
         # OEIS A000088: graphs on n unlabelled vertices
-        reps, _ = _generate_classes(n, lambda g, k: True)
+        reps, _ = generate_classes(n, lambda g, k: True)
         assert len(reps) == count
 
 
@@ -398,6 +399,25 @@ class TestBranchAndBound:
             assert sum(nx.is_isomorphic(to_nx(w), to_nx(g)) for g in densest) == 1, key
             assert form(w) == w.adj, key
             assert w.edge_list() == min(Graph.from_rows(form(g)).edge_list() for g in densest), key
+
+    @pytest.mark.parametrize("name", ["C4", "C6", "P4"])
+    def test_pinned_bip_witness_is_canonical(self, name):
+        h = {"C4": c4, "C6": c6, "P4": p4}[name]()
+        a_side = as_template(h).a_side
+        for key, pinned in PINNED.items():
+            got_mode, got_name, n, *s = key.split()
+            if (got_mode, got_name) != ("bip", name):
+                continue
+            w = Graph(pinned["witness"]["n"], pinned["witness"]["edges"])
+            x, y = pinned["witness"]["partition"]["X"], pinned["witness"]["partition"]["Y"]
+            assert w.n == int(n) and sorted(x + y) == list(range(w.n)) and 0 in x, key
+            assert form(w) == w.adj, key
+            assert sum(w.has_edge(u, v) for u in x for v in y) == pinned["value"], key
+            assert not naive_kss(w, int(s[0])), key
+            xm, ym = sum(1 << v for v in x), sum(1 << v for v in y)
+            for am, bm in ((xm, ym), (ym, xm)):
+                sides = [am if p in a_side else bm for p in range(h.n)]
+                assert not naive_contains(w, h, True, sides), key
 
 
 class TestKss:
