@@ -28,11 +28,10 @@ _NAMES = {
     "families": ("BipartiteTemplate", "RootedGraph", "attach_ktt", "attach_ktt_rooted",
                  "height_two_tree", "leaf_rooted_star", "parse_descriptor", "rooted_path",
                  "rooted_power", "theta", "tree_r11"),
-    "graph": ("Graph", "Host", "bipartition", "cross_subgraph", "edge_subgraph",
-              "induced_subgraph"),
-    "oracles": ("ExtremalResult", "contains_induced", "contains_kss", "contains_subgraph",
-                "extremal_bip_star", "extremal_classical", "extremal_star", "is_isomorphic",
-                "kst_check"),
+    "graph": ("Graph", "Host", "bipartition", "contains_kss", "cross_subgraph",
+              "edge_subgraph", "induced_subgraph"),
+    "oracles": ("ExtremalResult", "contains_induced", "contains_subgraph", "extremal_bip_star",
+                "extremal_classical", "extremal_star", "is_isomorphic", "kst_check"),
     "realizability": ("RealizabilityCertificate", "derive", "enumerate_realizable",
                       "qualifies", "verify_certificate"),
     "regularity": ("regularize",),

@@ -5,9 +5,9 @@ isomorphism, II", J. Symbolic Comput. 60, 2014), in pure Python and without
 nauty.  Refine the degree partition to an equitable one, individualise each
 vertex of the first smallest non-singleton cell in turn, refine again, and so
 on down to discrete partitions (the leaves).  Each leaf orders the vertices,
-and the form is the least of the leaves' relabelled row tuples.  Every step is
-label-invariant, so isomorphic graphs get equal forms; a form is the graph
-itself relabelled, so equal forms mean isomorphic graphs.
+and the form is the least of the leaves' rows as `graph.relabel` renumbers
+them.  Every step is label-invariant, so isomorphic graphs get equal forms; a
+form is the graph itself relabelled, so equal forms mean isomorphic graphs.
 
 Two leaves with equal rows give an automorphism, which prunes the tree: the
 children of a node in one orbit of the automorphisms that fix the node's
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .graph import bits
+from .graph import bits, relabel
 
 
 def _equitable(adj: Sequence[int], cells: list[int], fresh: list[int]) -> list[int]:
@@ -79,22 +79,6 @@ def _equitable(adj: Sequence[int], cells: list[int], fresh: list[int]) -> list[i
     return cells
 
 
-def _relabel(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
-    """The rows of the graph relabelled so that vertex order[i] becomes i."""
-    new = [0] * len(adj)
-    for i, v in enumerate(order):
-        new[v] = 1 << i
-    out = []
-    for v in order:
-        row, rest = 0, adj[v]
-        while rest:
-            low = rest & -rest
-            row |= new[low.bit_length() - 1]
-            rest ^= low
-        out.append(row)
-    return tuple(out)
-
-
 def _orbit(mask: int, autos: Sequence[Sequence[int]], fixed: Sequence[int]) -> int:
     """The union of the orbits of mask's vertices under the automorphisms in
     autos that fix every vertex in fixed."""
@@ -121,7 +105,7 @@ def _search(adj: Sequence[int], cells: list[int], leaves: dict, autos: list,
     n = len(adj)
     if len(cells) == n:
         order = [c.bit_length() - 1 for c in cells]
-        old = leaves.setdefault(_relabel(adj, order), order)
+        old = leaves.setdefault(relabel(adj, order), order)
         if old is order:
             return None
         gamma = [0] * n  # this leaf's order onto the old one's: an automorphism
@@ -163,7 +147,7 @@ def canonical(adj: Sequence[int]) -> tuple[tuple[int, ...], list[list[int]]]:
     full = (1 << n) - 1
     cells = _equitable(adj, [full], [full]) if n else []
     if len(cells) == n:
-        return _relabel(adj, [c.bit_length() - 1 for c in cells]), []
+        return relabel(adj, [c.bit_length() - 1 for c in cells]), []
     # Twins, vertices with equal open or equal closed neighbourhoods, swap by
     # an automorphism: the swaps of consecutive twins seed the pruning.
     twins: dict[int, int] = {}
@@ -184,7 +168,7 @@ def canonical(adj: Sequence[int]) -> tuple[tuple[int, ...], list[list[int]]]:
            for c, v in zip(cells, leads)):
         # Each cell is a set of twins, so the swaps reorder each cell at will
         # and every leaf has the same rows.
-        return _relabel(adj, [v for c in cells for v in bits(c)]), autos
+        return relabel(adj, [v for c in cells for v in bits(c)]), autos
     leaves: dict = {}
     _search(adj, cells, leaves, autos, [], [])
     return min(leaves), autos

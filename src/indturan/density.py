@@ -34,10 +34,7 @@ def edges_incident(f, s: Iterable[int]) -> int:
     if not sv:
         raise EmptyQuery("edges_incident needs a nonempty set")
     g = as_graph(f)
-    for v in sv:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-    inside = mask_of(sv)
+    inside = g.mask(sv)
     degrees = twice_inside = 0
     for v in sv:
         degrees += g.adj[v].bit_count()

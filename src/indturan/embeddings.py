@@ -36,6 +36,7 @@ from .graph import (
     VertexMap,
     bits,
     common_neighborhood_mask,
+    contains_kss,
     first_clique,
     int_field,
     mask_of,
@@ -82,9 +83,10 @@ class Thresholds:
 def bad_set(g: Graph, w: Iterable[int], c: Fraction, s: Optional[int] = None) -> set[int]:
     """B(W): vertices outside W with at least c|W| neighbors inside W.
 
-    When s is given, the instance verifies K_{s,s}-free, and |W| >= s (2/c)^s,
-    the bound |B(W)| < 2s/c is checked; it is guaranteed under those
-    hypotheses, so a failure raises DisprovesLemma.
+    An id of W outside g is a ValueError.  When s is given, the instance
+    verifies K_{s,s}-free, and |W| >= s (2/c)^s, the bound |B(W)| < 2s/c is
+    checked; it is guaranteed under those hypotheses, so a failure raises
+    DisprovesLemma.
     """
     wset = set(w)
     if not wset:
@@ -93,12 +95,12 @@ def bad_set(g: Graph, w: Iterable[int], c: Fraction, s: Optional[int] = None) ->
     if not 0 < c <= 1:
         raise ValueError("c must lie in (0, 1]")
     num, den = c.numerator, c.denominator
-    wm = mask_of(wset)
+    wm = g.mask(wset)
     size = len(wset)
     need = num * size  # count >= c|W| as count * den >= num |W|
     # c|W| > 0, so only a neighbour of W can qualify
     near = 0
-    for v in bits(wm & g.vertex_mask()):
+    for v in bits(wm):
         near |= g.adj[v]
     out = {x for x in bits(near & ~wm) if (g.adj[x] & wm).bit_count() * den >= need}
     if s is not None:
@@ -107,7 +109,6 @@ def bad_set(g: Graph, w: Iterable[int], c: Fraction, s: Optional[int] = None) ->
         # |W| >= s (2/c)^s and |B(W)| >= 2s/c, cleared of denominators: only
         # then can the K_{s,s} search decide anything
         if size * num ** s >= s * (2 * den) ** s and len(out) * num >= 2 * s * den:
-            from .oracles import contains_kss
             if contains_kss(g, s) is None:
                 raise DisprovesLemma(
                     f"|B(W)| = {len(out)} >= 2s/c on a K_{{{s},{s}}}-free instance")
@@ -120,24 +121,24 @@ def rich_s_set(g: Graph, x: Iterable[int], y: Iterable[int], c: Fraction,
     (c/2)^s |Y|, given e(G[X, Y]) >= c|X||Y| and c|X| >= 2s.
 
     Existence is guaranteed under the hypotheses, so exhausting all s-subsets
-    without a hit raises DisprovesLemma.
+    without a hit raises DisprovesLemma.  An id outside g is a ValueError.
     """
-    xs, ys = sorted(set(x)), sorted(set(y))
-    if set(xs) & set(ys):
+    xm, ym = g.mask(x), g.mask(y)
+    if xm & ym:
         raise InvalidPartition("sides overlap")
     if s < 1:
         raise ValueError("s must be positive")
     c = Fraction(c)
     num, den = c.numerator, c.denominator
-    ym = mask_of(ys)
+    xs, ny = list(bits(xm)), ym.bit_count()
     adj_y = [g.adj[v] & ym for v in range(g.n)]
     e = sum(adj_y[v].bit_count() for v in xs)
-    if e * den < num * len(xs) * len(ys):
-        raise HypothesisUnmet(f"e = {e} below c|X||Y| = {c * len(xs) * len(ys)}")
+    if e * den < num * len(xs) * ny:
+        raise HypothesisUnmet(f"e = {e} below c|X||Y| = {c * len(xs) * ny}")
     if num * len(xs) < 2 * s * den:
         raise HypothesisUnmet(f"c|X| = {c * len(xs)} below 2s = {2 * s}")
     # count >= (c/2)^s |Y| as count * (2 den)^s >= num^s |Y|
-    scale, need = (2 * den) ** s, num ** s * len(ys)
+    scale, need = (2 * den) ** s, num ** s * ny
     for cand in combinations(xs, s):
         common = ym
         for v in cand:

@@ -11,21 +11,33 @@ roots.  The families built here are the bases of the realizability chains:
 * leaf_rooted_star(r): a star rooted at its leaves (its powers are complete
   bipartite graphs).
 
-rooted_power glues l copies along the shared roots; attach_ktt adds a crossed
-K_{t,t} to a bipartite graph.  With the new vertices as roots this is t
-"reductions" at once: it raises the density by exactly t, and equals t crossed
-K_{1,1}s attached one after another up to relabelling.  Descriptor strings like
+rooted_power glues l copies along the shared roots (copy 0's rows come from
+`graph.relabel`, the others shift them); attach_ktt adds a crossed K_{t,t} to a
+bipartite graph.  With the new vertices as roots this is t "reductions" at
+once: it raises the density by exactly t, and equals t crossed K_{1,1}s
+attached one after another up to relabelling.  `_edge_inside` finds the edge
+that a template's part or a power's root set must not hold.  Descriptors like
 "Trt:r=3,t=1" name all of these for the CLI.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DegenerateRoot, Multigraph, NotBipartite, RootEdgeCollision
-from .graph import Graph, bipartition, bits, check_partition, mask_of
+from .graph import Graph, bipartition, check_partition, mask_of, relabel
 
 Parts = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _edge_inside(adj: Sequence[int], vertices: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The least edge (u, w) with both ends in the sorted vertex list, or None."""
+    inside = mask_of(vertices)
+    for u in vertices:
+        clash = adj[u] & inside
+        if clash:  # u is the least vertex of an inside edge, so w is above it
+            return u, (clash & -clash).bit_length() - 1
+    return None
 
 
 class RootedGraph:
@@ -71,11 +83,9 @@ class BipartiteTemplate:
     def __init__(self, graph: Graph, parts: Parts):
         parts = check_partition(graph.n, parts, NotBipartite)
         for side in parts:
-            inside = mask_of(side)
-            for u in side:
-                clash = graph.adj[u] & inside
-                if clash:  # u is the least vertex of an inside edge
-                    raise NotBipartite(f"edge {(u, next(bits(clash)))} lies inside one part")
+            edge = _edge_inside(graph.adj, side)
+            if edge:
+                raise NotBipartite(f"edge {edge} lies inside one part")
         self.graph = graph
         self.parts = parts
 
@@ -154,36 +164,28 @@ def rooted_power(f: RootedGraph, l: int) -> RootedGraph:
     adj = f.graph.adj
     roots = sorted(f.roots)
     if l >= 2:
-        rootm = mask_of(roots)
-        for u in roots:
-            inside = adj[u] & rootm
-            if inside:  # u is the least root on a root edge, so its least root neighbour is above it
-                raise RootEdgeCollision(f"edge {(u, next(bits(inside)))} lies inside the root set")
-    non = f.non_roots()
-    r, q = len(roots), len(non)
-    pos = [0] * f.graph.n  # copy 0's numbering
-    for i, v in enumerate(roots + list(non)):
+        edge = _edge_inside(adj, roots)
+        if edge:
+            raise RootEdgeCollision(f"edge {edge} lies inside the root set")
+    order = roots + list(f.non_roots())  # copy 0's numbering
+    r, q = len(roots), f.graph.n - len(roots)
+    pos = [0] * f.graph.n
+    for i, v in enumerate(order):
         pos[v] = i
     maps = tuple(tuple(p if p < r else p + c * q for p in pos) for c in range(l))
     # A row in copy 0's numbering splits into its root bits, which every copy
     # shares, and its non-root bits, which copy c shifts up by c * q; a root's
     # row holds every copy's shift at once, one product with `spread`.
-    bit = [1 << p for p in pos]
     low = (1 << r) - 1
     spread = sum(1 << c * q for c in range(l))
     rows = [0] * (r + l * q)
-    for v, row in enumerate(adj):
-        new = 0
-        while row:
-            b = row & -row
-            new |= bit[b.bit_length() - 1]
-            row ^= b
+    for i, new in enumerate(relabel(adj, order)):
         inner, outer = new & low, new & ~low
-        if pos[v] < r:
-            rows[pos[v]] = inner | outer * spread
+        if i < r:
+            rows[i] = inner | outer * spread
         else:
             for c in range(l):
-                rows[pos[v] + c * q] = inner | outer << c * q
+                rows[i + c * q] = inner | outer << c * q
     return RootedGraph(Graph.from_rows(rows), frozenset(range(r)), copy_maps=maps)
 
 

@@ -9,6 +9,7 @@ index map back to the original vertex ids where relabeling happens.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import EmptyGraph, InvalidPartition, Multigraph, NoPartition
@@ -106,6 +107,15 @@ class Graph:
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
 
+    def mask(self, vertices: Iterable[int]) -> int:
+        """The bitset of vertices, each of which must be a vertex of the graph."""
+        m = 0
+        for v in vertices:
+            if not 0 <= v < self.n:
+                raise ValueError(f"vertex {v} out of range")
+            m |= 1 << v
+        return m
+
 
 def common_neighborhood_mask(adj: Sequence[int], s: Iterable[int]) -> int:
     """Vertices adjacent to every member of s (members of s never qualify), as
@@ -116,6 +126,23 @@ def common_neighborhood_mask(adj: Sequence[int], s: Iterable[int]) -> int:
         mask &= adj[v]
         got |= 1 << v
     return mask & ~got
+
+
+def relabel(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
+    """The rows of the subgraph induced on order, renumbered so that vertex
+    order[i] becomes i."""
+    new = [0] * len(adj)
+    for i, v in enumerate(order):
+        new[v] = 1 << i
+    out = []
+    for v in order:
+        row, rest = 0, adj[v]
+        while rest:
+            low = rest & -rest
+            row |= new[low.bit_length() - 1]
+            rest ^= low
+        out.append(row)
+    return tuple(out)
 
 
 def first_clique(rows: Sequence[int], k: int) -> Optional[list[int]]:
@@ -145,15 +172,30 @@ def first_clique(rows: Sequence[int], k: int) -> Optional[list[int]]:
     return None
 
 
+def contains_kss(g: Graph, s: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """A K_{s,s} subgraph as (side1, side2), or None.  Sides are disjoint;
+    the copy need not be induced.  First witness in lexicographic side1 order."""
+    if s < 1:
+        raise ValueError("s must be positive")
+    if 2 * s > g.n:
+        return None
+    good = [v for v in range(g.n) if g.degree(v) >= s]
+    for side1 in combinations(good, s):
+        common = common_neighborhood_mask(g.adj, side1)
+        if common.bit_count() >= s:
+            side2 = []
+            for w in bits(common):
+                side2.append(w)
+                if len(side2) == s:
+                    break
+            return side1, tuple(side2)
+    return None
+
+
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced on s. Returns (graph, index map new id -> old id)."""
-    keep = sorted(set(s))
-    for v in keep:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-    pos = {v: i for i, v in enumerate(keep)}
-    edges = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
-    return Graph(len(keep), edges), tuple(keep)
+    keep = tuple(bits(g.mask(s)))
+    return Graph.from_rows(relabel(g.adj, keep)), keep
 
 
 def edge_subgraph(g: Graph, edges: Iterable[Sequence[int]]) -> Graph:

@@ -48,10 +48,11 @@ from .graph import (
     VertexMap,
     bits,
     common_neighborhood_mask,
+    contains_kss,  # it and the row checks live in graph; oracles keeps their names
     cross_subgraph,
     graph_to_json_dict,
     mask_of,
-    verify_bip_induced_map,  # the row checks live in graph; oracles keeps their names
+    verify_bip_induced_map,
     verify_induced_map,
 )
 
@@ -60,26 +61,6 @@ BIP_BUDGET = 8
 
 
 # --- K_{s,s} as a subgraph ----------------------------------------------------
-
-
-def contains_kss(g: Graph, s: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """A K_{s,s} subgraph as (side1, side2), or None.  Sides are disjoint;
-    the copy need not be induced.  First witness in lexicographic side1 order."""
-    if s < 1:
-        raise ValueError("s must be positive")
-    if 2 * s > g.n:
-        return None
-    good = [v for v in range(g.n) if g.degree(v) >= s]
-    for side1 in combinations(good, s):
-        common = common_neighborhood_mask(g.adj, side1)
-        if common.bit_count() >= s:
-            side2 = []
-            for w in bits(common):
-                side2.append(w)
-                if len(side2) == s:
-                    break
-            return side1, tuple(side2)
-    return None
 
 
 def _kss_through_vertex(adj: Sequence[int], v: int, s: int) -> bool:
@@ -287,14 +268,14 @@ def _least_in_orbit(masks: Sequence[int], autos: Sequence[Sequence[int]]) -> lis
 
 
 class _Node:
-    """One class found by the generation: its first-seen graph, with m edges
-    and automorphisms generating its group, and its children found so far,
-    which come from every mask with at least `low` members."""
+    """One class found by the generation: its first-seen graph with m edges,
+    its canonical form (its level's key), automorphisms generating its group,
+    and its children so far, which come from every mask with >= `low` members."""
 
-    __slots__ = ("graph", "m", "autos", "kids", "low")
+    __slots__ = ("graph", "m", "form", "autos", "kids", "low")
 
-    def __init__(self, graph: Graph, autos: list):
-        self.graph, self.m, self.autos = graph, graph.m, autos
+    def __init__(self, graph: Graph, form: tuple[int, ...], autos: list):
+        self.graph, self.m, self.form, self.autos = graph, graph.m, form, autos
         self.kids: list[_Node] = []
         self.low = graph.n + 1
 
@@ -313,7 +294,7 @@ class _Generator:
 
     def __init__(self, extend_ok: Callable[[Graph, int], bool]):
         self.extend_ok = extend_ok
-        self.levels: list[dict[tuple[int, ...], _Node]] = [{(): _Node(Graph(0, []), [])}]
+        self.levels: list[dict[tuple[int, ...], _Node]] = [{(): _Node(Graph(0, []), (), [])}]
         self.explored = 0
 
     def classes(self, n: int, target: int = 0) -> list[_Node]:
@@ -355,7 +336,7 @@ class _Generator:
                 form, autos = canonical(child.adj)
                 kid = level.get(form)
                 if kid is None:
-                    kid = level[form] = _Node(child, autos)
+                    kid = level[form] = _Node(child, form, autos)
                 node.kids.append(kid)
         node.low = fewest
 
@@ -509,7 +490,7 @@ def extremal_bip_star(n: int, h: BipartiteTemplate, s: int,
         for node in gen.classes(n, target):
             if node.m != target:
                 continue  # scanned at its own target
-            g = Graph.from_rows(canonical(node.graph.adj)[0])
+            g = Graph.from_rows(node.form)
             edge_list = g.edge_list()
             for xm, x, y in sides:
                 key = (-sum((g.adj[v] & ~xm).bit_count() for v in x), edge_list, x)

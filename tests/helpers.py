@@ -95,6 +95,17 @@ def verify_induced_map_reference(g: Graph, h: Graph, vm: VertexMap) -> bool:
                for p, q in combinations(range(h.n), 2))
 
 
+def induced_subgraph_reference(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
+    """`graph.induced_subgraph` through the edge set, as first written."""
+    keep = sorted(set(s))
+    for v in keep:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+    pos = {v: i for i, v in enumerate(keep)}
+    edges = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
+    return Graph(len(keep), edges), tuple(keep)
+
+
 def verify_subgraph_map(g: Graph, h: Graph, vm: VertexMap) -> bool:
     """Definitional check that vm is an injective edge-preserving map of h into g."""
     if len(vm) != h.n or len(set(vm)) != h.n:
@@ -114,9 +125,17 @@ def is_k_almost_regular(g: Graph, k: Fraction | int) -> bool:
 # --- the embedding helpers as first written --------------------------------------
 
 
+def _check_ids(g: Graph, ids) -> None:
+    """ValueError unless every id is a vertex of g."""
+    for v in ids:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+
+
 def bad_set_reference(g: Graph, w, c: Fraction, s=None) -> set[int]:
     """`embeddings.bad_set` with one `Fraction` product per vertex."""
     wset = set(w)
+    _check_ids(g, wset)
     c = Fraction(c)
     wm = mask_of(wset)
     size = len(wset)
@@ -131,6 +150,7 @@ def bad_set_reference(g: Graph, w, c: Fraction, s=None) -> set[int]:
 def rich_s_set_reference(g: Graph, x, y, c: Fraction, s: int) -> tuple[int, ...]:
     """`embeddings.rich_s_set` with `Fraction` thresholds."""
     xs, ys = sorted(set(x)), sorted(set(y))
+    _check_ids(g, xs + ys)
     if set(xs) & set(ys):
         raise InvalidPartition("sides overlap")
     c = Fraction(c)

@@ -504,6 +504,15 @@ class TestLazyLayers:
         layers = {"density", "embeddings", "oracles", "realizability", "regularity"}
         assert not self.loaded("--help") & layers
 
+    def test_badset_lemma_check_loads_no_oracle(self, tmp_path):
+        # The lemma check runs the K_{s,s} search (K_{2,2}, |W| = 2 and
+        # |B(W)| = 2 reach both bounds at c = s = 1), which lives in graph.
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"graph": {"n": 4, "edges": [[0, 2], [0, 3], [1, 2], [1, 3]]},
+                                    "w": [0, 1], "c": 1, "s": 1}), encoding="utf-8")
+        loaded = self.loaded("check", "badset", "--input", str(path))
+        assert "embeddings" in loaded and not loaded & {"oracles", "canonical"}
+
     def test_extremal_loads_neither_embeddings_nor_realizability(self):
         loaded = self.loaded("extremal", "--n", "4", "--pattern", "theta:len=2,t=2")
         assert "oracles" in loaded and not loaded & {"embeddings", "realizability"}
@@ -591,13 +600,14 @@ VALID_INPUTS = {
                               ["graph", "alpha", "c"], [("alpha",), ("c",), ("graph", "n")]),
 }
 
-# Paths of the vertex-id lists each instance reads outside its graph objects;
+# The graph object whose vertices each instance's vertex-id lists name, and
+# the paths of those lists, which lie outside the graph objects;
 # ("rich_sets", 0) is read only when the instance carries "rich_sets".
 _VERTEX_LISTS = {
-    ("check", "badset"): [("w",)],
-    ("check", "rich"): [("x",), ("y",)],
-    ("embed", "keylemma"): [("parts", "0"), ("parts", "2"), ("rich_sets", 0)],
-    ("embed", "extract"): [("copies", 0), ("copies", 4)],
+    ("check", "badset"): (("graph",), [("w",)]),
+    ("check", "rich"): (("graph",), [("x",), ("y",)]),
+    ("embed", "keylemma"): (("host",), [("parts", "0"), ("parts", "2"), ("rich_sets", 0)]),
+    ("embed", "extract"): (("host",), [("copies", 0), ("copies", 4)]),
 }
 
 _SMALL = st.integers(-2, 9)
@@ -635,11 +645,16 @@ def _get(doc, path):
     return doc
 
 
-def _spoil_id(draw, doc, path):
-    """doc with one member of the id list at path made a boolean or a
-    non-integral number."""
+def _carrying(doc, path):
+    """doc, given the optional "rich_sets" list when path is inside it."""
+    return dict(doc, rich_sets=[[0, 1], [2, 3]]) if path[0] == "rich_sets" else doc
+
+
+def _spoil_id(draw, doc, path, bad=(True, 2.5)):
+    """doc with one member of the id list at path replaced by a value drawn
+    from bad: by default a boolean or a non-integral number."""
     ids = list(_get(doc, path))
-    ids[draw(st.integers(0, len(ids) - 1))] = draw(st.sampled_from([True, 2.5]))
+    ids[draw(st.integers(0, len(ids) - 1))] = draw(st.sampled_from(bad))
     return _set(doc, path, ids)
 
 
@@ -668,11 +683,12 @@ def malformed_inputs(draw):
         assume(labels)
         return argv, _spoil_id(draw, doc, draw(st.sampled_from(labels)))
     if how == "vertex" and argv in _VERTEX_LISTS and draw(st.booleans()):
-        # one member of a vertex-id list outside the graph objects, likewise
-        path = draw(st.sampled_from(_VERTEX_LISTS[argv]))
-        if path[0] == "rich_sets":
-            doc = dict(doc, rich_sets=[[0, 1], [2, 3]])
-        return argv, _spoil_id(draw, doc, path)
+        # one member of a vertex-id list outside the graph objects, likewise,
+        # or an id just past either end of the graph it names
+        graph, lists = _VERTEX_LISTS[argv]
+        path = draw(st.sampled_from(lists))
+        doc = _carrying(doc, path)
+        return argv, _spoil_id(draw, doc, path, (True, 2.5, -1, _get(doc, graph)["n"]))
     path = draw(st.sampled_from(graphs))
     if how == "vertex":
         # a graph's n (its edges dropped, so no range check fires first) or
@@ -703,6 +719,20 @@ class TestMalformedInputFuzz:
     def test_malformed_input_is_domain_error(self, case):
         argv, doc = case
         code, out = run_stdin(argv, doc)
+        assert code == 1
+        assert set(json.loads(out)) == {"error", "message"}
+
+    @pytest.mark.parametrize("argv, graph, path",
+                             [(argv, graph, path) for argv, (graph, paths) in _VERTEX_LISTS.items()
+                              for path in paths],
+                             ids=lambda v: "-".join(map(str, v)))
+    @pytest.mark.parametrize("end", ["low", "high"])
+    def test_vertex_id_past_either_end(self, argv, graph, path, end):
+        # the first id of the list becomes -1 or the named graph's n
+        doc = _carrying(VALID_INPUTS[argv][0], path)
+        ids = list(_get(doc, path))
+        ids[0] = -1 if end == "low" else _get(doc, graph)["n"]
+        code, out = run_stdin(argv, _set(doc, path, ids))
         assert code == 1
         assert set(json.loads(out)) == {"error", "message"}
 

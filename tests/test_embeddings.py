@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indturan import oracles
+from indturan import embeddings
 from indturan.embeddings import (
     Thresholds,
     _grow_order,
@@ -180,7 +180,7 @@ class TestBadSet:
         # The K_{s,s} search decides only once |B(W)| >= 2s/c.  Faked to answer
         # "free", it makes that case raise, and below the bound it is not asked.
         calls = []
-        monkeypatch.setattr(oracles, "contains_kss", lambda g, s: calls.append(s))
+        monkeypatch.setattr(embeddings, "contains_kss", lambda g, s: calls.append(s))
         k22 = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
         with pytest.raises(DisprovesLemma):
             bad_set(k22, [0, 1], 1, s=1)

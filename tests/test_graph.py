@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from indturan.errors import (
@@ -26,10 +26,11 @@ from indturan.graph import (
     graph_to_json_dict,
     induced_subgraph,
     mask_of,
+    relabel,
     to_dot,
 )
 
-from helpers import is_k_almost_regular
+from helpers import induced_subgraph_reference, is_k_almost_regular
 
 
 def path(n):
@@ -133,6 +134,32 @@ class TestInducedSubgraph:
             for i, u in enumerate(idx):
                 expect = sum(1 for v in idx if v != u and g.has_edge(u, v))
                 assert sub.degree(i) == expect
+
+
+class TestRelabel:
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(10), st.data())
+    def test_matches_edge_definition(self, g, data):
+        # order: a random subset of the vertices in a random order
+        perm = data.draw(st.permutations(range(g.n)))
+        order = perm[:data.draw(st.integers(0, g.n))]
+        pos = {v: i for i, v in enumerate(order)}
+        expect = Graph(len(order), [(pos[u], pos[w]) for u, w in g.edges
+                                    if u in pos and w in pos])
+        assert relabel(g.adj, order) == expect.adj
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(10), st.data())
+    def test_induced_subgraph_matches_reference(self, g, data):
+        # ids inside the graph in any order, or with ids past either end of it
+        s = data.draw(st.permutations(range(g.n)) | st.lists(st.integers(-1, g.n)))
+        try:
+            expect = induced_subgraph_reference(g, s)
+        except ValueError:
+            with pytest.raises(ValueError):
+                induced_subgraph(g, s)
+        else:
+            assert induced_subgraph(g, s) == expect
 
 
 class TestDegreeStats:
