@@ -1,424 +1,23 @@
-"""Command-line interface.
+"""Command-line interface: the parser, dispatch and the exit-code policy.
 
-All results are printed as JSON with sorted keys so identical invocations are
-byte-identical: the bytes of json.dumps(obj, sort_keys=True, indent=2) and a
-newline.  Each handler returns its payload and `main` writes it with the one
-writer, `_dump`; `export`, which may write to a file, calls `_dump` itself
-and returns None.  The writer joins the reprs of a list of integers in one
-step, writes a list of integer rows of one length a chunk of rows at a time
-through one row format built for that list, and hands the text out in
-batches of at most 16 KiB.  Exit codes: 0 success, 1 domain error
-(printed as an {"error", "message"} object), 2 usage error (argparse), 3
-internal fault: a re-check failed (DisprovesLemma), which means a bug,
-printed like a domain error.  A closed stdout exits 1, the rest of the output
-dropped, no traceback.
+The arguments are parsed before anything else loads: at module level this
+file imports only argparse, os and sys, so `--help`, a subcommand's `--help`
+and a usage error load neither json nor any indturan module but the package
+and this one.  Once the arguments parse, `main` imports `indturan.commands`
+and runs the handler its `HANDLERS` table names for the command path; the
+handler's payload is written as JSON by `commands._dump`.
 
-`embed tree` takes an optional integer "limit": at most that many copies are
-printed, 0 prints none (the tree is still checked) and a negative limit or a
-null is a domain error.
-
-The `thresholds` object of `embed keylemma` and `embed asym` accepts exactly
-the `embeddings.Thresholds` fields: integers `c_hs` and `m_blow`, rationals
-`gamma` and `c3` (a JSON number or a "p/q" string).  Any other key is a
-domain error (TypeError).  Every integer field of an `--input` document,
-a graph's "n" and every vertex id included, follows `graph.int_field`: a
-boolean or a non-integral number is a ValueError, never truncated.  Graph
-objects are read by `graph.graph_from_json_dict` alone.
+Exit codes: 0 success, 1 domain error (printed as an {"error", "message"}
+object), 2 usage error (argparse), 3 internal fault: a re-check failed
+(DisprovesLemma), which means a bug, printed like a domain error.  A closed
+stdout exits 1, the rest of the output dropped, no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from itertools import chain, islice
-from json.encoder import encode_basestring_ascii
-from typing import Optional
-
-# The layers (density, embeddings, oracles, realizability, regularity) are
-# imported inside the handlers that use them: each run is a fresh process,
-# and a job pays only for the layers it runs.
-from .errors import DisprovesLemma, IndturanError
-from .families import BipartiteTemplate, RootedGraph, as_graph, as_template, parse_descriptor
-from .graph import (Graph, Host, common_neighborhood_mask, cross_subgraph, edge_subgraph,
-                    graph_from_json_dict, graph_to_json_dict, int_field, to_dot)
-
-
-_BATCH = 1 << 14  # characters per write: one syscall each on an unbuffered stdout
-
-
-def _key(k) -> str:
-    if isinstance(k, str):
-        return encode_basestring_ascii(k)
-    if k is None or isinstance(k, (int, float)):
-        return encode_basestring_ascii(json.dumps(k))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-
-
-def _leaf(v, pad: str) -> Optional[str]:
-    """The text of v at indent pad when v is a scalar, an empty container or a
-    list of exact ints; None otherwise."""
-    if isinstance(v, (list, tuple)):
-        if not v:
-            return "[]"
-        for x in v:
-            if type(x) is not int:  # bools and int subclasses take the slow path
-                return None
-        inner = pad + "  "
-        return "[\n" + inner + (",\n" + inner).join(map(int.__repr__, v)) + "\n" + pad + "]"
-    if isinstance(v, dict):
-        return None if v else "{}"
-    if type(v) is int:
-        return int.__repr__(v)
-    if type(v) is str:
-        return encode_basestring_ascii(v)
-    return json.dumps(v)  # the other scalars; TypeError for what JSON cannot hold
-
-
-def _row_width(v) -> int:
-    """k when v is a non-empty list of lists or tuples holding k >= 1 exact
-    ints each, else 0."""
-    if not v or not set(map(type, v)) <= {list, tuple}:
-        return 0
-    lengths = set(map(len, v))
-    if len(lengths) != 1 or set(map(type, chain.from_iterable(v))) != {int}:
-        return 0
-    return lengths.pop()
-
-
-def _dump(obj, out=None) -> None:
-    """Write json.dumps(obj, sort_keys=True, indent=2) + "\n" to out (by
-    default stdout), byte for byte.  With an indent, json.dumps runs the
-    pure-Python encoder, one generator step per integer, and holds the whole
-    text (23 MB for 46,500 tree maps).  This writer joins the reprs of each
-    list of integers at once, and formats a list of equal-length integer rows
-    with one row format built for the list, a chunk of rows (about half a
-    batch of text) at a time; it writes in batches of at most _BATCH
-    characters, or one longer piece of text."""
-    write = (sys.stdout if out is None else out).write
-    batch: list[str] = []
-    size = 0
-
-    def put(text: str) -> None:
-        nonlocal size
-        if size + len(text) > _BATCH and batch:
-            write("".join(batch))
-            batch.clear()
-            size = 0
-        batch.append(text)
-        size += len(text)
-
-    def emit(v, pad: str, head: str) -> None:
-        """Put head, then v's text at indent pad."""
-        text = _leaf(v, pad)
-        if text is not None:
-            put(head + text)
-            return
-        inner = pad + "  "
-        if isinstance(v, dict):
-            sep = head + "{\n" + inner
-            for k, item in sorted(v.items()):
-                emit(item, inner, f"{sep}{_key(k)}: ")
-                sep = ",\n" + inner
-            put(f"\n{pad}}}")
-        elif width := _row_width(v):
-            cell = inner + "  "
-            row = "[\n" + cell + (",\n" + cell).join(["%d"] * width) + "\n" + inner + "]"
-            sep = head + "[\n" + inner
-            start, step = 0, 1  # step: the rows of the next chunk, sized from the last
-            while start < len(v):
-                part = v[start:start + step]
-                text = (",\n" + inner).join([row] * len(part)) % tuple(chain.from_iterable(part))
-                put(sep + text)
-                start += step
-                step = max(1, step * _BATCH // (2 * len(text)))
-                sep = ",\n" + inner
-            put(f"\n{pad}]")
-        else:
-            sep = head + "[\n" + inner
-            for item in v:
-                emit(item, inner, sep)
-                sep = ",\n" + inner
-            put(f"\n{pad}]")
-
-    emit(obj, "", "")
-    batch.append("\n")
-    write("".join(batch))
-
-
-def _load_input(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _edges(rows: list) -> list[tuple[int, int]]:
-    """An edge list whose endpoints are integer fields."""
-    return [(int_field(u), int_field(v)) for u, v in map(tuple, rows)]
-
-
-def _ids(values) -> tuple[int, ...]:
-    """A list of vertex ids, each an integer field."""
-    return tuple(int_field(v) for v in values)
-
-
-def _graph_from(d: dict) -> Graph:
-    return graph_from_json_dict(d)[0]
-
-
-def _host_from(d: dict) -> Host:
-    g, _, part = graph_from_json_dict(d)
-    s = d.get("s")
-    if s is None:
-        raise ValueError("host object needs an 's' field")
-    return Host(g, int_field(s), part)
-
-
-def _template_from(d: dict) -> BipartiteTemplate:
-    g = _graph_from(d)
-    if "A" in d and "B" in d:
-        return BipartiteTemplate(g, (_ids(d["A"]), _ids(d["B"])))
-    return as_template(g)
-
-
-def _rooted_from(d: dict) -> RootedGraph:
-    g, roots, _ = graph_from_json_dict(d)
-    if roots is None:
-        raise ValueError("pattern object needs a 'roots' field")
-    return RootedGraph(g, frozenset(roots))
-
-
-def _subgraph_from(host: Host, edge_rows: Optional[list]) -> Graph:
-    """The listed host edges; by default the cross edges, or all edges when
-    the host has no partition."""
-    if edge_rows is not None:
-        return edge_subgraph(host.graph, _edges(edge_rows))
-    return host.graph if host.partition is None else cross_subgraph(host)
-
-
-def _object(value, name: str) -> dict:
-    """value, which the input must give as a JSON object."""
-    if not isinstance(value, dict):
-        raise TypeError(f"{name} must be a JSON object")
-    return value
-
-
-def _fraction(value) -> Fraction:
-    """An exact rational from a JSON number or a "p/q" string."""
-    from fractions import Fraction
-    try:
-        return Fraction(str(value))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {value!r}") from None
-
-
-def _thresholds_from(d: Optional[dict]) -> embeddings.Thresholds:
-    from . import embeddings
-    if d is None:
-        return embeddings.Thresholds()
-    kwargs = {key: int_field(val) if key in ("c_hs", "m_blow") else _fraction(val)
-              for key, val in _object(d, "thresholds").items()}
-    return embeddings.Thresholds(**kwargs)
-
-
-def _roots_and_parts(obj) -> tuple:
-    """The roots of a rooted descriptor and the parts of a template, else None."""
-    return (obj.roots if isinstance(obj, RootedGraph) else None,
-            obj.parts if isinstance(obj, BipartiteTemplate) else None)
-
-
-def _family_payload(desc: str) -> dict:
-    from . import density
-    obj = parse_descriptor(desc)
-    roots, parts = _roots_and_parts(obj)
-    out = {"descriptor": desc,
-           "graph": graph_to_json_dict(as_graph(obj), roots=roots, partition=parts)}
-    if roots is not None:
-        out["density"] = density.is_balanced(obj).as_json_dict()
-    return out
-
-
-# --- subcommand handlers ---------------------------------------------------------
-
-
-def _cmd_family(args) -> dict:
-    return _family_payload(args.descriptor)
-
-
-def _rooted_report(args) -> density.DensityReport:
-    from . import density
-    obj = parse_descriptor(args.descriptor)
-    if not isinstance(obj, RootedGraph):
-        raise ValueError(f"{args.command} needs a rooted descriptor")
-    return density.is_balanced(obj)
-
-
-def _cmd_rho(args) -> dict:
-    return {"descriptor": args.descriptor, **_rooted_report(args).as_json_dict()}
-
-
-def _cmd_balanced(args) -> dict:
-    report = _rooted_report(args)
-    return {"balanced": report.balanced,
-            "witness": list(report.witness) if report.witness else None}
-
-
-def _cmd_realize(args) -> dict:
-    from . import realizability
-    # derive verifies every certificate it returns, so "verified" is always true.
-    cert = realizability.derive(args.a, args.b, l=args.l)
-    return {**cert.as_json_dict(), "verified": True}
-
-
-def _cmd_sweep(args) -> dict:
-    from . import realizability
-    found = realizability.enumerate_realizable(args.a_max, args.b_max, l=args.l)  # via derive
-    rows = [{**cert.as_json_dict(), "verified": True} for _, _, cert in found]
-    return {"count": len(rows), "certificates": rows}
-
-
-def _cmd_extremal(args) -> dict:
-    from . import oracles
-    budget = {} if args.budget is None else {"budget": args.budget}
-    if args.mode == "bip":
-        template = as_template(parse_descriptor(args.pattern))
-        res = oracles.extremal_bip_star(args.n, template, args.s, **budget)
-    elif args.mode == "classical":
-        res = oracles.extremal_classical(args.n, as_graph(parse_descriptor(args.pattern)),
-                                         **budget)
-    else:
-        res = oracles.extremal_star(args.n, as_graph(parse_descriptor(args.pattern)),
-                                    args.s, **budget)
-    return res.as_json_dict()
-
-
-def _cmd_embed_tree(args) -> dict:
-    from . import embeddings
-    spec = _load_input(args.input)
-    host = _host_from(spec["host"])
-    l_sub = _subgraph_from(host, spec.get("l_edges"))
-    tree = _graph_from(spec["tree"])
-    stream = embeddings.greedy_tree_embed(host, l_sub, tree, int_field(spec["d"]))
-    if "star_leaves" in spec:
-        stream = embeddings.admissible_tree_copies(
-            l_sub, tree, stream, int_field(spec["star_leaves"]),
-            int_field(spec["star_threshold"]))
-    limit = None
-    if "limit" in spec:  # an integer field when present: null is an error, not "no limit"
-        limit = int_field(spec["limit"])
-        if limit < 0:
-            raise ValueError(f"limit must be non-negative, got {limit}")
-    copies = list(islice(stream, limit))  # json writes a tuple as a list
-    return {"count": len(copies), "copies": copies}
-
-
-def _cmd_embed_keylemma(args) -> dict:
-    from . import embeddings
-    spec = _load_input(args.input)
-    host = _host_from(spec["host"])
-    l_sub = _subgraph_from(host, spec.get("l_edges"))
-    template = _template_from(spec["template"])
-    th = _thresholds_from(spec.get("thresholds"))
-    parts = {int_field(k): _ids(v) for k, v in _object(spec["parts"], "parts").items()}
-    if "rich_sets" in spec:
-        rich = {frozenset(_ids(s)) for s in spec["rich_sets"]}.__contains__
-    else:
-        thr = int_field(spec["rich_threshold"])
-        rich = (lambda ss: common_neighborhood_mask(l_sub.adj, ss).bit_count() >= thr)
-    outcome = embeddings.key_lemma_embed(host, l_sub, template, parts, rich, th,
-                                         seed=args.seed)
-    return outcome.as_json_dict()
-
-
-def _cmd_embed_extract(args) -> dict:
-    from . import embeddings
-    spec = _load_input(args.input)
-    g = _graph_from(spec["host"])
-    pattern = _rooted_from(spec["pattern"])
-    copies = [_ids(vm) for vm in spec["copies"]]
-    outcome = embeddings.extract_induced_power(g, copies, pattern,
-                                               int_field(spec["l"]), int_field(spec["s"]))
-    return outcome.as_json_dict()
-
-
-def _cmd_embed_asym(args) -> dict:
-    from . import embeddings
-    spec = _load_input(args.input)
-    host = _host_from(spec["host"])
-    m_sub = _subgraph_from(host, spec.get("m_edges"))
-    template = _template_from(spec["template"])
-    th = _thresholds_from(spec.get("thresholds"))
-    delta = spec.get("delta_y")
-    outcome = embeddings.asymmetric_embed(host, m_sub, template, th,
-                                          delta_y=None if delta is None else int_field(delta),
-                                          seed=args.seed)
-    return outcome.as_json_dict()
-
-
-def _cmd_check_badset(args) -> dict:
-    from . import embeddings
-    spec = _load_input(args.input)
-    g = _graph_from(spec["graph"])
-    s = spec.get("s")
-    bad = embeddings.bad_set(g, _ids(spec["w"]), _fraction(spec["c"]),
-                             s=None if s is None else int_field(s))
-    return {"bad": sorted(bad), "size": len(bad)}
-
-
-def _cmd_check_rich(args) -> dict:
-    from . import embeddings
-    spec = _load_input(args.input)
-    g = _graph_from(spec["graph"])
-    rich = embeddings.rich_s_set(g, _ids(spec["x"]), _ids(spec["y"]),
-                                 _fraction(spec["c"]), int_field(spec["s"]))
-    return {"rich_set": list(rich)}
-
-
-def _cmd_check_kst(args) -> dict:
-    from . import oracles
-    spec = _load_input(args.input)
-    host = _host_from(spec["host"] if "host" in spec else spec)
-    return {"holds": oracles.kst_check(host)}
-
-
-def _cmd_check_regularize(args) -> dict:
-    from . import regularity
-    spec = _load_input(args.input)
-    g = _graph_from(spec["graph"])
-    sub, idx, k, report = regularity.regularize(
-        g, _fraction(spec["alpha"]), _fraction(spec["c"]))
-    return {"m": report.m, "e": report.e, "k": str(k),
-            "k_log2": str(report.k_log2),
-            "edge_guarantee": report.edge_guarantee,
-            "size_guarantee": report.size_guarantee,
-            "vertices": list(idx)}
-
-
-def _cmd_export(args) -> None:
-    """Writes to --out itself, so it hands `main` no payload."""
-    if args.format == "dot":
-        obj = parse_descriptor(args.descriptor)
-        roots, parts = _roots_and_parts(obj)
-        text = to_dot(as_graph(obj), roots=roots, partition=parts)
-
-        def emit(fh) -> None:
-            fh.write(text)
-    else:
-        payload = _family_payload(args.descriptor)
-
-        def emit(fh) -> None:
-            _dump(payload, fh)
-    # The file is opened only once the descriptor has been built.
-    if args.out == "-":
-        emit(sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            emit(fh)
-
-
-# --- parser wiring ---------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,27 +31,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="build a descriptor and report its density")
     p.add_argument("descriptor")
-    p.set_defaults(func=_cmd_family)
+    p.set_defaults(job="family")
 
     p = sub.add_parser("rho", help="incident-edge density of a rooted descriptor")
     p.add_argument("descriptor")
-    p.set_defaults(func=_cmd_rho)
+    p.set_defaults(job="rho")
 
     p = sub.add_parser("balanced", help="balancedness of a rooted descriptor")
     p.add_argument("descriptor")
-    p.set_defaults(func=_cmd_balanced)
+    p.set_defaults(job="balanced")
 
     p = sub.add_parser("realize", help="derive and verify a certificate for b/a")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("--l", type=int, default=2, help="power multiplicity (default 2)")
-    p.set_defaults(func=_cmd_realize)
+    p.set_defaults(job="realize")
 
     p = sub.add_parser("sweep", help="enumerate realizable pairs up to bounds")
     p.add_argument("a_max", type=int)
     p.add_argument("b_max", type=int)
     p.add_argument("--l", type=int, default=2)
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(job="sweep")
 
     p = sub.add_parser("extremal", help="exhaustive extremal value at small n")
     p.add_argument("--n", type=int, required=True)
@@ -461,45 +60,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["star", "classical", "bip"], default="star")
     p.add_argument("--budget", type=int,
                    help="largest n searched (default: the mode's own budget)")
-    p.set_defaults(func=_cmd_extremal)
+    p.set_defaults(job="extremal")
 
     p = sub.add_parser("embed", help="run an embedding procedure on a JSON instance")
     esub = p.add_subparsers(dest="procedure", required=True)
-    for name, fn in (("tree", _cmd_embed_tree), ("keylemma", _cmd_embed_keylemma),
-                     ("extract", _cmd_embed_extract), ("asym", _cmd_embed_asym)):
+    for name in ("tree", "keylemma", "extract", "asym"):
         q = esub.add_parser(name)
         q.add_argument("--input", required=True, help="JSON instance file, or - for stdin")
-        q.set_defaults(func=fn)
+        q.set_defaults(job=f"embed {name}")
 
     p = sub.add_parser("check", help="run a counting or inequality check")
     csub = p.add_subparsers(dest="check_kind", required=True)
-    for name, fn in (("badset", _cmd_check_badset), ("rich", _cmd_check_rich),
-                     ("kst", _cmd_check_kst), ("regularize", _cmd_check_regularize)):
+    for name in ("badset", "rich", "kst", "regularize"):
         q = csub.add_parser(name)
         q.add_argument("--input", required=True, help="JSON instance file, or - for stdin")
-        q.set_defaults(func=fn)
+        q.set_defaults(job=f"check {name}")
 
     p = sub.add_parser("export", help="write a descriptor as JSON or DOT")
     p.add_argument("descriptor")
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=_cmd_export)
+    p.set_defaults(job="export")
 
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Only a job gets here: --help and usage errors have exited.
+    from . import commands
+    from .errors import DisprovesLemma, IndturanError
     try:
         try:
-            payload = args.func(args)
+            payload = commands.HANDLERS[args.job](args)
             if payload is not None:
-                _dump(payload)
+                commands._dump(payload)
             return 0
         except BrokenPipeError:
             raise
         except (IndturanError, ValueError, KeyError, TypeError, OSError) as exc:
-            _dump({"error": type(exc).__name__, "message": str(exc)})
+            commands._dump({"error": type(exc).__name__, "message": str(exc)})
             return 3 if isinstance(exc, DisprovesLemma) else 1
         finally:
             sys.stdout.flush()

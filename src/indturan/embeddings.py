@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from itertools import combinations, product
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     BadBlowup,
@@ -44,6 +43,11 @@ from .graph import (
     verify_induced_map,
 )
 
+# `fractions` is imported where a rational is read, so the tree and
+# extraction procedures, which read none, do not load it.
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 
 # --- thresholds -------------------------------------------------------------------
 
@@ -58,17 +62,19 @@ class Thresholds:
 
     c_hs is the rich common-neighborhood threshold and m_blow the blowup
     multiplicity; gamma, the rich-set density fraction in (0, 1), and c3, the
-    asymmetric edge-count coefficient, are stored as Fractions.
+    asymmetric edge-count coefficient, are stored as Fractions.  gamma
+    defaults to 1/2 and c3 to 1.
     """
 
     __slots__ = ("c_hs", "m_blow", "gamma", "c3")
 
-    def __init__(self, c_hs: int = 3, m_blow: int = 1, gamma: Fraction = Fraction(1, 2),
-                 c3: Fraction = Fraction(1)):
+    def __init__(self, c_hs: int = 3, m_blow: int = 1, gamma: Optional[Fraction] = None,
+                 c3: Optional[Fraction] = None):
+        from fractions import Fraction
         self.c_hs = c_hs
         self.m_blow = m_blow
-        self.gamma = Fraction(gamma)
-        self.c3 = Fraction(c3)
+        self.gamma = Fraction(1, 2) if gamma is None else Fraction(gamma)
+        self.c3 = Fraction(1) if c3 is None else Fraction(c3)
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
         if self.c3 <= 0:
@@ -88,6 +94,7 @@ def bad_set(g: Graph, w: Iterable[int], c: Fraction, s: Optional[int] = None) ->
     checked; it is guaranteed under those hypotheses, so a failure raises
     DisprovesLemma.
     """
+    from fractions import Fraction
     wset = set(w)
     if not wset:
         raise EmptyQuery("bad_set needs a nonempty W")
@@ -123,6 +130,7 @@ def rich_s_set(g: Graph, x: Iterable[int], y: Iterable[int], c: Fraction,
     Existence is guaranteed under the hypotheses, so exhausting all s-subsets
     without a hit raises DisprovesLemma.  An id outside g is a ValueError.
     """
+    from fractions import Fraction
     xm, ym = g.mask(x), g.mask(y)
     if xm & ym:
         raise InvalidPartition("sides overlap")
@@ -390,7 +398,7 @@ def _check_no_isolated_b(template: BipartiteTemplate) -> None:
 
 def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
                     parts: dict[int, Sequence[int]], rich: Callable[[frozenset], bool],
-                    th: Thresholds, seed: int = 0) -> EmbeddingOutcome:
+                    th: Thresholds, seed: int = 0, *, checked: bool = False) -> EmbeddingOutcome:
     """Place the template's A side on declared blowup parts inside X and extend
     to the B side through rich common neighborhoods.  Every blowup edge (one
     part vertex per A vertex of a B vertex's neighborhood) must satisfy rich.
@@ -405,12 +413,19 @@ def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
     once every placement has been tried.  Only untried placements reach the
     trace.  found=False after that is a legitimate desk-scale outcome.  The
     parts' keys and members are integer fields (`graph.int_field`).
+
+    checked=True says that the caller has already verified that l spans the
+    host graph and that every blowup edge is rich, so neither is tested
+    again; `asymmetric_embed` passes it for the M and the blowup it has
+    checked.
     """
+    from fractions import Fraction
     if host.partition is None:
         raise NoPartition("key_lemma_embed needs an (X, Y) partition")
     x_side, y_side = host.partition
     g = host.graph
-    _check_spanning(g, l, "l")
+    if not checked:
+        _check_spanning(g, l, "l")
     h = template.graph.n
     parts_map = {int_field(v): tuple(map(int_field, ws)) for v, ws in parts.items()}
     if set(parts_map) != set(template.a_side):
@@ -427,10 +442,11 @@ def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
         seen_vertices |= set(ws)
     _check_no_isolated_b(template)
     fa = neighborhood_hypergraph(template)
-    for e in fa.hyperedges:
-        for combo in product(*(parts_map[v] for v in sorted(e))):
-            if not rich(frozenset(combo)):
-                raise BadBlowup(f"blowup edge {sorted(combo)} is outside the rich family")
+    if not checked:
+        for e in fa.hyperedges:
+            for combo in product(*(parts_map[v] for v in sorted(e))):
+                if not rich(frozenset(combo)):
+                    raise BadBlowup(f"blowup edge {sorted(combo)} is outside the rich family")
 
     a_order = list(template.a_side)
     b_order = list(template.b_side)
@@ -551,6 +567,7 @@ def asymmetric_embed(host: Host, m_sub: Graph, template: BipartiteTemplate,
     p-sets inside N_M(y) are gamma-dense, then look for a blowup of the
     template's neighborhood hypergraph among them and delegate to
     key_lemma_embed with M as the cross subgraph."""
+    from fractions import Fraction
     if host.partition is None:
         raise NoPartition("asymmetric_embed needs an (X, Y) partition")
     x_side, y_side = host.partition
@@ -597,7 +614,9 @@ def asymmetric_embed(host: Host, m_sub: Graph, template: BipartiteTemplate,
             entry["stage"] = "blowup"
             continue
         entry["parts"] = {str(v): list(ws) for v, ws in parts.items()}
-        sub_outcome = key_lemma_embed(host, m_sub, template, parts, rich, th, seed=seed)
+        # M's rows were checked above and _find_blowup has tested every blowup edge
+        sub_outcome = key_lemma_embed(host, m_sub, template, parts, rich, th, seed=seed,
+                                      checked=True)
         entry["stage"] = "delegated"
         trace.extend(sub_outcome.trace)
         if sub_outcome.found:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import inspect
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from indturan import cli, density, oracles
+from indturan import cli, commands, density, oracles
 from indturan.errors import DisprovesLemma
 from indturan.families import BipartiteTemplate, RootedGraph, as_graph, parse_descriptor
 from indturan.graph import graph_from_json_dict
@@ -417,7 +418,7 @@ class TestExport:
     def test_json_bytes(self, tmp_path, capsys, desc):
         # stdout and --out carry the same bytes: json.dumps with sorted keys
         # and an indent of 2, then a newline
-        want = json.dumps(cli._family_payload(desc), sort_keys=True, indent=2) + "\n"
+        want = json.dumps(commands._family_payload(desc), sort_keys=True, indent=2) + "\n"
         code, out = run_cli(capsys, "export", desc)
         assert code == 0 and out == want
         target = tmp_path / "fam.json"
@@ -464,16 +465,30 @@ class TestClosedStdout:
         assert proc.wait() == 1 and err == b"", err
 
 
-# Runs the CLI with this process's arguments, then writes the loaded package
-# modules to stderr as a JSON list.
-LOADED_PROBE = """import json, sys
+def parser_paths(parser, path=()):
+    """The command path of parser and of every subparser below it, parents
+    first: (), ("family",), ..., ("embed",), ("embed", "tree"), ..."""
+    yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from parser_paths(child, (*path, name))
+
+
+# Runs the CLI with this process's arguments, then writes its exit code and
+# the loaded package modules (and dataclasses, fractions and json, if loaded)
+# to stderr as a JSON object on a line of its own; json is imported only
+# after the modules are listed.
+LOADED_PROBE = """import sys
 from indturan import cli
 try:
-    cli.main()
-except SystemExit:
-    pass
-sys.stderr.write(json.dumps([m for m in sys.modules if m.startswith("indturan.")
-                             or m in ("dataclasses", "fractions")]))
+    code = cli.main()
+except SystemExit as exc:
+    code = exc.code
+loaded = [m for m in sys.modules if m.startswith("indturan.")
+          or m in ("dataclasses", "fractions", "json")]
+import json
+sys.stderr.write("\\n" + json.dumps({"exit": code, "loaded": loaded}))
 """
 
 # --help and one job of each benchmark workload, with the instance an embed
@@ -492,17 +507,31 @@ STARTUP_JOBS = {
 
 
 class TestLazyLayers:
-    def loaded(self, *argv):
-        """The indturan modules a CLI run loads (without the package prefix),
-        and dataclasses and fractions if it loads them."""
+    def loaded(self, *argv, code=0):
+        """The indturan modules a CLI run that exits with code loads (without
+        the package prefix), and dataclasses, fractions and json if it loads
+        them."""
         r = subprocess.run([sys.executable, "-c", LOADED_PROBE, *argv],
                            capture_output=True, cwd=ROOT, env=ENV)
-        assert r.returncode == 0 and r.stdout, r.stderr
-        return {m.removeprefix("indturan.") for m in json.loads(r.stderr)}
+        probe = json.loads(r.stderr.splitlines()[-1])
+        assert r.returncode == 0 and probe["exit"] == code, r.stderr
+        assert bool(r.stdout) == (code == 0), r.stdout
+        return {m.removeprefix("indturan.") for m in probe["loaded"]}
 
     def test_help_loads_no_layer(self):
-        layers = {"density", "embeddings", "oracles", "realizability", "regularity"}
-        assert not self.loaded("--help") & layers
+        assert self.loaded("--help") == {"cli"}
+
+    @pytest.mark.parametrize("argv, code", [(["embed", "--help"], 0), (["nosuch"], 2)],
+                             ids=["embed-help", "usage-error"])
+    def test_parse_only_runs_load_only_the_parser(self, argv, code):
+        # Neither json nor any indturan module but cli: parsing comes first.
+        assert self.loaded(*argv, code=code) == {"cli"}
+
+    def test_handler_table_matches_the_parser_leaves(self):
+        paths = set(parser_paths(cli.build_parser()))
+        leaves = {" ".join(p) for p in paths
+                  if not any(len(q) > len(p) and q[:len(p)] == p for q in paths)}
+        assert leaves == set(commands.HANDLERS)
 
     def test_badset_lemma_check_loads_no_oracle(self, tmp_path):
         # The lemma check runs the K_{s,s} search (K_{2,2}, |W| = 2 and
@@ -520,7 +549,8 @@ class TestLazyLayers:
     @pytest.mark.parametrize("job", sorted(STARTUP_JOBS))
     def test_start_up_imports(self, job, tmp_path):
         # No job pays for dataclasses; the embed procedures load neither the
-        # oracles nor the canonical form, and the extremal oracles no Fraction.
+        # oracles nor the canonical form, and the extremal oracles, embed tree
+        # and embed extract no Fraction.
         argv = STARTUP_JOBS[job]
         if argv[0] == "embed":
             path = tmp_path / "input.json"
@@ -530,8 +560,10 @@ class TestLazyLayers:
         assert "dataclasses" not in loaded
         if job.startswith("embed"):
             assert "embeddings" in loaded and not loaded & {"oracles", "canonical"}
+        if job.startswith("extremal") or job in ("embed-tree", "embed-extract"):
+            assert "fractions" not in loaded  # nothing these jobs read is a rational
         if job.startswith("extremal"):
-            assert "oracles" in loaded and "fractions" not in loaded
+            assert "oracles" in loaded
 
 
 EMBED_DIGESTS = json.loads((Path(__file__).parent / "embed_digests.json").read_text(encoding="utf-8"))
@@ -550,6 +582,46 @@ class TestPinnedEmbed:
         code, out = run_stdin(case["argv"], case["input"])
         assert code == case["exit"]
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == case["sha256"]
+
+
+# sha256 of the `--help` text of every command path at 80 columns, as
+# CPython 3.11's argparse lays it out.
+HELP_DIGESTS = {
+    "": "79d2245063e13a875713794c0e813ebd69f7f915201a502d32750bd11a7d25f0",
+    "family": "c9d5784eb76cc0f582850356e113928d45bdc568c4aea43f8c78299c268313fb",
+    "rho": "a77f0b869cccc187d7f40c778649266c4819ee1774c665d0831bfa037db3161c",
+    "balanced": "d710cad8d9d0cfebb62555c492f912b8eb30de9ce963eb8ce7ada353bdab985d",
+    "realize": "a3ad8c7f2c327f1aeb1d016a45b6a4259c3d9d6215aa13cc4f67d471d184093c",
+    "sweep": "71752d456f497a6a72dfaa5c00191818059612c9c590e09ff51241f67e26cb10",
+    "extremal": "34aedb9fe60dcaa7fb1ed6e636dcf775a025973eff8ee033a7a49d60ee4c13e2",
+    "embed": "78b4d527d8d75e5542eca92f33a3241d5ec734c0e68d54e2c76a2a23826d1468",
+    "embed tree": "8dd2e7d6929c98f285991973da3b4d1920828e36013cbddac647fc3dcf52cb9d",
+    "embed keylemma": "cb16e0198862c762ffad993cf12a4a2b15928da79e9cbba5daaff469d67f936e",
+    "embed extract": "275c3eae77627f6141b9a703c10944c98e51e08e5eccd40541d24013c7192c4a",
+    "embed asym": "e8ee4d2729a97ca96bb9c6ca89ef72d4986bcf82858c7e7041920a3008115b54",
+    "check": "584ef27bfced0e2b240ffd8a099a1c85d539e67f63c058a0c443d9ffd01f993a",
+    "check badset": "b5f5638ff70a7980ba4a5cbe41632158272489b9721c093e75f8e81dc23d1075",
+    "check rich": "e5cc5936ee6710c57e61a728066b8a87038226b157ea2e35a7fb2cff759ca3d3",
+    "check kst": "d13a97111dea3d9c10af581c8dda2b431435bfd4eb3bae64457671fb6febbd7d",
+    "check regularize": "b425274e9a2db286092e2d9899594f3c04157418d086ab598b3326ab458e16df",
+    "export": "1f9060aa1bff753c4c62f2b23d965a4102d2d1beeddd107d00a9db3c3408e454",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays out help differently in other Python versions")
+class TestPinnedHelp:
+    def test_every_command_path_is_pinned(self):
+        assert sorted(" ".join(p) for p in parser_paths(cli.build_parser())) == sorted(HELP_DIGESTS)
+
+    @pytest.mark.parametrize("path", sorted(HELP_DIGESTS))
+    def test_help_digest(self, path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*path.split(), "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HELP_DIGESTS[path]
 
 
 # --- malformed --input fuzzing ----------------------------------------------------
@@ -658,6 +730,19 @@ def _spoil_id(draw, doc, path, bad=(True, 2.5)):
     return _set(doc, path, ids)
 
 
+def _graph_paths(doc):
+    """Paths of every graph object of doc, the document itself included."""
+    return [p for p in [(), *_nodes(doc)] if "edges" in _get(doc, p)]
+
+
+def _label_paths(doc):
+    """Paths of the roots and both partition sides of every graph object of doc."""
+    graphs = _graph_paths(doc)
+    return ([p + ("roots",) for p in graphs if "roots" in _get(doc, p)]
+            + [p + ("partition", side) for p in graphs if "partition" in _get(doc, p)
+               for side in ("X", "Y")])
+
+
 @st.composite
 def malformed_inputs(draw):
     argv = draw(st.sampled_from(sorted(VALID_INPUTS)))
@@ -673,13 +758,10 @@ def malformed_inputs(draw):
         return argv, _set(doc, draw(st.sampled_from(list(_nodes(doc)))), draw(_NON_OBJECTS))
     if how == "number":
         return argv, _set(doc, draw(st.sampled_from(numeric)), draw(_NON_NUMBERS))
-    graphs = [p for p in [(), *_nodes(doc)] if "edges" in _get(doc, p)]
     if how == "label":
         # one root or partition-side vertex id of a graph object becomes a
         # boolean or a non-integral number
-        labels = [p + ("roots",) for p in graphs if "roots" in _get(doc, p)]
-        labels += [p + ("partition", side) for p in graphs if "partition" in _get(doc, p)
-                   for side in ("X", "Y")]
+        labels = _label_paths(doc)
         assume(labels)
         return argv, _spoil_id(draw, doc, draw(st.sampled_from(labels)))
     if how == "vertex" and argv in _VERTEX_LISTS and draw(st.booleans()):
@@ -689,7 +771,7 @@ def malformed_inputs(draw):
         path = draw(st.sampled_from(lists))
         doc = _carrying(doc, path)
         return argv, _spoil_id(draw, doc, path, (True, 2.5, -1, _get(doc, graph)["n"]))
-    path = draw(st.sampled_from(graphs))
+    path = draw(st.sampled_from(_graph_paths(doc)))
     if how == "vertex":
         # a graph's n (its edges dropped, so no range check fires first) or
         # one edge endpoint becomes a boolean or a non-integral number
@@ -706,6 +788,17 @@ def malformed_inputs(draw):
     edges = _get(doc, path)["edges"]
     at = draw(st.integers(0, len(edges)))
     return argv, _set(doc, path + ("edges",), edges[:at] + [bad] + edges[at:])
+
+
+# Every (command, graph object) pair, and every (command, vertex-id list)
+# pair: the roots and partition sides of the graph objects and the lists of
+# _VERTEX_LISTS.  The deterministic cases below break each one, whichever
+# branches the fuzz draws.
+_GRAPHS = [(argv, path) for argv in sorted(VALID_INPUTS)
+           for path in _graph_paths(VALID_INPUTS[argv][0])]
+_ID_LISTS = [(argv, path) for argv in sorted(VALID_INPUTS)
+             for path in _label_paths(VALID_INPUTS[argv][0])]
+_ID_LISTS += [(argv, path) for argv, (_, paths) in sorted(_VERTEX_LISTS.items()) for path in paths]
 
 
 class TestMalformedInputFuzz:
@@ -733,6 +826,29 @@ class TestMalformedInputFuzz:
         ids = list(_get(doc, path))
         ids[0] = -1 if end == "low" else _get(doc, graph)["n"]
         code, out = run_stdin(argv, _set(doc, path, ids))
+        assert code == 1
+        assert set(json.loads(out)) == {"error", "message"}
+
+    @pytest.mark.parametrize("argv, path", _ID_LISTS, ids=lambda v: "-".join(map(str, v)))
+    @pytest.mark.parametrize("bad", [True, 2.5])
+    def test_bad_id_in_every_id_list(self, argv, path, bad):
+        # the first id of the list becomes a boolean or a non-integral number
+        doc = _carrying(VALID_INPUTS[argv][0], path)
+        ids = list(_get(doc, path))
+        ids[0] = bad
+        code, out = run_stdin(argv, _set(doc, path, ids))
+        assert code == 1
+        assert set(json.loads(out)) == {"error", "message"}
+
+    @pytest.mark.parametrize("argv, graph", _GRAPHS,
+                             ids=lambda v: "-".join(map(str, v)) or "document")
+    @pytest.mark.parametrize("bad", ["bool", "range"])
+    def test_bad_edge_in_every_edge_list(self, argv, graph, bad):
+        # an edge with a boolean endpoint, or one past the graph's end, goes first
+        doc = VALID_INPUTS[argv][0]
+        g = _get(doc, graph)
+        edge = [0, True] if bad == "bool" else [0, g["n"]]
+        code, out = run_stdin(argv, _set(doc, graph + ("edges",), [edge, *g["edges"]]))
         assert code == 1
         assert set(json.loads(out)) == {"error", "message"}
 
@@ -798,7 +914,7 @@ def _writer_outcome(dump, value):
 
 def _written(value) -> str:
     out = io.StringIO()
-    cli._dump(value, out)
+    commands._dump(value, out)
     return out.getvalue()
 
 
@@ -831,14 +947,14 @@ class TestJsonWriter:
                 for i in range(3000)]
         value = {"count": len(rows), "copies": rows}
         writes = []
-        cli._dump(value, mock.Mock(write=writes.append))
+        commands._dump(value, mock.Mock(write=writes.append))
         assert "".join(writes) == json.dumps(value, sort_keys=True, indent=2) + "\n"
-        assert len(writes) > 10 and max(map(len, writes)) <= cli._BATCH
+        assert len(writes) > 10 and max(map(len, writes)) <= commands._BATCH
 
     def test_batched_writes(self):
         # 3,000 integer lists: several writes, each about the batch size
         value = {"count": 3000, "copies": [(i, i + 1, 10 ** 9 + i) for i in range(3000)]}
         writes = []
-        cli._dump(value, mock.Mock(write=writes.append))
+        commands._dump(value, mock.Mock(write=writes.append))
         assert "".join(writes) == json.dumps(value, sort_keys=True, indent=2) + "\n"
-        assert len(writes) > 2 and max(map(len, writes)) < cli._BATCH + 100
+        assert len(writes) > 2 and max(map(len, writes)) < commands._BATCH + 100

@@ -734,6 +734,24 @@ class TestAsymmetric:
         head = out.trace[0]
         assert head["p"] == 2 and head["c3_guarantee"]
 
+    def test_checks_m_and_the_blowup_once(self, monkeypatch):
+        # asymmetric_embed checks M's rows itself and _find_blowup tests every
+        # blowup edge, so its delegated key-lemma calls check neither again
+        spans, delegated = [], []
+        check_spanning, key_lemma = embeddings._check_spanning, embeddings.key_lemma_embed
+
+        def spy(*args, **kwargs):
+            delegated.append(kwargs.get("checked"))
+            return key_lemma(*args, **kwargs)
+
+        monkeypatch.setattr(embeddings, "_check_spanning",
+                            lambda g, sub, name: spans.append(name) or check_spanning(g, sub, name))
+        monkeypatch.setattr(embeddings, "key_lemma_embed", spy)
+        host = k45_host()
+        out = asymmetric_embed(host, cross_subgraph(host), p3_template(),
+                               Thresholds(c_hs=3, m_blow=2))
+        assert out.found and delegated and set(delegated) == {True} and spans == ["M"]
+
     def test_delta_gate(self):
         host = k45_host()
         l = cross_subgraph(host)
