@@ -7,7 +7,8 @@ Layers: `graph` (vertex/edge primitives, induced-map row checks, JSON, DOT),
 certificates), `oracles` (exhaustive ground truth at desk scale), `canonical`
 (the canonical form that `oracles` deduplicates graph classes with),
 `embeddings` (lemma procedures), `regularity` (the almost-regular subgraph
-lemma), `cli`.
+lemma), `cli` (the argument parser) and `commands` (the subcommand handlers
+it loads once the arguments parse).
 
 Each name below is imported from its layer on first use (PEP 562), so that
 `import indturan` and a CLI run load only the layers they need: the embed
