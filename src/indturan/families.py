@@ -278,6 +278,9 @@ def as_template(obj) -> BipartiteTemplate:
 _PLAIN_KINDS = {"Trt": (height_two_tree, ("r", "t")), "Tr11": (tree_r11, ("r",)),
                 "path": (rooted_path, ("len",)), "star": (leaf_rooted_star, ("r",)),
                 "theta": (theta, ("len", "t")), "Kst": (complete_bipartite_template, ("s", "t"))}
+# The argument names of every kind.
+_KIND_KEYS = {kind: names for kind, (_, names) in _PLAIN_KINDS.items()} | {
+    "power": ("base", "l"), "f1": ("base",)}
 
 
 def _split_args(text: str) -> list[str]:
@@ -306,23 +309,26 @@ def parse_descriptor(desc: str):
     desc = desc.strip()
     kind, _, argtext = desc.partition(":")
     kind = kind.strip()
+    if kind not in _KIND_KEYS:
+        raise ValueError(f"unknown descriptor kind {kind!r}")
     args: dict[str, str] = {}
     if argtext:
         for item in _split_args(argtext):
             key, eq, value = item.partition("=")
+            key = key.strip()
             if not eq:
                 raise ValueError(f"malformed descriptor argument {item!r}")
-            args[key.strip()] = value.strip()
-
-    def intarg(name: str) -> int:
+            if key in args:
+                raise ValueError(f"descriptor {kind!r} has a repeated {key}=")
+            if key not in _KIND_KEYS[kind]:
+                raise ValueError(f"descriptor {kind!r} takes no {key}=")
+            args[key] = value.strip()
+    for name in _KIND_KEYS[kind]:
         if name not in args:
             raise ValueError(f"descriptor {kind!r} needs {name}=")
-        return int(args[name])
 
-    def rooted_subarg(name: str) -> RootedGraph:
-        if name not in args:
-            raise ValueError(f"descriptor {kind!r} needs {name}=")
-        value = args[name]
+    def rooted_base() -> RootedGraph:
+        value = args["base"]
         if value.startswith("(") and value.endswith(")"):
             value = value[1:-1]
         base = parse_descriptor(value)
@@ -332,9 +338,7 @@ def parse_descriptor(desc: str):
 
     if kind in _PLAIN_KINDS:
         make, names = _PLAIN_KINDS[kind]
-        return make(*map(intarg, names))
+        return make(*(int(args[name]) for name in names))
     if kind == "power":
-        return rooted_power(rooted_subarg("base"), intarg("l"))
-    if kind == "f1":
-        return attach_ktt_rooted(rooted_subarg("base"), 1)
-    raise ValueError(f"unknown descriptor kind {kind!r}")
+        return rooted_power(rooted_base(), int(args["l"]))
+    return attach_ktt_rooted(rooted_base(), 1)  # f1

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .errors import EmptyGraph, InvalidPartition, Multigraph, NoPartition
+from .errors import InvalidPartition, Multigraph, NoPartition
 
 if TYPE_CHECKING:
     from .families import BipartiteTemplate
@@ -206,14 +206,6 @@ def edge_subgraph(g: Graph, edges: Iterable[Sequence[int]]) -> Graph:
         if e not in g.edges:
             raise ValueError(f"edge {e} is not an edge of the ambient graph")
     return Graph(g.n, es)
-
-
-def degree_stats(g: Graph) -> tuple[int, int]:
-    """(min degree, max degree)."""
-    if g.n == 0:
-        raise EmptyGraph("degree stats need at least one vertex")
-    degs = [g.degree(v) for v in range(g.n)]
-    return min(degs), max(degs)
 
 
 def verify_induced_map(g: Graph, h: Graph, vm: VertexMap) -> bool:

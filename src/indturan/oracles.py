@@ -406,14 +406,21 @@ def _densest_result(reps: Iterable[Graph], explored: int,
                             explored, is_free)
 
 
+def _check_order(n: int, budget: int) -> None:
+    """ValueError for a negative order, TooLarge for one above the budget."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > budget:
+        raise TooLarge(f"n={n} exceeds the search budget {budget}")
+
+
 def extremal_star(n: int, h: Graph, s: int, budget: int = STAR_BUDGET) -> ExtremalResult:
     """Exact max edge count of an n-vertex graph with no K_{s,s} subgraph and no
     induced copy of h, by branch and bound on the edge count
     (`_densest_classes`).  The witness is the densest class whose canonical
     form has the least edge list, in its canonical labelling; `explored`
     counts the extensions tested."""
-    if n > budget:
-        raise TooLarge(f"n={n} exceeds the search budget {budget}")
+    _check_order(n, budget)
     if s < 1:
         raise ValueError("s must be positive")
     if h.n == 0:
@@ -434,8 +441,7 @@ def extremal_classical(n: int, h: Graph, budget: int = STAR_BUDGET) -> ExtremalR
     """Exact max edges of an n-vertex graph with no copy of h (induced or not),
     searched and witnessed as in `extremal_star`; `explored` counts the
     extensions tested."""
-    if n > budget:
-        raise TooLarge(f"n={n} exceeds the search budget {budget}")
+    _check_order(n, budget)
     if h.n == 0:
         raise ValueError("pattern must have at least one vertex")
     h = Pattern(h)  # compiled once for every matcher call below
@@ -461,8 +467,7 @@ def extremal_bip_star(n: int, h: BipartiteTemplate, s: int,
     only on the class; `explored` counts the extensions tested plus the
     partitions handed to the matcher.
     """
-    if n > budget:
-        raise TooLarge(f"n={n} exceeds the search budget {budget}")
+    _check_order(n, budget)
     if s < 1:
         raise ValueError("s must be positive")
     if n == 0:

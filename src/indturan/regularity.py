@@ -2,10 +2,12 @@
 
 `regularize` finds an induced K-almost-regular subgraph, K = 2^(4/alpha + 2),
 of a graph with at least C n^(1+alpha) edges, and reports which of the
-source's edge and size guarantees the result meets.  Every comparison with a
-rational exponent is made exactly, by raising both sides to a common integer
-power.  None of the embedding procedures calls it; `indturan check
-regularize` does.
+source's edge and size guarantees the result meets.  Its candidates are
+vertex masks of the input graph, whose degrees it reads off the adjacency
+rows; the subgraph is built once, for the answer.  Every comparison with a
+rational exponent goes through one helper, `product_pow_le`, which raises
+both sides to a common integer power.  None of the embedding procedures calls
+it; `indturan check regularize` does.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import DisprovesLemma, EmptyGraph, HypothesisUnmet
-from .graph import Graph, degree_stats, induced_subgraph
+from .graph import Graph, bits, induced_subgraph, mask_of
 
 
 def almost_regular_exponent(alpha: Fraction) -> Fraction:
@@ -33,19 +35,17 @@ def almost_regular_factor(alpha: Fraction) -> Fraction:
 
 
 def product_pow_le(lhs: Sequence[tuple], rhs: Sequence[tuple]) -> bool:
-    """Exact test prod(b^e for lhs) <= prod(b^e for rhs) with positive rational
-    bases and rational exponents: raise both sides to the exponents' lcm."""
-    terms = [(Fraction(b), Fraction(e)) for b, e in lhs] + \
-            [(Fraction(b), Fraction(e)) for b, e in rhs]
-    if any(b <= 0 for b, _ in terms):
-        raise ValueError("bases must be positive")
-    scale = math.lcm(*(e.denominator for _, e in terms)) if terms else 1
+    """Exact test prod(b^e for lhs) <= prod(b^e for rhs) with rational bases
+    and exponents, each base positive or zero under a positive exponent
+    (0^e = 0): raise both sides to the exponents' lcm."""
+    lhs = [(Fraction(b), Fraction(e)) for b, e in lhs]
+    rhs = [(Fraction(b), Fraction(e)) for b, e in rhs]
+    if any(b < 0 or b == 0 and e <= 0 for b, e in lhs + rhs):
+        raise ValueError("bases must be positive, or zero under a positive exponent")
+    scale = math.lcm(*(e.denominator for _, e in lhs + rhs))
 
     def value(side):
-        out = Fraction(1)
-        for b, e in side:
-            out *= Fraction(b) ** int(Fraction(e) * scale)
-        return out
+        return math.prod(b ** int(e * scale) for b, e in side)
 
     return value(lhs) <= value(rhs)
 
@@ -56,19 +56,6 @@ class RegularizeReport(NamedTuple):
     k_log2: Fraction             # exact exponent 4/alpha + 2
     edge_guarantee: bool         # e(H) >= (C/4) m^(1+alpha)
     size_guarantee: bool         # m >= C^((a+1)/(2a+4)) n^(a/(2a+4)) / 2^k_log2
-
-
-def _ge_coeff_pow(e: int, coeff: Fraction, base: int, expo: Fraction) -> bool:
-    """Exact e >= coeff * base^expo with rational expo and positive base."""
-    if base == 0:
-        return True
-    q = expo.denominator
-    return Fraction(e) ** q >= coeff ** q * Fraction(base) ** expo.numerator
-
-
-def _ratio_le_pow2(num: int, den: int, e: Fraction) -> bool:
-    """Exact num/den <= 2^e for nonnegative num, positive den, rational e."""
-    return num ** e.denominator <= 2 ** e.numerator * den ** e.denominator
 
 
 def regularize(g: Graph, alpha: Fraction, c_big: Fraction) -> tuple[Graph, tuple[int, ...],
@@ -89,58 +76,54 @@ def regularize(g: Graph, alpha: Fraction, c_big: Fraction) -> tuple[Graph, tuple
         raise ValueError("C must be positive")
     if g.n == 0:
         raise EmptyGraph("cannot regularize the empty graph")
-    if not _ge_coeff_pow(g.m, c_big, g.n, 1 + alpha):
+    power = 1 + alpha
+    if not product_pow_le([(c_big, 1), (g.n, power)], [(g.m, 1)]):
         raise HypothesisUnmet(f"e(G) = {g.m} below C n^(1+alpha)")
     exponent = almost_regular_exponent(alpha)
     k_exact = almost_regular_factor(alpha)
 
-    def is_almost_regular(sub: Graph) -> bool:
-        dmin, dmax = degree_stats(sub)
-        if dmin == 0:
-            return dmax == 0
-        return _ratio_le_pow2(dmax, dmin, exponent)
+    def degrees(mask: int) -> dict[int, int]:
+        """Each vertex of mask, by increasing id, with its degree inside mask."""
+        return {v: (g.adj[v] & mask).bit_count() for v in bits(mask)}
 
-    current = tuple(range(g.n))
-    fallback = None  # (edges, sub, idxmap)
+    def dense(n: int, m: int) -> bool:
+        """m edges on n vertices are at least (C/4) n^(1+alpha)."""
+        return product_pow_le([(c_big / 4, 1), (n, power)], [(m, 1)])
+
+    mask = g.vertex_mask()
+    fallback = None  # (edges, mask) of the K-almost-regular candidate with the most edges
     while True:
-        sub, idx = induced_subgraph(g, current)
-        regular = is_almost_regular(sub)
-        dense = _ge_coeff_pow(sub.m, c_big / 4, sub.n, 1 + alpha)
-        if regular and (fallback is None or sub.m > fallback[0]):
-            fallback = (sub.m, sub, idx)
-        if regular and dense:
+        deg = degrees(mask)
+        n, m = len(deg), sum(deg.values()) // 2
+        dmin, dmax = min(deg.values()), max(deg.values())
+        regular = product_pow_le([(dmax, 1)], [(2, exponent), (dmin, 1)])
+        edge_ok = dense(n, m)
+        if regular and (fallback is None or m > fallback[0]):
+            fallback = (m, mask)
+        if regular and edge_ok:
             break
-        if sub.n <= 1:
+        if n <= 1:
             if fallback is None:
                 raise DisprovesLemma("no almost-regular subgraph, though a single vertex is one")
-            _, sub, idx = fallback
-            dense = _ge_coeff_pow(sub.m, c_big / 4, sub.n, 1 + alpha)
+            m, mask = fallback
+            edge_ok = dense(mask.bit_count(), m)
             break
-        dmin, dmax = degree_stats(sub)
-        if 2 * dmin * sub.n < sub.m:  # dmin < avg/4
-            drop = min(v for v in range(sub.n) if sub.degree(v) == dmin)
-            current = tuple(v for v in idx if v != idx[drop])
+        if 2 * dmin * n < m:  # dmin < avg/4
+            mask ^= 1 << next(v for v, d in deg.items() if d == dmin)
             continue
-        order = sorted(range(sub.n), key=lambda v: (-sub.degree(v), v))
-        half = (sub.n + 1) // 2
-        top = sorted(idx[v] for v in order[:half])
-        bottom = sorted(idx[v] for v in order[-half:])
-        top_sub, _ = induced_subgraph(g, top)
-        bot_sub, _ = induced_subgraph(g, bottom)
-        # denser half under e / v^(1+alpha), exact comparison
-        q = (1 + alpha).denominator
-        p = (1 + alpha).numerator
-        lhs = Fraction(top_sub.m) ** q * Fraction(bot_sub.n) ** p
-        rhs = Fraction(bot_sub.m) ** q * Fraction(top_sub.n) ** p
-        pick = top if lhs >= rhs else bottom
-        current = tuple(pick)
+        order = sorted(deg, key=lambda v: (-deg[v], v))
+        half = (n + 1) // 2
+        top, bottom = mask_of(order[:half]), mask_of(order[-half:])
+        # both halves have `half` vertices, so e / v^(1+alpha) orders them as e does
+        mask = top if sum(degrees(top).values()) >= sum(degrees(bottom).values()) else bottom
 
+    sub, idx = induced_subgraph(g, bits(mask))
     size_ok = product_pow_le(
-        [(Fraction(c_big), Fraction(alpha + 1, 2 * alpha + 4)),
-         (Fraction(2), -exponent),
-         (Fraction(g.n), Fraction(alpha, 2 * alpha + 4))],
-        [(Fraction(sub.n), Fraction(1))],
-    ) if sub.n > 0 else False
+        [(c_big, Fraction(alpha + 1, 2 * alpha + 4)),
+         (2, -exponent),
+         (g.n, Fraction(alpha, 2 * alpha + 4))],
+        [(sub.n, 1)],
+    )
     report = RegularizeReport(m=sub.n, e=sub.m, k_log2=exponent,
-                              edge_guarantee=dense, size_guarantee=size_ok)
+                              edge_guarantee=edge_ok, size_guarantee=size_ok)
     return sub, idx, k_exact, report

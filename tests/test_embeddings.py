@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import json
 import math
 import os
 import random
@@ -33,6 +35,7 @@ from indturan.errors import (
     DisprovesLemma,
     EmptyQuery,
     HypothesisUnmet,
+    IndturanError,
     InvalidPartition,
     NoPartition,
     NotSemiInduced,
@@ -71,6 +74,8 @@ from helpers import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+REGULARIZE_DIGESTS = json.loads((Path(__file__).parent / "regularize_digests.json")
+                                .read_text(encoding="utf-8"))
 
 
 def k45_host():
@@ -144,6 +149,15 @@ class TestThresholds:
         assert product_pow_le([(2, Fraction(1, 2))], [(Fraction(3, 2), 1)])
         with pytest.raises(ValueError):
             product_pow_le([(-1, 1)], [(2, 1)])
+
+    def test_product_pow_le_zero_base(self):
+        # 0^e = 0 under a positive exponent; 0^0 and 0^-1 are refused
+        assert product_pow_le([(0, Fraction(1, 2)), (5, 3)], [(Fraction(1, 7), 1)])
+        assert not product_pow_le([(Fraction(1, 7), 1)], [(3, 1), (0, Fraction(2, 3))])
+        assert product_pow_le([(0, 1)], [(0, Fraction(5, 2))])
+        for exponent in (0, -1, Fraction(-1, 2)):
+            with pytest.raises(ValueError):
+                product_pow_le([(1, 1)], [(0, exponent)])
 
 
 class TestBadSet:
@@ -261,6 +275,100 @@ class TestRegularize:
     def test_hypothesis_gate(self):
         with pytest.raises(HypothesisUnmet):
             regularize(Graph(9, [(0, 1)]), Fraction(1, 2), Fraction(1))
+
+    @pytest.mark.parametrize("name", sorted(REGULARIZE_DIGESTS))
+    def test_pinned_outputs(self, name):
+        # recorded before candidates became vertex masks; the cases take the
+        # drop, both bisection halves and the fall-back at one vertex
+        case = REGULARIZE_DIGESTS[name]
+        assert regularize_digest(case["seed"], case["cases"]) == case["sha256"]
+
+
+def _hub_graph(rng) -> Graph:
+    """Vertex 0 joined to all of 80-120 vertices, plus a random part on a
+    prefix and sparse edges out of it: too irregular to keep whole, so
+    `regularize` bisects."""
+    n = rng.randrange(80, 121)
+    core = rng.randrange(2, n // 2)
+    p_in, p_cross = rng.random(), rng.random() / 8
+    return Graph(n, [(0, v) for v in range(1, n)]
+                 + [(u, v) for u in range(1, n) for v in range(u + 1, n)
+                    if rng.random() < (p_in if v < core else p_cross if u < core else 0)])
+
+
+def _sparse_top_half(rng, d_t: int, b: int, k: int) -> Graph:
+    """A graph on 2k vertices whose top half by degree, T = 0..k-1, induces a
+    sparse d_t-regular graph, so `regularize` takes T and then bisects T.
+
+    Vertex 0 is joined to all of B = k..2k-1; every other vertex of T has
+    b - 1 neighbours in B (distinct shifts mod k), so B has degrees b - 1
+    and b and T comes first.  For d_t = 1, T is a perfect matching across
+    its two id halves, whose halves are then edgeless down to one vertex.
+    For d_t = 2 (k odd), T is a cycle through the middle vertex j whose two
+    neighbours both lie above j, so T's bottom half has one edge more."""
+    edges = [(0, v) for v in range(k, 2 * k)]
+    for shift in rng.sample(range(k), b - 1):
+        edges += [(i, k + (i + shift) % k) for i in range(1, k)]
+    if d_t == 1:
+        low, high = list(range(k // 2)), list(range(k // 2, k))
+        rng.shuffle(high)
+        edges += list(zip(low, high))
+    else:
+        j = k // 2
+        cycle = [v for v in range(k) if v != j]
+        rng.shuffle(cycle)
+        at = next(i for i in range(len(cycle)) if min(cycle[i - 1], cycle[i]) > j)
+        cycle.insert(at, j)
+        edges += [(cycle[i - 1], cycle[i]) for i in range(k)]
+    return Graph(2 * k, edges)
+
+
+def regularize_cases(seed: int, count: int):
+    """Seeded (graph, alpha, C) cases for `regularize`: small random graphs
+    with a denser part (minimum-degree drops, the hypothesis gate, the empty
+    graph), hub graphs (bisection to the top half), and, at two places in
+    every 150, a graph with a sparse regular top half (bisection to the
+    bottom half, and the fall-back at one vertex)."""
+    rng = random.Random(seed)
+    alpha = Fraction(19, 20)
+    for i in range(count):
+        if i % 150 in (7, 82):
+            d_t = 1 if i % 150 == 7 else 2
+            b = rng.choice((8, 9) if d_t == 1 else (16, 17))
+            # vertex 0, of degree k + d_t, exceeds K = 2^(4/alpha + 2) times b - 1
+            k = math.ceil(2 ** (4 / alpha + 2) * (b - 1)) + rng.randrange(20)
+            k += (k + d_t + 1) % 2  # even for the matching, odd for the cycle
+            g = _sparse_top_half(rng, d_t, b, k)
+            # C between the sparse-half bound and the hypothesis bound
+            c = (2 * d_t * k ** -alpha + g.m / (2 * k) ** (1 + alpha)) / 2
+            yield g, alpha, Fraction(c).limit_denominator(10 ** 6)
+        elif i % 3 == 0:
+            yield _hub_graph(rng), rng.choice((Fraction(9, 10), alpha)), \
+                rng.choice((Fraction(1, 200), Fraction(1, 100), Fraction(1, 50), Fraction(1, 20)))
+        else:
+            n = rng.randrange(17)
+            core = rng.randrange(n + 1)
+            p_in, p_out = rng.random(), rng.random() ** 2
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < (p_in if v < core else p_out)])
+            yield g, rng.choice((Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+                                 Fraction(9, 10))), \
+                rng.choice((Fraction(1, 100), Fraction(1, 10), Fraction(1, 4), Fraction(1), Fraction(3)))
+
+
+def regularize_digest(seed: int, count: int) -> str:
+    """sha256 over one JSON line per case: the subgraph's edges, the ids, K
+    and the report, or the exception's type and message."""
+    digest = hashlib.sha256()
+    for g, alpha, c in regularize_cases(seed, count):
+        try:
+            sub, idx, k, report = regularize(g, alpha, c)
+            out = [sub.n, sub.edge_list(), list(idx), str(k), report.m, report.e,
+                   str(report.k_log2), report.edge_guarantee, report.size_guarantee]
+        except (IndturanError, ValueError) as exc:
+            out = [type(exc).__name__, str(exc)]
+        digest.update(json.dumps(out).encode("utf-8") + b"\n")
+    return digest.hexdigest()
 
 
 def naive_good_copies(g, l, t, d):

@@ -249,6 +249,28 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             parse_descriptor("mystery:x=1")
 
+    @pytest.mark.parametrize("desc, key", [
+        ("path:len=2,len=3", "len"),
+        ("Trt:r=1,t=1,r=2", "r"),
+        ("power:base=(path:len=2),l=2,l=2", "l"),
+        ("f1:base=(path:len=2),base=(path:len=3)", "base"),
+    ])
+    def test_repeated_key(self, desc, key):
+        with pytest.raises(ValueError, match=f"repeated.* {key}="):
+            parse_descriptor(desc)
+
+    @pytest.mark.parametrize("desc, key", [
+        ("path:len=2,extra=3", "extra"),
+        ("star:r=2,t=1", "t"),
+        ("Kst:s=2,t=3,r=1", "r"),
+        ("power:base=(path:len=2),l=2,q=(x)", "q"),
+        ("f1:base=(path:len=2),l=2", "l"),
+        ("power:base=(path:len=2,extra=1),l=2", "extra"),
+    ])
+    def test_key_the_kind_does_not_read(self, desc, key):
+        with pytest.raises(ValueError, match=f"takes no {key}="):
+            parse_descriptor(desc)
+
     def test_as_template_odd_cycle(self):
         with pytest.raises(NotBipartite):
             as_template(Graph(3, [(0, 1), (1, 2), (0, 2)]))

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from indturan.errors import (
-    EmptyGraph,
     InvalidPartition,
     Multigraph,
     NotBipartite,
@@ -20,7 +19,6 @@ from indturan.graph import (
     bits,
     common_neighborhood_mask,
     cross_subgraph,
-    degree_stats,
     edge_subgraph,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -162,15 +160,7 @@ class TestRelabel:
             assert induced_subgraph(g, s) == expect
 
 
-class TestDegreeStats:
-    def test_stats(self):
-        g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        assert degree_stats(g) == (1, 3)
-
-    def test_empty_graph(self):
-        with pytest.raises(EmptyGraph):
-            degree_stats(Graph(0, []))
-
+class TestAlmostRegularReference:
     def test_almost_regular(self):
         star = Graph(4, [(0, 1), (0, 2), (0, 3)])
         assert is_k_almost_regular(star, Fraction(3))

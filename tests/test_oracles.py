@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indturan import oracles
+from indturan import cli, oracles
 from indturan.errors import (
     DisprovesLemma,
     InvalidPartition,
@@ -522,6 +522,27 @@ class TestExtremalStar:
                 if prev is not None:
                     assert prev <= v2
                 prev = v2
+
+
+class TestNegativeOrder:
+    ORACLES = {
+        "star": lambda n: extremal_star(n, p4(), 2),
+        "classical": lambda n: extremal_classical(n, p4()),
+        "bip": lambda n: extremal_bip_star(n, as_template(p4()), 3),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(ORACLES))
+    @pytest.mark.parametrize("n", (-1, -2))
+    def test_library_call(self, mode, n):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            self.ORACLES[mode](n)
+
+    @pytest.mark.parametrize("mode", sorted(ORACLES))
+    def test_cli_exits_1(self, capsys, mode):
+        code = cli.main(["extremal", "--n", "-2", "--pattern", "path:len=2", "--mode", mode])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out) == {"error": "ValueError",
+                                                       "message": "n must be nonnegative"}
 
 
 class TestExtremalBip:
