@@ -12,10 +12,10 @@ form is the graph itself relabelled, so equal forms mean isomorphic graphs.
 Two leaves with equal rows give an automorphism, which prunes the tree: the
 children of a node in one orbit of the automorphisms that fix the node's
 individualised vertices have equal sets of leaf rows.  Twins (vertices with
-equal open or equal closed neighbourhoods) give automorphisms for free, and a
-partition whose every cell is a set of twins needs no search at all.  The
-automorphisms found generate the whole group; `oracles` uses them to test only
-one neighbour mask per orbit.
+equal open or equal closed neighbourhoods) give automorphisms for free: their
+swaps seed the pruning, so a cell of twins is searched through one child.
+The automorphisms found generate the whole group; `oracles` uses them to test
+only one neighbour mask per orbit.
 """
 
 from __future__ import annotations
@@ -163,12 +163,6 @@ def canonical(adj: Sequence[int]) -> tuple[tuple[int, ...], list[list[int]]]:
             swap = list(range(n))
             swap[u], swap[v] = v, u
             autos.append(swap)
-    leads = [c.bit_length() - 1 for c in cells]
-    if all(twins[adj[v]] & c == c or twins[adj[v] | 1 << v] & c == c
-           for c, v in zip(cells, leads)):
-        # Each cell is a set of twins, so the swaps reorder each cell at will
-        # and every leaf has the same rows.
-        return relabel(adj, [v for c in cells for v in bits(c)]), autos
     leaves: dict = {}
     _search(adj, cells, leaves, autos, [], [])
     return min(leaves), autos

@@ -9,8 +9,9 @@ handler's payload is written as JSON by `commands._dump`.
 
 Exit codes: 0 success, 1 domain error (printed as an {"error", "message"}
 object), 2 usage error (argparse), 3 internal fault: a re-check failed
-(DisprovesLemma), which means a bug, printed like a domain error.  A closed
-stdout exits 1, the rest of the output dropped, no traceback.
+(DisprovesLemma, CertificateInvalid among them), which means a bug, printed
+like a domain error.  A closed stdout exits 1, the rest of the output
+dropped, no traceback.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ from .graph import (
     common_neighborhood_mask,
     contains_kss,
     first_clique,
+    first_rich_subset,
     int_field,
     mask_of,
     verify_bip_induced_map,
@@ -145,15 +146,13 @@ def rich_s_set(g: Graph, x: Iterable[int], y: Iterable[int], c: Fraction,
         raise HypothesisUnmet(f"e = {e} below c|X||Y| = {c * len(xs) * ny}")
     if num * len(xs) < 2 * s * den:
         raise HypothesisUnmet(f"c|X| = {c * len(xs)} below 2s = {2 * s}")
-    # count >= (c/2)^s |Y| as count * (2 den)^s >= num^s |Y|
-    scale, need = (2 * den) ** s, num ** s * ny
-    for cand in combinations(xs, s):
-        common = ym
-        for v in cand:
-            common &= adj_y[v]
-        if common.bit_count() * scale >= need:
-            return cand
-    raise DisprovesLemma("no rich s-set despite verified hypotheses")
+    # count >= (c/2)^s |Y| as count * (2 den)^s >= num^s |Y|, which for an
+    # integer count is count >= ceil(num^s |Y| / (2 den)^s)
+    least = -(-(num ** s * ny) // (2 * den) ** s)
+    cand = first_rich_subset(adj_y, xs, s, least)
+    if cand is None:
+        raise DisprovesLemma("no rich s-set despite verified hypotheses")
+    return cand
 
 
 # --- greedy tree embedding ----------------------------------------------------------
@@ -300,25 +299,17 @@ def admissible_tree_copies(l: Graph, t: Graph, stream: Iterable[VertexMap],
                            star_leaves: int, threshold: int) -> Iterator[VertexMap]:
     """Filter a copy stream down to copies containing no heavy star:
     no copy vertex has star_leaves copy-neighbors whose common L-neighborhood
-    reaches the threshold.  A copy that is not t.n vertex ids of l raises
-    ValueError."""
+    reaches the threshold (`graph.first_rich_subset` over the sorted
+    copy-neighbors of each copy vertex).  A copy that is not t.n vertex ids
+    of l raises ValueError."""
     for vm in stream:
         if len(vm) != t.n:
             raise ValueError(f"copy {list(vm)} has {len(vm)} vertices, the tree {t.n}")
         if not all(0 <= x < l.n for x in vm):
             raise ValueError(f"copy {list(vm)} has a vertex outside l's 0..{l.n - 1}")
-        heavy = False
-        for v in range(t.n):
-            nbrs = [vm[w] for w in t.neighbors(v)]
-            if len(nbrs) < star_leaves:
-                continue
-            for leaves in combinations(sorted(nbrs), star_leaves):
-                if common_neighborhood_mask(l.adj, leaves).bit_count() >= threshold:
-                    heavy = True
-                    break
-            if heavy:
-                break
-        if not heavy:
+        if not any(first_rich_subset(l.adj, sorted(vm[w] for w in bits(row)),
+                                     star_leaves, threshold) is not None
+                   for row in t.adj):
             yield vm
 
 

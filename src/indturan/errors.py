@@ -4,6 +4,7 @@ Domain errors (bad inputs, violated preconditions, exceeded budgets) all derive
 from :class:`IndturanError` so callers and the CLI can catch one base class.
 ``DisprovesLemma`` is special: it signals that an exhaustive check falsified a
 statement the implementation relies on, which is never expected to happen.
+``CertificateInvalid``, a derived certificate failing its own re-check, is one.
 """
 
 
@@ -47,10 +48,6 @@ class NotQualified(IndturanError):
     """The rational target does not satisfy the qualification condition."""
 
 
-class CertificateInvalid(IndturanError):
-    """A certificate failed an internal consistency check during construction."""
-
-
 class NoPartition(IndturanError):
     """The host carries no bipartition but one is required."""
 
@@ -73,3 +70,8 @@ class NotSemiInduced(IndturanError):
 
 class DisprovesLemma(IndturanError):
     """An exhaustive check contradicted a proven statement; indicates a bug."""
+
+
+class CertificateInvalid(DisprovesLemma):
+    """A derived certificate failed its own re-check; like every
+    DisprovesLemma, a bug rather than bad input."""

@@ -172,6 +172,18 @@ def first_clique(rows: Sequence[int], k: int) -> Optional[list[int]]:
     return None
 
 
+def first_rich_subset(adj: Sequence[int], candidates: Sequence[int], k: int,
+                      least: int) -> Optional[tuple[int, ...]]:
+    """The first k-subset of candidates, in `combinations` order, whose common
+    neighbourhood against the rows adj has at least least members, or None.
+    The K_{s,s} search, the rich s-set lemma and the heavy-star filter all
+    ask this question."""
+    for sub in combinations(candidates, k):
+        if common_neighborhood_mask(adj, sub).bit_count() >= least:
+            return sub
+    return None
+
+
 def contains_kss(g: Graph, s: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """A K_{s,s} subgraph as (side1, side2), or None.  Sides are disjoint;
     the copy need not be induced.  First witness in lexicographic side1 order."""
@@ -179,17 +191,10 @@ def contains_kss(g: Graph, s: int) -> Optional[tuple[tuple[int, ...], tuple[int,
         raise ValueError("s must be positive")
     if 2 * s > g.n:
         return None
-    good = [v for v in range(g.n) if g.degree(v) >= s]
-    for side1 in combinations(good, s):
-        common = common_neighborhood_mask(g.adj, side1)
-        if common.bit_count() >= s:
-            side2 = []
-            for w in bits(common):
-                side2.append(w)
-                if len(side2) == s:
-                    break
-            return side1, tuple(side2)
-    return None
+    side1 = first_rich_subset(g.adj, [v for v in range(g.n) if g.degree(v) >= s], s, s)
+    if side1 is None:
+        return None
+    return side1, tuple(bits(common_neighborhood_mask(g.adj, side1)))[:s]
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -36,7 +36,6 @@ every target, plus the partitions handed to the bip matcher.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .canonical import canonical
@@ -47,9 +46,9 @@ from .graph import (
     Host,
     VertexMap,
     bits,
-    common_neighborhood_mask,
     contains_kss,  # it and the row checks live in graph; oracles keeps their names
     cross_subgraph,
+    first_rich_subset,
     graph_to_json_dict,
     mask_of,
     verify_bip_induced_map,
@@ -64,15 +63,9 @@ BIP_BUDGET = 8
 
 
 def _kss_through_vertex(adj: Sequence[int], v: int, s: int) -> bool:
-    """K_{s,s} using vertex v, given adjacency rows (v in the side opposite T)."""
-    nv = list(bits(adj[v]))
-    if len(nv) < s:
-        return False
-    for t_side in combinations(nv, s):
-        common = common_neighborhood_mask(adj, t_side)
-        if common.bit_count() >= s:  # v itself is in the common set
-            return True
-    return False
+    """K_{s,s} using vertex v, given adjacency rows: an s-set T of v's
+    neighbours with s common neighbours, v itself among them."""
+    return first_rich_subset(adj, tuple(bits(adj[v])), s, s) is not None
 
 
 # --- induced / subgraph embedding ---------------------------------------------

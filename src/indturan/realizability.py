@@ -207,7 +207,8 @@ def derive(a: int, b: int, l: int = 2) -> RealizabilityCertificate:
     """Certificate for 2 - a/b via the residue of b mod a (after reduction).
 
     Every certificate returned has passed verify_certificate here, so callers
-    need not verify it again; a failure raises CertificateInvalid.
+    need not verify it again; a failure raises CertificateInvalid, an
+    internal fault (a DisprovesLemma), never a domain error.
     """
     if a < 1 or b < 1:
         raise NotQualified(f"({a}, {b}) must be positive")

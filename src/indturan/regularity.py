@@ -6,8 +6,9 @@ source's edge and size guarantees the result meets.  Its candidates are
 vertex masks of the input graph, whose degrees it reads off the adjacency
 rows; the subgraph is built once, for the answer.  Every comparison with a
 rational exponent goes through one helper, `product_pow_le`, which raises
-both sides to a common integer power.  None of the embedding procedures calls
-it; `indturan check regularize` does.
+both sides to a common integer power and compares them as integer cross
+products.  None of the embedding procedures calls it; `indturan check
+regularize` does.
 """
 
 from __future__ import annotations
@@ -37,17 +38,21 @@ def almost_regular_factor(alpha: Fraction) -> Fraction:
 def product_pow_le(lhs: Sequence[tuple], rhs: Sequence[tuple]) -> bool:
     """Exact test prod(b^e for lhs) <= prod(b^e for rhs) with rational bases
     and exponents, each base positive or zero under a positive exponent
-    (0^e = 0): raise both sides to the exponents' lcm."""
+    (0^e = 0): raise both sides to the exponents' lcm, multiply each side's
+    numerators and denominators as integers, and compare the cross products,
+    so no product pays a gcd."""
     lhs = [(Fraction(b), Fraction(e)) for b, e in lhs]
     rhs = [(Fraction(b), Fraction(e)) for b, e in rhs]
     if any(b < 0 or b == 0 and e <= 0 for b, e in lhs + rhs):
         raise ValueError("bases must be positive, or zero under a positive exponent")
     scale = math.lcm(*(e.denominator for _, e in lhs + rhs))
 
-    def value(side):
-        return math.prod(b ** int(e * scale) for b, e in side)
+    def value(side) -> tuple[int, int]:
+        powers = [b ** (e.numerator * (scale // e.denominator)) for b, e in side]
+        return math.prod(p.numerator for p in powers), math.prod(p.denominator for p in powers)
 
-    return value(lhs) <= value(rhs)
+    (ltop, lbottom), (rtop, rbottom) = value(lhs), value(rhs)
+    return ltop * rbottom <= rtop * lbottom
 
 
 class RegularizeReport(NamedTuple):

@@ -2,9 +2,10 @@
 
 The seeded K_{s,s}-free host generators and the `graphs` strategy feed the
 fuzz and property tests; the map and regularity checkers are definitional
-references that tests compare the package's answers against, and
+references that tests compare the package's answers against,
 `verify_induced_map_reference` is the pairwise twin of the package's row
-check `graph.verify_induced_map`.  The
+check `graph.verify_induced_map`, and `product_pow_le_reference` the
+`Fraction`-product twin of `regularity.product_pow_le`.  The
 `*_reference` functions are the embedding helpers as first written, with
 `Fraction` thresholds and pairwise scans: the package's integer and bitset
 versions must give the same answers; `key_lemma_candidates_reference` is
@@ -18,6 +19,7 @@ partition (the witness rule, `oracles._extremal_result` with its re-checks,
 is shared).
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -120,6 +122,21 @@ def is_k_almost_regular(g: Graph, k: Fraction | int) -> bool:
         raise ValueError("k must be at least 1")
     degs = [g.degree(v) for v in range(g.n)]
     return Fraction(max(degs)) <= k * min(degs)
+
+
+def product_pow_le_reference(lhs, rhs) -> bool:
+    """`regularity.product_pow_le` with `Fraction` products: raise both sides
+    to the exponents' lcm and compare the two rationals."""
+    lhs = [(Fraction(b), Fraction(e)) for b, e in lhs]
+    rhs = [(Fraction(b), Fraction(e)) for b, e in rhs]
+    if any(b < 0 or b == 0 and e <= 0 for b, e in lhs + rhs):
+        raise ValueError("bases must be positive, or zero under a positive exponent")
+    scale = math.lcm(*(e.denominator for _, e in lhs + rhs))
+
+    def value(side):
+        return math.prod(b ** int(e * scale) for b, e in side)
+
+    return value(lhs) <= value(rhs)
 
 
 # --- the embedding helpers as first written --------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from indturan import cli, commands, density, oracles
+from indturan import cli, commands, density, errors, oracles
 from indturan.errors import DisprovesLemma
 from indturan.families import BipartiteTemplate, RootedGraph, as_graph, parse_descriptor
 from indturan.graph import graph_from_json_dict
@@ -171,6 +171,32 @@ class TestUsageErrors:
         code, d = run_json(capsys, "balanced", "path:len=3")
         assert code == 3
         assert d == {"error": "DisprovesLemma", "message": "re-check failed"}
+
+    # The error classes whose raising means a bug: every other class in
+    # indturan.errors is a domain error.  A new class must be placed here or
+    # left a domain error on purpose.
+    INTERNAL_FAULTS = {"DisprovesLemma", "CertificateInvalid"}
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, errors.IndturanError)))
+    def test_exit_code_of_each_error_class(self, capsys, monkeypatch, name):
+        def fail(*args, **kwargs):
+            raise getattr(errors, name)("raised on purpose")
+
+        monkeypatch.setattr(density, "is_balanced", fail)
+        code, d = run_json(capsys, "balanced", "path:len=3")
+        assert code == (3 if name in self.INTERNAL_FAULTS else 1)
+        assert d == {"error": name, "message": "raised on purpose"}
+
+    def test_failed_certificate_recheck_is_internal(self, capsys, monkeypatch):
+        # derive re-checks its own certificate; a failure there is a bug
+        from indturan import realizability
+        monkeypatch.setattr(realizability, "verify_certificate",
+                            lambda cert: realizability.VerificationResult(False, "RhoMismatch"))
+        code, d = run_json(capsys, "realize", "5", "26")
+        assert code == 3
+        assert d["error"] == "CertificateInvalid" and "RhoMismatch" in d["message"]
 
 
 class TestEmbedCommands:

@@ -66,6 +66,7 @@ from helpers import (
     graphs,
     is_k_almost_regular,
     key_lemma_candidates_reference,
+    product_pow_le_reference,
     random_kss_free,
     random_kss_free_bipartite,
     rich_s_set_reference,
@@ -158,6 +159,28 @@ class TestThresholds:
         for exponent in (0, -1, Fraction(-1, 2)):
             with pytest.raises(ValueError):
                 product_pow_le([(1, 1)], [(0, exponent)])
+
+    def test_product_pow_le_matches_reference(self):
+        # the integer cross-product comparison against Fraction products on
+        # random bases (zero included) and exponents of either sign; a side
+        # against itself is the equality case
+        rng = random.Random(43)
+
+        def rational(lo, hi, max_den):
+            den = rng.randint(1, max_den)
+            return Fraction(rng.randint(lo * den, hi * den), den)
+
+        for _ in range(2000):
+            lhs, rhs = ([(rational(0, 20, 9), rational(-3, 3, 6))
+                         for _ in range(rng.randint(0, 3))] for _ in range(2))
+            try:
+                want = product_pow_le_reference(lhs, rhs)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    product_pow_le(lhs, rhs)
+                continue
+            assert product_pow_le(lhs, rhs) == want
+            assert product_pow_le(lhs, lhs) and product_pow_le(rhs, rhs)
 
 
 class TestBadSet:
@@ -589,6 +612,29 @@ class TestGreedyTreeEmbed:
             assert kept[threshold] == [vm for vm in all_copies if not heavy(vm, threshold)]
         assert kept[1] == [] and kept[4] == all_copies
         assert all(vm[1] in (0, 1) for vm in kept[3]) and len(kept[3]) == 12
+
+    def test_admissible_filter_each_star_size(self):
+        # claws on K_{3,4} (sides 0..2 and 3..6), with L missing two edges so
+        # that common L-neighbourhoods differ in size; 0 leaves make every
+        # copy heavy exactly when l.n reaches the threshold
+        g = Graph(7, [(u, w) for u in range(3) for w in range(3, 7)])
+        l = edge_subgraph(g, [e for e in g.edge_list() if e not in ((0, 3), (1, 6))])
+        t = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        all_copies = list(greedy_tree_embed(Host(g, 2), l, t, 1000))
+        assert len(all_copies) == 48
+
+        def heavy(vm, k, threshold):
+            return any(common_neighborhood_mask(l.adj, leaves).bit_count() >= threshold
+                       for v in range(t.n)
+                       for leaves in combinations(sorted(vm[w] for w in t.neighbors(v)), k))
+
+        for k in (0, 1, 2, 3):
+            sizes = set()
+            for threshold in range(0, 9):
+                kept = list(admissible_tree_copies(l, t, iter(all_copies), k, threshold))
+                assert kept == [vm for vm in all_copies if not heavy(vm, k, threshold)]
+                sizes.add(len(kept))
+            assert len(sizes) > 1  # the threshold matters at every star size
 
     @pytest.mark.parametrize("copy", [(0, 1, 2), (0, 1, -1), (0, 1), (0, 1, 0, 1)])
     def test_admissible_rejects_a_copy_outside_l(self, copy):

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +21,7 @@ from indturan.graph import (
     common_neighborhood_mask,
     cross_subgraph,
     edge_subgraph,
+    first_rich_subset,
     graph_from_json_dict,
     graph_to_json_dict,
     induced_subgraph,
@@ -111,6 +113,29 @@ class TestNeighborhoods:
     def test_common_neighborhood_of_twins(self):
         g = Graph(5, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4)])
         assert common_neighborhood_mask(g.adj, [0, 1]) == mask_of([2, 3])
+
+    @given(st.data(), graphs(), st.integers(0, 4))
+    def test_first_rich_subset_matches_brute_force(self, data, g, k):
+        # the first k-subset of candidates, in their order, with at least
+        # least vertices outside it adjacent to all of its members
+        candidates = data.draw(st.lists(st.integers(0, max(g.n - 1, 0)), unique=True)
+                               if g.n else st.just([]))
+        least = data.draw(st.integers(0, g.n + 1))
+        want = None
+        for sub in combinations(candidates, k):
+            if sum(all(g.has_edge(w, v) for v in sub) for w in range(g.n)
+                   if w not in sub) >= least:
+                want = sub
+                break
+        assert first_rich_subset(g.adj, candidates, k, least) == want
+
+    def test_first_rich_subset_known_cases(self):
+        k23 = Graph(5, [(u, w) for u in (0, 1) for w in (2, 3, 4)])
+        assert first_rich_subset(k23.adj, range(5), 2, 3) == (0, 1)
+        assert first_rich_subset(k23.adj, [4, 3, 2], 2, 2) == (4, 3)
+        assert first_rich_subset(k23.adj, range(5), 2, 4) is None
+        assert first_rich_subset(k23.adj, range(5), 0, 5) == ()  # every vertex
+        assert first_rich_subset(k23.adj, range(5), 6, 0) is None  # too few candidates
 
 
 class TestInducedSubgraph:

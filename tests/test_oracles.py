@@ -78,12 +78,14 @@ def naive_contains(g, h, induced, initial=None):
 
 
 def naive_kss(g, s):
+    """The first s-set, in combinations order, with s common neighbours,
+    paired with the least s of them; or None."""
     for a_set in combinations(range(g.n), s):
         common = [v for v in range(g.n)
                   if v not in a_set and all(g.has_edge(v, u) for u in a_set)]
         if len(common) >= s:
-            return True
-    return False
+            return a_set, tuple(common[:s])
+    return None
 
 
 def random_graph(rng, n, p=0.4):
@@ -427,13 +429,29 @@ class TestKss:
             g = random_graph(rng, rng.randrange(4, 9), p=0.5)
             for s in (2, 3):
                 got = contains_kss(g, s)
-                assert (got is not None) == naive_kss(g, s)
+                assert got == naive_kss(g, s)
                 if got is not None:
                     a, b = got
                     assert len(a) == len(b) == s and not set(a) & set(b)
                     for u in a:
                         for v in b:
                             assert g.has_edge(u, v)
+
+    def test_through_vertex_against_definition(self):
+        # _kss_through_vertex(adj, v, s) holds exactly when some K_{s,s}
+        # subgraph (two disjoint s-sets, every cross pair an edge) contains v
+        rng = random.Random(37)
+        for _ in range(80):
+            g = random_graph(rng, rng.randrange(1, 9), p=rng.choice((0.3, 0.5, 0.7)))
+            for s in (1, 2, 3):
+                covered = set()
+                for a_set in combinations(range(g.n), s):
+                    rest = [v for v in range(g.n) if v not in a_set]
+                    for b_set in combinations(rest, s):
+                        if all(g.has_edge(u, w) for u in a_set for w in b_set):
+                            covered.update(a_set + b_set)
+                for v in range(g.n):
+                    assert oracles._kss_through_vertex(g.adj, v, s) == (v in covered)
 
     def test_known_cases(self):
         assert contains_kss(theta(2, 3), 2) is not None  # K_{2,3}
