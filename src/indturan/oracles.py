@@ -19,18 +19,18 @@ children are deduplicated by a dict keyed by their canonical form
 automorphism that maps a neighbour mask to a lesser one makes that mask's
 child a duplicate, so only the least mask of each orbit is tested.
 
-All three oracles search by branch and bound on the edge count.  A target
-starts at n(n-1)/2 and goes down on one generator; order j keeps only the
-classes with at least ceil(target j(j-1) / (n(n-1))) edges.  The star and
-classical oracles stop at the first target that some class reaches
-(`_densest_classes`).  The bip oracle scans the classes with exactly target
-edges and stops once the target falls below the best cross count, since a
-class's cross count is at most its edge count.  Every witness is a property
-of its class, printed in its canonical labelling: for star and classical,
-the densest class whose canonical form has the least edge list; for bip, the
-least key (-cross, canonical edge list, X).  `explored` counts the states
-actually tested: each (class, mask) handed to the extension test once over
-every target, plus the partitions handed to the bip matcher.
+All three oracles search by branch and bound on the edge count (`_descend`).
+A target starts at n(n-1)/2 and goes down on one generator; order j keeps
+only the classes with at least ceil(target j(j-1) / (n(n-1))) edges.  Each
+class with exactly target edges is scanned once, from its stored canonical
+form, and the search stops once the target falls below the best value found,
+since a class's value (its edge count, or for bip a cross count) is at most
+its edge count.  Every witness is a property of its class, printed in its
+canonical labelling: for star and classical, the densest class whose
+canonical form has the least edge list; for bip, the least key (-cross,
+canonical edge list, X).  `explored` counts the states actually tested: each
+(class, mask) handed to the extension test once over every target, plus the
+partitions handed to the bip matcher.
 """
 
 from __future__ import annotations
@@ -334,25 +334,44 @@ class _Generator:
         node.low = fewest
 
 
-def _densest_classes(n: int, extend_ok: Callable[[Graph, int], bool]) -> tuple[list[Graph], int]:
-    """The classes of the n-vertex graphs every prefix of which passes
-    extend_ok with the most edges, and the extensions tested to find them.
+Candidate = tuple[tuple, Graph, Graph, Optional[Parts]]  # (key, witness, rep, partition)
 
-    A target goes down from n(n-1)/2 on one generator until some class has
-    that many edges.  Each target keeps a subset of the (class, mask) pairs
-    that the last one keeps, and the generator tests each pair once, so the
-    search tests exactly what the last target needs.  Bounds for smaller
-    orders would prune nothing more: the property is hereditary, so
-    ex(k)/C(k,2) never increases with k (Katona, Nemetz and Simonovits,
-    1964), and a target of ex(k) at order k keeps a subset of what a target
-    of ex(n) at order n keeps.
+
+def _descend(n: int, extend_ok: Callable[[Graph, int], bool],
+             scan: Callable[..., Iterable[Candidate]]) -> tuple[list[Candidate], int]:
+    """Branch and bound on the edge count over the n-vertex graphs every
+    prefix of which passes extend_ok: the candidates found, each beating the
+    one before it, and the extensions tested.
+
+    A target goes down from n(n-1)/2 on one generator.  Each class with
+    exactly target edges goes to scan(its canonical form, its first-seen
+    graph, the last candidate or None), which yields the candidates that
+    beat that one; a value is at most its class's edge count, so the search
+    stops once the target falls below the best value.  Each target keeps a
+    subset of the (class, mask) pairs that the last one keeps, and the
+    generator tests each pair once.  Bounds for smaller orders would prune
+    nothing more: the properties are hereditary, so ex(k)/C(k,2) never
+    increases with k (Katona, Nemetz and Simonovits, 1964), and a target of
+    ex(k) at order k keeps a subset of what one of ex(n) at order n keeps.
     """
     gen = _Generator(extend_ok)
+    found: list[Candidate] = []
     for target in range(n * (n - 1) // 2, -1, -1):
-        found = gen.classes(n, target)
-        if found:
-            return [node.graph for node in found], gen.explored
-    return [], gen.explored
+        if found and target < -found[-1][0][0]:
+            break
+        for node in gen.classes(n, target):
+            if node.m == target:  # a denser class was scanned at its own target
+                found += scan(node.form, node.graph, found[-1] if found else None)
+    return found, gen.explored
+
+
+def _densest(form: tuple[int, ...], rep: Graph, best: Optional[Candidate]) -> Iterable[Candidate]:
+    """The class as a star or classical candidate, keyed (-edges, canonical
+    edge list), if it beats best."""
+    w = Graph.from_rows(form)
+    key = (-w.m, w.edge_list())
+    if best is None or key < best[0]:
+        yield key, w, rep, None
 
 
 class ExtremalResult(NamedTuple):
@@ -371,8 +390,7 @@ class ExtremalResult(NamedTuple):
                 "witness": graph_to_json_dict(self.witness, partition=self.partition)}
 
 
-def _extremal_result(candidates: Iterable[tuple[tuple, Graph, Graph, Optional[Parts]]],
-                     explored: int,
+def _extremal_result(candidates: Iterable[Candidate], explored: int,
                      is_free: Callable[[Graph, Optional[Parts]], bool]) -> ExtremalResult:
     """The (key, witness, rep, partition) candidate with the least key, whose
     first entry is minus the value.  The winner is re-checked with
@@ -389,16 +407,6 @@ def _extremal_result(candidates: Iterable[tuple[tuple, Graph, Graph, Optional[Pa
     return ExtremalResult(-key[0], witness, explored, partition=partition)
 
 
-def _densest_result(reps: Iterable[Graph], explored: int,
-                    is_free: Callable[[Graph, Optional[Parts]], bool]) -> ExtremalResult:
-    """The result over class representatives: the witness is, among the
-    densest classes, the one whose canonical form has the least edge list,
-    printed in its canonical labelling."""
-    forms = ((Graph.from_rows(canonical(g.adj)[0]), g) for g in reps)
-    return _extremal_result((((-w.m, w.edge_list()), w, g, None) for w, g in forms),
-                            explored, is_free)
-
-
 def _check_order(n: int, budget: int) -> None:
     """ValueError for a negative order, TooLarge for one above the budget."""
     if n < 0:
@@ -410,7 +418,7 @@ def _check_order(n: int, budget: int) -> None:
 def extremal_star(n: int, h: Graph, s: int, budget: int = STAR_BUDGET) -> ExtremalResult:
     """Exact max edge count of an n-vertex graph with no K_{s,s} subgraph and no
     induced copy of h, by branch and bound on the edge count
-    (`_densest_classes`).  The witness is the densest class whose canonical
+    (`_descend`).  The witness is the densest class whose canonical
     form has the least edge list, in its canonical labelling; `explored`
     counts the extensions tested."""
     _check_order(n, budget)
@@ -425,9 +433,8 @@ def extremal_star(n: int, h: Graph, s: int, budget: int = STAR_BUDGET) -> Extrem
             return False
         return not _contains_using(g2, h, k, induced=True)
 
-    reps, explored = _densest_classes(n, ok)
-    return _densest_result(reps, explored, lambda w, _: contains_kss(w, s) is None
-                           and contains_induced(w, h) is None)
+    return _extremal_result(*_descend(n, ok, _densest), lambda w, _: contains_kss(w, s) is None
+                            and contains_induced(w, h) is None)
 
 
 def extremal_classical(n: int, h: Graph, budget: int = STAR_BUDGET) -> ExtremalResult:
@@ -442,8 +449,8 @@ def extremal_classical(n: int, h: Graph, budget: int = STAR_BUDGET) -> ExtremalR
     def ok(g2: Graph, k: int) -> bool:
         return not _contains_using(g2, h, k, induced=False)
 
-    reps, explored = _densest_classes(n, ok)
-    return _densest_result(reps, explored, lambda w, _: contains_subgraph(w, h) is None)
+    return _extremal_result(*_descend(n, ok, _densest),
+                            lambda w, _: contains_subgraph(w, h) is None)
 
 
 def extremal_bip_star(n: int, h: BipartiteTemplate, s: int,
@@ -452,10 +459,9 @@ def extremal_bip_star(n: int, h: BipartiteTemplate, s: int,
     partitions (X, Y) such that G[X, Y] has no copy of h induced in G.
 
     Partitions are enumerated up to swapping the sides (vertex 0 stays in X).
-    A target goes down from n(n-1)/2 on one generator, as in
-    `_densest_classes`; each class with exactly target edges is scanned in its
-    canonical labelling, and the search stops once the target falls below the
-    best cross count, since cross <= m.  The least key (-cross edges,
+    Each class with exactly target edges is scanned in its canonical
+    labelling (`_descend`), and the search stops once the target falls below
+    the best cross count, since cross <= m.  The least key (-cross edges,
     canonical edge list, X) wins, so the witness and its partition depend
     only on the class; `explored` counts the extensions tested plus the
     partitions handed to the matcher.
@@ -474,30 +480,28 @@ def extremal_bip_star(n: int, h: BipartiteTemplate, s: int,
         return contains_kss(w, s) is None \
             and contains_bip_induced(Host(w, s, partition), h) is None
 
-    # The key orders the candidates totally, so the least one does not depend
-    # on the scan order, and a partition whose key is no better than the best
-    # one found goes to no matcher.
-    gen = _Generator(ok)
     full = (1 << n) - 1
     sides = [(xm, tuple(bits(xm)), tuple(bits(full ^ xm))) for xm in range(1, 1 << n, 2)]
     matched = 0
-    found = []  # each candidate that beats every one found before it
-    for target in range(n * (n - 1) // 2, -1, -1):
-        if found and target < -found[-1][0][0]:
-            break
-        for node in gen.classes(n, target):
-            if node.m != target:
-                continue  # scanned at its own target
-            g = Graph.from_rows(node.form)
-            edge_list = g.edge_list()
-            for xm, x, y in sides:
-                key = (-sum((g.adj[v] & ~xm).bit_count() for v in x), edge_list, x)
-                if found and key >= found[-1][0]:
-                    continue
-                matched += 1
-                if _bip_embed(g, h, xm, full ^ xm) is None:
-                    found.append((key, g, node.graph, (x, y)))
-    return _extremal_result(found, gen.explored + matched, is_free)
+
+    def scan(form: tuple[int, ...], rep: Graph, best: Optional[Candidate]) -> Iterable[Candidate]:
+        # The key orders the candidates totally, so the least one does not
+        # depend on the scan order, and a partition whose key is no better
+        # than the best one found goes to no matcher.
+        nonlocal matched
+        g = Graph.from_rows(form)
+        edge_list = g.edge_list()
+        for xm, x, y in sides:
+            key = (-sum((g.adj[v] & ~xm).bit_count() for v in x), edge_list, x)
+            if best is not None and key >= best[0]:
+                continue
+            matched += 1
+            if _bip_embed(g, h, xm, full ^ xm) is None:
+                best = (key, g, rep, (x, y))
+                yield best
+
+    found, explored = _descend(n, ok, scan)
+    return _extremal_result(found, explored + matched, is_free)
 
 
 # --- Kovari-Sos-Turan check -----------------------------------------------------

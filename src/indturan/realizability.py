@@ -11,10 +11,13 @@ their parts tracked, give the same graph up to relabelling):
   b mod a = a-1  -> tree_r11(a-1)               (a >= 3)
   else residue d -> height_two_tree(a-1, a-1-d) (a >= 4)
 
-A certificate records the base, the reduction count r, the gluing multiplicity
-l, and the sufficient host-side value s0 = |V(H)| for H the witness graph.
+A certificate is plain values: the target a/b as a reduced `Fraction`, the
+base, the reduction count r, the gluing multiplicity l, the sufficient
+host-side value s0 = |V(H)| for H the witness graph, and the exponent 2 - a/b.
 verify_certificate replays the arithmetic and re-derives the density and
-balancedness of the rebuilt witness from scratch.
+balancedness of the rebuilt witness from scratch; a base that its constructor
+rejects (an unknown kind, a degenerate or mistyped argument) is BadParameters,
+and any other error propagates.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .density import is_balanced, rho
-from .errors import CertificateInvalid, NotBipartite, NotQualified, TooLarge
+from .errors import CertificateInvalid, IndturanError, NotBipartite, NotQualified, TooLarge
 from .families import (
     RootedGraph,
     attach_ktt_rooted,
@@ -38,36 +41,6 @@ from .families import (
 S0_RULE = "s0 = |V(H)|"
 
 ENUMERATION_BUDGET = 400
-
-
-class ReducedRational:
-    """The pair (a, b) of 2 - a/b, stored reduced with 0 < a < b."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int):
-        if a < 1 or b < 1:
-            raise ValueError("a and b must be positive")
-        if math.gcd(a, b) != 1:
-            raise ValueError("a/b must be reduced")
-        if a >= b:
-            raise ValueError("need a < b for an exponent in (1, 2)")
-        self.a = a
-        self.b = b
-
-    def __eq__(self, other):
-        return isinstance(other, ReducedRational) and (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    @property
-    def density(self) -> Fraction:
-        return Fraction(self.b, self.a)
-
-    @property
-    def exponent(self) -> Fraction:
-        return 2 - Fraction(self.a, self.b)
 
 
 # kind -> (constructor, its arguments as (field, JSON key) pairs)
@@ -99,44 +72,26 @@ class BaseFamily(NamedTuple):
         _, args = _base_kind(self.kind)
         return {"kind": self.kind, **{key: getattr(self, name) for name, key in args}}
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "BaseFamily":
-        _, args = _base_kind(d["kind"])
-        return BaseFamily(d["kind"], **{name: d[key] for name, key in args})
-
 
 class RealizabilityCertificate(NamedTuple):
-    target: ReducedRational
+    target: Fraction  # a/b of 2 - a/b, reduced, with 0 < a < b
     base: BaseFamily
     reductions: int
     l: int
     s0: int
     exponent: Fraction
-    s0_rule: str = S0_RULE
 
     def as_json_dict(self) -> dict:
         return {
-            "a": self.target.a,
-            "b": self.target.b,
+            "a": self.target.numerator,
+            "b": self.target.denominator,
             "base": self.base.as_json_dict(),
             "reductions": self.reductions,
             "l": self.l,
             "s0": self.s0,
-            "s0_rule": self.s0_rule,
+            "s0_rule": S0_RULE,
             "exponent": str(self.exponent),
         }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "RealizabilityCertificate":
-        return RealizabilityCertificate(
-            target=ReducedRational(d["a"], d["b"]),
-            base=BaseFamily.from_json_dict(d["base"]),
-            reductions=d["reductions"],
-            l=d["l"],
-            s0=d["s0"],
-            exponent=Fraction(d["exponent"]),
-            s0_rule=d.get("s0_rule", S0_RULE),
-        )
 
 
 def qualifies(a: int, b: int) -> bool:
@@ -176,15 +131,15 @@ class VerificationResult(NamedTuple):
 def verify_certificate(cert: RealizabilityCertificate) -> VerificationResult:
     """Replay a certificate from scratch; no trust in how it was produced."""
     t = cert.target
-    if not qualifies(t.a, t.b):
+    if not qualifies(t.numerator, t.denominator):
         return VerificationResult(False, "BadParameters")
     if cert.reductions < 0 or cert.l < 1:
         return VerificationResult(False, "BadParameters")
     try:
         base_graph = cert.base.rooted_graph()
-    except Exception:
+    except (IndturanError, ValueError, TypeError):  # what a bad kind or argument raises
         return VerificationResult(False, "BadParameters")
-    target_rho = t.density
+    target_rho = 1 / t
     if rho(base_graph) + cert.reductions != target_rho:
         return VerificationResult(False, "RhoMismatch")
     try:
@@ -196,7 +151,7 @@ def verify_certificate(cert: RealizabilityCertificate) -> VerificationResult:
         return VerificationResult(False, "RhoMismatch")
     if not report.balanced:
         return VerificationResult(False, "Unbalanced")
-    if cert.exponent != t.exponent:
+    if cert.exponent != 2 - t:
         return VerificationResult(False, "ExponentMismatch")
     if cert.s0 != witness.graph.n:
         return VerificationResult(False, "BadParameters")
@@ -234,11 +189,11 @@ def derive(a: int, b: int, l: int = 2) -> RealizabilityCertificate:
         raise CertificateInvalid(f"negative reduction count for ({a0}, {b0})")
     if l < 1:
         raise ValueError("power needs l >= 1")
-    target = ReducedRational(a0, b0)
+    target = Fraction(a0, b0)
     # |V(H)|: the shared roots, l copies of the non-roots, two vertices per reduction.
     f = base.rooted_graph()
     s0 = len(f.roots) + l * len(f.non_roots()) + 2 * red
-    cert = RealizabilityCertificate(target, base, red, l, s0=s0, exponent=target.exponent)
+    cert = RealizabilityCertificate(target, base, red, l, s0=s0, exponent=2 - target)
     check = verify_certificate(cert)
     if not check:
         raise CertificateInvalid(f"derived certificate failed verification: {check.reason}")

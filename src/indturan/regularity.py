@@ -7,8 +7,10 @@ vertex masks of the input graph, whose degrees it reads off the adjacency
 rows; the subgraph is built once, for the answer.  Every comparison with a
 rational exponent goes through one helper, `product_pow_le`, which raises
 both sides to a common integer power and compares them as integer cross
-products.  None of the embedding procedures calls it; `indturan check
-regularize` does.
+products.  That power grows with alpha's denominator, so the helper counts
+the bits it would build first and raises TooLarge above `POWER_BUDGET`
+(2^28 bits: alpha = 501/1000 needs about 9.2e7, 999/2000 about 3.7e8).
+None of the embedding procedures calls it; `indturan check regularize` does.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import DisprovesLemma, EmptyGraph, HypothesisUnmet
+from .errors import DisprovesLemma, EmptyGraph, HypothesisUnmet, TooLarge
 from .graph import Graph, bits, induced_subgraph, mask_of
+
+POWER_BUDGET = 1 << 28  # bits of the powers in one product_pow_le comparison
 
 
 def almost_regular_exponent(alpha: Fraction) -> Fraction:
@@ -40,15 +44,21 @@ def product_pow_le(lhs: Sequence[tuple], rhs: Sequence[tuple]) -> bool:
     and exponents, each base positive or zero under a positive exponent
     (0^e = 0): raise both sides to the exponents' lcm, multiply each side's
     numerators and denominators as integers, and compare the cross products,
-    so no product pays a gcd."""
+    so no product pays a gcd.  The lcm grows with the exponents'
+    denominators, so the bits of the powers are counted before any is built:
+    above POWER_BUDGET, TooLarge."""
     lhs = [(Fraction(b), Fraction(e)) for b, e in lhs]
     rhs = [(Fraction(b), Fraction(e)) for b, e in rhs]
     if any(b < 0 or b == 0 and e <= 0 for b, e in lhs + rhs):
         raise ValueError("bases must be positive, or zero under a positive exponent")
     scale = math.lcm(*(e.denominator for _, e in lhs + rhs))
+    lhs, rhs = ([(b, e.numerator * (scale // e.denominator)) for b, e in side] for side in (lhs, rhs))
+    size = sum(abs(k) * (b.numerator.bit_length() + b.denominator.bit_length()) for b, k in lhs + rhs)
+    if size > POWER_BUDGET:
+        raise TooLarge(f"an exact power comparison needs about {size} bits, above {POWER_BUDGET}")
 
     def value(side) -> tuple[int, int]:
-        powers = [b ** (e.numerator * (scale // e.denominator)) for b, e in side]
+        powers = [b ** k for b, k in side]
         return math.prod(p.numerator for p in powers), math.prod(p.denominator for p in powers)
 
     (ltop, lbottom), (rtop, rbottom) = value(lhs), value(rhs)

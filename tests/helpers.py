@@ -14,9 +14,10 @@ the whole product.  `generate_classes` generates every class of one order
 with no edge-count bound, on the package's generator.  The
 `extremal_*_reference` oracles use it and hand every bip partition of every
 class, in its canonical labelling, to the matcher: the package's edge-count
-descent and its bounded bip scan must find the same value, witness and
-partition (the witness rule, `oracles._extremal_result` with its re-checks,
-is shared).
+descent (`oracles._descend`) must find the same value, witness and
+partition.  The references pick their witness with their own `canonical`
+call (`_densest_result` for star and classical); the choice of the least
+key, `oracles._extremal_result` with its re-checks, is shared.
 """
 
 import math
@@ -36,7 +37,6 @@ from indturan.oracles import (
     Pattern,
     _bip_embed,
     _contains_using,
-    _densest_result,
     _extremal_result,
     _Generator,
     _kss_through_vertex,
@@ -272,6 +272,15 @@ def classical_classes_reference(n: int, h: Graph) -> tuple[list[Graph], int]:
     tested to generate them."""
     pat = Pattern(h)
     return generate_classes(n, lambda g2, k: not _contains_using(g2, pat, k, induced=False))
+
+
+def _densest_result(reps, explored: int, is_free) -> ExtremalResult:
+    """The references' witness rule over class representatives: among the
+    densest classes, the one whose canonical form (computed here) has the
+    least edge list, printed in its canonical labelling."""
+    forms = ((Graph.from_rows(canonical(g.adj)[0]), g) for g in reps)
+    return _extremal_result((((-w.m, w.edge_list()), w, g, None) for w, g in forms),
+                            explored, is_free)
 
 
 def extremal_star_reference(n: int, h: Graph, s: int) -> ExtremalResult:

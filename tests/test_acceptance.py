@@ -399,11 +399,13 @@ def test_no_assert_in_source(capsys):
 def test_no_dead_names_or_floats_in_source(capsys):
     # Every top-level function and class in src is referenced somewhere in
     # src outside its own definition (package re-exports do not count), and
-    # no float literal appears: arithmetic is exact.  Every top-level function
-    # and class in tests/helpers.py is referenced in helpers or a test module
-    # outside its own definition; helpers may use floats (probabilities).
-    with scoreboard("no unreferenced top-level name in src or tests/helpers.py, "
-                    "no float literal in src", capsys):
+    # so is every method and property of a top-level class, dunders aside,
+    # outside every definition of that name; no float literal appears:
+    # arithmetic is exact.  Every top-level function and class in
+    # tests/helpers.py is referenced in helpers or a test module outside its
+    # own definition; helpers may use floats (probabilities).
+    with scoreboard("no unreferenced top-level name or method in src, no unreferenced "
+                    "top-level name in tests/helpers.py, no float literal in src", capsys):
         def parse(paths):
             return {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
                     for path in sorted(paths)}
@@ -421,10 +423,23 @@ def test_no_dead_names_or_floats_in_source(capsys):
                     if isinstance(d, (ast.FunctionDef, ast.ClassDef))
                     and total[d.name] == sum(referenced(node) == d.name for node in ast.walk(d))]
 
+        def unreferenced_methods(modules):
+            total = Counter(referenced(node) for tree in modules.values() for node in ast.walk(tree))
+            own = Counter()  # references inside the definitions of the same name
+            for tree in modules.values():
+                for d in ast.walk(tree):
+                    if isinstance(d, ast.FunctionDef):
+                        own[d.name] += sum(referenced(node) == d.name for node in ast.walk(d))
+            return [f"{name}:{c.name}.{f.name}" for name, tree in modules.items() for c in tree.body
+                    if isinstance(c, ast.ClassDef) for f in c.body
+                    if isinstance(f, ast.FunctionDef)
+                    and not (f.name.startswith("__") and f.name.endswith("__"))
+                    and total[f.name] == own[f.name]]
+
         trees = parse((ROOT / "src" / "indturan").glob("*.py"))
         modules = {name: tree for name, tree in trees.items() if name != "__init__.py"}
         tests = parse((ROOT / "tests").glob("*.py"))
-        unused = unreferenced(modules, modules) + unreferenced(
+        unused = unreferenced(modules, modules) + unreferenced_methods(modules) + unreferenced(
             {"helpers.py": tests["helpers.py"]}, tests)
         floats = [f"{name}:{node.lineno}" for name, tree in trees.items()
                   for node in ast.walk(tree)

@@ -39,6 +39,7 @@ from indturan.errors import (
     InvalidPartition,
     NoPartition,
     NotSemiInduced,
+    TooLarge,
 )
 from indturan.families import BipartiteTemplate, as_template, rooted_path, theta
 from indturan.graph import (
@@ -51,6 +52,7 @@ from indturan.graph import (
 )
 from indturan.oracles import verify_induced_map
 from indturan.regularity import (
+    POWER_BUDGET,
     RegularizeReport,
     almost_regular_exponent,
     almost_regular_factor,
@@ -298,6 +300,20 @@ class TestRegularize:
     def test_hypothesis_gate(self):
         with pytest.raises(HypothesisUnmet):
             regularize(Graph(9, [(0, 1)]), Fraction(1, 2), Fraction(1))
+
+    def test_power_budget(self):
+        # the bits are counted before any power is built: 1^k costs nothing,
+        # so the boundary is cheap to test exactly (2 bits per unit of k)
+        assert product_pow_le([(1, POWER_BUDGET // 2)], [])
+        with pytest.raises(TooLarge):
+            product_pow_le([(1, POWER_BUDGET // 2 + 1)], [])
+        # on the 8-cycle with C = 1/4, alpha = 501/1000 is admitted and
+        # 3999/8000 (about 5.9e9 bits; seconds and near a gigabyte without
+        # the budget) is refused
+        cycle = Graph(8, [(i, (i + 1) % 8) for i in range(8)])
+        assert regularize(cycle, Fraction(501, 1000), Fraction(1, 4))[3].size_guarantee
+        with pytest.raises(TooLarge):
+            regularize(cycle, Fraction(3999, 8000), Fraction(1, 4))
 
     @pytest.mark.parametrize("name", sorted(REGULARIZE_DIGESTS))
     def test_pinned_outputs(self, name):

@@ -1,12 +1,8 @@
-import json
 import math
 import typing
 from fractions import Fraction
-from functools import cache
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from indturan import realizability
 from indturan.density import is_balanced, rho
@@ -17,7 +13,6 @@ from indturan.oracles import is_isomorphic
 from indturan.realizability import (
     BaseFamily,
     RealizabilityCertificate,
-    ReducedRational,
     build_witness,
     derive,
     enumerate_realizable,
@@ -72,7 +67,7 @@ class TestDerive:
 
     def test_reduces_before_casework(self):
         cert = derive(4, 10)
-        assert (cert.target.a, cert.target.b) == (2, 5)
+        assert cert.target == Fraction(2, 5)
         assert cert.base.kind == "theta" and cert.base.length == 3
         assert cert.reductions == 1
 
@@ -155,17 +150,12 @@ class TestBuildWitness:
             assert w.roots == {label[v] for v in old.roots}
 
 
-@cache
-def sweep_7_50(l):
-    return enumerate_realizable(7, 50, l)
-
-
 class TestVerify:
     def test_corrupted_reductions(self):
         cert = derive(5, 16)
         bad = RealizabilityCertificate(
             target=cert.target, base=cert.base, reductions=cert.reductions + 1,
-            l=cert.l, s0=cert.s0, exponent=cert.exponent, s0_rule=cert.s0_rule)
+            l=cert.l, s0=cert.s0, exponent=cert.exponent)
         res = verify_certificate(bad)
         assert not res and res.reason == "RhoMismatch"
 
@@ -173,18 +163,40 @@ class TestVerify:
         cert = derive(2, 5)
         bad = RealizabilityCertificate(
             target=cert.target, base=cert.base, reductions=cert.reductions,
-            l=cert.l, s0=cert.s0, exponent=cert.exponent + 1, s0_rule=cert.s0_rule)
+            l=cert.l, s0=cert.s0, exponent=cert.exponent + 1)
         assert not verify_certificate(bad)
 
-    @settings(deadline=None)
-    @given(st.sampled_from([1, 2, 3]), st.booleans())
-    def test_json_round_trip(self, l, with_verified):
-        # the CLI prints as_json_dict() plus a "verified" key
-        for _, _, cert in sweep_7_50(l):
-            extra = {"verified": True} if with_verified else {}
-            data = json.loads(json.dumps({**cert.as_json_dict(), **extra},
-                                         sort_keys=True, indent=2))
-            assert RealizabilityCertificate.from_json_dict(data) == cert
+    @pytest.mark.parametrize("change, reason", [
+        ({"target": Fraction(5, 9)}, "BadParameters"),  # 9 < (5 - 1)^2
+        ({"target": Fraction(16, 5)}, "BadParameters"),  # a > b
+        ({"reductions": -1}, "BadParameters"),
+        ({"l": 0}, "BadParameters"),
+        ({"base": BaseFamily("wheel", r=3)}, "BadParameters"),  # unknown kind
+        ({"base": BaseFamily("theta", length=1)}, "BadParameters"),  # DegenerateRoot
+        ({"base": BaseFamily("theta")}, "BadParameters"),  # None argument
+        ({"base": BaseFamily("theta", length="6")}, "BadParameters"),
+        ({"base": BaseFamily("theta", length=6.0)}, "BadParameters"),
+        ({"s0": 1}, "BadParameters"),
+        ({"reductions": 1}, "RhoMismatch"),
+        ({"base": BaseFamily("theta", length=4)}, "RhoMismatch"),
+        ({"exponent": Fraction(8, 5)}, "ExponentMismatch"),
+    ])
+    def test_each_reason(self, change, reason):
+        # derive(5, 16): a theta of length 6, two reductions, l = 2, s0 = 16
+        cert = derive(5, 16)._replace(**change)
+        assert verify_certificate(cert) == (False, reason)
+
+    def test_constructor_fault_propagates(self, monkeypatch):
+        # only what bad parameters raise becomes BadParameters; a fault
+        # inside a constructor is not a verdict
+        cert = derive(5, 16)
+
+        def broken(length):
+            raise IndexError("constructor bug")
+
+        monkeypatch.setitem(realizability._BASE_KINDS, "theta", (broken, (("length", "len"),)))
+        with pytest.raises(IndexError):
+            verify_certificate(cert)
 
 
 class TestSweep:
@@ -221,23 +233,6 @@ class TestSweep:
         expect = {(a, b) for a in range(1, 5) for b in range(a + 1, 21)
                   if math.gcd(a, b) == 1 and b >= max(a, (a - 1) ** 2)}
         assert got == expect
-
-
-class TestReducedRational:
-    def test_validation(self):
-        r = ReducedRational(2, 5)
-        assert r.density == Fraction(5, 2)
-        assert r.exponent == 2 - Fraction(2, 5)
-        with pytest.raises(ValueError):
-            ReducedRational(2, 4)
-        with pytest.raises(ValueError):
-            ReducedRational(3, 2)
-
-    def test_base_family_round_trip(self):
-        for base in (BaseFamily("theta", length=4), BaseFamily("tr11", r=3),
-                     BaseFamily("height_two", r=4, t=2), BaseFamily("ktl", t=5)):
-            assert BaseFamily.from_json_dict(base.as_json_dict()) == base
-            assert base.rooted_graph().graph.n > 0
 
 
 def test_witness_type_hints_resolve():
