@@ -1,14 +1,15 @@
 """indturan: rooted-family constructions, rational density exponents, and
 executable embedding lemmas for induced-Turan-style extremal questions.
 
-Layers: `graph` (vertex/edge primitives, induced-map row checks, JSON, DOT),
-`families` (rooted patterns, powers, bipartite reductions), `density`
-(incident-edge density and balancedness), `realizability` (exponent
-certificates), `oracles` (exhaustive ground truth at desk scale), `canonical`
-(the canonical form that `oracles` deduplicates graph classes with),
-`embeddings` (lemma procedures), `regularity` (the almost-regular subgraph
-lemma), `cli` (the argument parser) and `commands` (the subcommand handlers
-it loads once the arguments parse).
+Layers: `graph` (vertex/edge primitives, the one backtracking matcher
+`placements` that `oracles` and `embeddings` both search with, induced-map row
+checks, JSON, DOT), `families` (rooted patterns, powers, bipartite
+reductions), `density` (incident-edge density and balancedness),
+`realizability` (exponent certificates), `oracles` (exhaustive ground truth at
+desk scale), `canonical` (the canonical form that `oracles` deduplicates graph
+classes with), `embeddings` (lemma procedures), `regularity` (the
+almost-regular subgraph lemma), `cli` (the argument parser) and `commands`
+(the subcommand handlers it loads once the arguments parse).
 
 Each name below is imported from its layer on first use (PEP 562), so that
 `import indturan` and a CLI run load only the layers they need: the embed

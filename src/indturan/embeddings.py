@@ -4,11 +4,12 @@ Each procedure runs real constructive steps (bad-set avoidance, rich-set
 extraction, Hall-style placement, copy extraction) with all thresholds exposed
 as parameters, every emitted map re-checked, and `found=False` a legitimate
 outcome when the small parameters used in tests do not reach the asymptotic
-guarantees.  A map is re-checked in full, except a tree copy that shares all
-images but its last leaf's with the copy before it: the leaf's row is checked
-against the shared rest, which the full check of the first such copy covers.
-A violation of a bound that is guaranteed once its hypotheses are verified
-raises DisprovesLemma, which is never expected.
+guarantees.  The tree copies come from `oracles._embed`'s matcher,
+`graph.placements`.  A map is re-checked in full, except a tree copy that
+shares all images but its last leaf's with the copy before it: the leaf's row
+is checked against the shared rest, which the full check of the first such
+copy covers.  A violation of a bound that is guaranteed once its hypotheses
+are verified raises DisprovesLemma, which is never expected.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations, product
-from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -40,6 +40,8 @@ from .graph import (
     first_rich_subset,
     int_field,
     mask_of,
+    placement_steps,
+    placements,
     verify_bip_induced_map,
     verify_induced_map,
 )
@@ -174,40 +176,28 @@ def tree_bad_sets(g: Graph, l: Graph, t_count: int, d: int) -> dict[int, int]:
     """B(x) per L-vertex x as bitmasks: y with |N_G(y) ∩ N_L(x)| >= d/(4t),
     tested as 4t |N_G(y) ∩ N_L(x)| >= d."""
     scale = 4 * t_count
-    out = {}
-    for x in range(l.n):
-        nl = l.adj[x]
-        m = 0
-        for y in range(l.n):
-            if (g.adj[y] & nl).bit_count() * scale >= d:
-                m |= 1 << y
-        out[x] = m
-    return out
+    return {x: mask_of(y for y in range(l.n) if (g.adj[y] & l.adj[x]).bit_count() * scale >= d)
+            for x in range(l.n)}
 
 
-def _grow_order(t: Graph) -> tuple[list[int], dict[int, int]]:
-    """Vertex order where each prefix is a subtree; returns (order, parent)."""
+def _grow_order(t: Graph) -> list[int]:
+    """Vertex order where each prefix is a subtree: breadth first from 0,
+    each layer's vertices taken in increasing id."""
     if t.n == 0:
         raise ValueError("tree must be nonempty")
     if t.m != t.n - 1:
         raise ValueError("pattern is not a tree")
-    order = [0]
-    parent = {0: -1}
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        fresh = []
-        for u in sorted(frontier):
+    order, seen, start = [0], {0}, 0
+    while start < len(order):  # order[start:] is the last layer found
+        layer, start = sorted(order[start:]), len(order)
+        for u in layer:
             for w in t.neighbors(u):
                 if w not in seen:
                     seen.add(w)
-                    parent[w] = u
                     order.append(w)
-                    fresh.append(w)
-        frontier = fresh
     if len(order) != t.n:
         raise ValueError("pattern is not a tree (disconnected)")
-    return order, parent
+    return order
 
 
 def greedy_tree_embed(host: Host, l: Graph, t: Graph, d: int) -> Iterator[VertexMap]:
@@ -218,81 +208,58 @@ def greedy_tree_embed(host: Host, l: Graph, t: Graph, d: int) -> Iterator[Vertex
     count threshold d/(4|V(t)|)).  Enumeration is exhaustive.  Copies come out
     in increasing lexicographic order of their images listed in grow order, so
     the copies that share all images but the last vertex's, a leaf, come out
-    together as one batch.  Each is re-checked before being yielded: the first
-    of a batch in full (`graph.verify_induced_map` against the host graph,
-    and its tree edges against l), each later one by its leaf x's row against
-    the prefix image P (x a host vertex outside P, the host row of x meeting P
-    in the parent's image alone, and the parent's l row holding x).  The tree
-    is checked, l checked to be a spanning subgraph of the host graph
-    (ValueError otherwise), and the bad sets built, when the function is
-    called, before the first copy is asked for.
+    together as one batch, and each is re-checked (`_rechecked`) before being
+    yielded.  The tree is checked, l checked to be a spanning subgraph of the
+    host graph (ValueError otherwise), and the bad sets built, when the
+    function is called, before the first copy is asked for.
     """
-    order, parent = _grow_order(t)
-    _check_spanning(host.graph, l, "l")
-    return _tree_copies(host.graph, l, t, order, parent, tree_bad_sets(host.graph, l, t.n, d))
+    order = _grow_order(t)
+    g = host.graph
+    _check_spanning(g, l, "l")
+    return _rechecked(g, l, t, order[-1], _tree_copies(g, l, t, order, tree_bad_sets(g, l, t.n, d)))
 
 
-def _tree_copies(g: Graph, l: Graph, t: Graph, order: list[int], parent: dict[int, int],
+def _tree_copies(g: Graph, l: Graph, t: Graph, order: list[int],
                  bad: dict[int, int]) -> Iterator[VertexMap]:
-    """The search of `greedy_tree_embed` over the grow order (order, parent)."""
-    n = t.n
-    pos = {v: i for i, v in enumerate(order)}
-    up = [pos.get(parent[v], -1) for v in order]  # up[i]: the position of order[i]'s parent
-    at = [pos[p] for p in range(n)]
-    last = n - 1
-    leaf = order[last]
+    """The good copies of t, unchecked, from `graph.placements` in the grow
+    order: placing w keeps a later tree neighbour in w's l row, a later
+    non-neighbour off w's host row, and both out of sym[w], which is B(w)
+    together with every x whose B(x) holds w."""
+    sym = [bad[w] | mask_of(x for x in range(l.n) if bad[x] >> w & 1) for w in range(l.n)]
+    yes = [row & ~m for row, m in zip(l.adj, sym)]
+    no = [~(row | m | 1 << w) for w, (row, m) in enumerate(zip(g.adj, sym))]
+    return placements(order, placement_steps(t.adj, order), [l.vertex_mask()] * t.n, yes, no)
+
+
+def _rechecked(g: Graph, l: Graph, t: Graph, leaf: int,
+               copies: Iterable[VertexMap]) -> Iterator[VertexMap]:
+    """The copies of t, each re-checked (DisprovesLemma on a failure) before
+    it is yielded.  A copy whose images but the leaf's (its head, with image
+    P) differ from the copy before it gets `graph.verify_induced_map` against
+    g and its tree edges against l; any other copy its leaf x's row: x a host
+    vertex outside P, x's host row meeting P in the image u of leaf's one
+    neighbour alone, and u's l row holding x (for a one-vertex tree, P is
+    empty and x a vertex of l)."""
     gn, gadj, ladj = g.n, g.adj, l.adj
-    copy_of = itemgetter(*at) if n > 1 else tuple  # itemgetter(p) alone returns a scalar
+    up = t.adj[leaf].bit_length() - 1  # leaf's neighbour, -1 in a one-vertex tree
     tree_edges = list(t.edges)
-    # An explicit stack, as in `oracles._embed`: position i holds order[i].
-    img = [0] * n           # img[i]: the host image at position i
-    used = [0] * n          # used[i]: the images of positions < i, as a mask
-    badmask = [0] * n       # badmask[i]: the union of their bad sets
-    left = [0] * n          # left[i]: the untried candidates at position i
-    left[0] = l.vertex_mask()
-    # The batch at the last position: whether its first copy is still to come,
-    # and what its leaf's row must meet the prefix in (the parent's image) and
-    # lie in (the parent's l row).  A one-vertex tree has no prefix and no parent.
-    first, pbit, lrow = True, 0, l.vertex_mask()
-    i = 0
-    while i >= 0:
-        m = left[i]
-        if not m:
-            i -= 1
-            continue
-        low = m & -m
-        left[i] = m ^ low
-        w = low.bit_length() - 1
-        if bad[w] & used[i]:  # some placed vertex is bad for w
-            continue
-        img[i] = w
-        if i == last:  # a whole copy: re-check it, then yield it
-            vm = copy_of(img)
-            if first:
-                if not verify_induced_map(g, t, vm):
-                    raise DisprovesLemma("tree copy failed the induced re-check")
-                for a, b in tree_edges:
-                    if not ladj[vm[a]] >> vm[b] & 1:
-                        raise DisprovesLemma("tree copy uses an edge outside l")
-                first = False
-            else:
-                x, prefix = vm[leaf], used[i]
-                if not (0 <= x < gn and not prefix >> x & 1 and gadj[x] & prefix == pbit
-                        and lrow >> x & 1):
-                    raise DisprovesLemma("tree copy failed the leaf row re-check")
-            yield vm
-            continue
-        i += 1
-        used[i] = used[i - 1] | low
-        badmask[i] = badmask[i - 1] | bad[w]
-        u_img = img[up[i]]
-        cand = ladj[u_img] & ~used[i] & ~badmask[i]
-        for k in range(i):
-            if img[k] != u_img:  # induced: no edge to a placed non-parent
-                cand &= ~gadj[img[k]]
-        left[i] = cand
-        if i == last:  # a new batch
-            first, pbit, lrow = True, 1 << u_img, ladj[u_img]
+    head = None
+    for vm in copies:
+        rest = vm[:leaf] + vm[leaf + 1:]
+        if rest != head:
+            if not verify_induced_map(g, t, vm):
+                raise DisprovesLemma("tree copy failed the induced re-check")
+            for a, b in tree_edges:
+                if not ladj[vm[a]] >> vm[b] & 1:
+                    raise DisprovesLemma("tree copy uses an edge outside l")
+            head, prefix = rest, mask_of(rest)
+            pbit, lrow = (1 << vm[up], ladj[vm[up]]) if up >= 0 else (0, l.vertex_mask())
+        else:
+            x = vm[leaf]
+            if not (0 <= x < gn and not prefix >> x & 1 and gadj[x] & prefix == pbit
+                    and lrow >> x & 1):
+                raise DisprovesLemma("tree copy failed the leaf row re-check")
+        yield vm
 
 
 def admissible_tree_copies(l: Graph, t: Graph, stream: Iterable[VertexMap],

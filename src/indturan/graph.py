@@ -10,7 +10,7 @@ index map back to the original vertex ids where relabeling happens.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidPartition, Multigraph, NoPartition
 
@@ -170,6 +170,62 @@ def first_clique(rows: Sequence[int], k: int) -> Optional[list[int]]:
         chosen.append(i)
         frames.append(frames[d] & rows[i])
     return None
+
+
+def placement_steps(adj: Sequence[int], order: Sequence[int]) -> list[list[tuple[int, int]]]:
+    """For each position i of order, the pair (j, is-edge between order[i]
+    and order[j]) of every later position j, read off the pattern rows adj."""
+    return [[(j, adj[p] >> order[j] & 1) for j in range(i + 1, len(order))]
+            for i, p in enumerate(order)]
+
+
+def placements(order: Sequence[int], steps: Sequence[Sequence[tuple[int, int]]],
+               cands: Sequence[int], yes: Sequence[int], no: Sequence[int]
+               ) -> Iterator[VertexMap]:
+    """Every map that sends position i of order (pattern vertex order[i])
+    into the host mask cands[i] and, for each earlier position k with image
+    w, into yes[w] if steps[k] marks i as a neighbour and into no[w] if not;
+    indexed by pattern id, in increasing lexicographic order of the images
+    listed in placement order.  Neither row of w may hold w, so every map is
+    injective.  The one backtracking matcher: `oracles._embed` and the greedy
+    tree embedding both search here.  The last position restricts nothing,
+    so each of its candidates is yielded at once."""
+    n = len(order)
+    if n == 0:
+        yield ()
+        return
+    # An explicit stack, not a recursive closure: a closure that calls itself
+    # is a reference cycle, which keeps each call's lists alive until the
+    # cyclic collector runs and so raises peak memory.
+    assignment = [0] * n
+    level = [cands] * n  # level[i]: the masks once positions < i are placed
+    left = [0] * n       # left[i]: the untried host candidates at position i
+    left[0] = cands[0]
+    last = n - 1
+    i = 0
+    while i >= 0:
+        m = left[i]
+        if not m:
+            i -= 1
+            continue
+        low = m & -m
+        left[i] = m ^ low
+        w = low.bit_length() - 1
+        assignment[order[i]] = w
+        if i == last:
+            yield tuple(assignment)
+            continue
+        row, off = yes[w], no[w]
+        nxt = level[i][:]
+        for j, edge in steps[i]:
+            c = nxt[j] & (row if edge else off)
+            if not c:
+                break
+            nxt[j] = c
+        else:
+            i += 1
+            level[i] = nxt
+            left[i] = nxt[i]
 
 
 def first_rich_subset(adj: Sequence[int], candidates: Sequence[int], k: int,

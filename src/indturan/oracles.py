@@ -1,7 +1,8 @@
 """Exhaustive oracles: pattern containment and extremal values.
 
 Everything here is exact search at desk scale.  Every containment question
-goes to one backtracking matcher, `_embed`: it places pattern vertices in order
+goes to `_embed`, the first map of the backtracking matcher `graph.placements`
+that the greedy tree embedding also runs: it places pattern vertices in order
 of decreasing degree, and a per-vertex host mask (less the host vertices of too
 small a degree) is the only way to restrict or pin where a pattern vertex goes.
 The matcher runs from a `Pattern`, the pattern compiled once: its placement
@@ -51,6 +52,8 @@ from .graph import (
     first_rich_subset,
     graph_to_json_dict,
     mask_of,
+    placement_steps,
+    placements,
     verify_bip_induced_map,
     verify_induced_map,
 )
@@ -80,7 +83,7 @@ class Pattern(Graph):
 
     * `order`: pattern vertices by decreasing degree, ties by id;
     * `steps[i]`: for every later position j > i, the pair (j, is-edge
-      between order[i] and order[j]);
+      between order[i] and order[j]) (`graph.placement_steps`);
     * `floors[i]`: the degree of order[i], below which no host vertex fits it;
     * `orbit_reps`: the least vertex of each automorphism orbit, computed on
       first use.
@@ -91,8 +94,7 @@ class Pattern(Graph):
         deg = [row.bit_count() for row in h.adj]
         self.order = sorted(range(h.n), key=lambda v: (-deg[v], v))
         self.floors = [deg[p] for p in self.order]
-        self.steps = [[(j, h.adj[p] >> self.order[j] & 1) for j in range(i + 1, h.n)]
-                      for i, p in enumerate(self.order)]
+        self.steps = placement_steps(h.adj, self.order)
 
     @cached_property
     def orbit_reps(self) -> tuple[int, ...]:
@@ -109,20 +111,19 @@ def _compiled(h: Graph) -> Pattern:
 
 def _embed(g: Graph, h: Graph, induced: bool,
            initial: Optional[Sequence[int]] = None) -> Optional[VertexMap]:
-    """Backtracking embedding of h (a graph or its `Pattern`) into g;
+    """The first embedding of h (a graph or its `Pattern`) into g, or None;
     induced=True matches non-edges too.
 
     Pattern vertex p may only map into the host mask initial[p] (default: every
     vertex), less the host vertices of degree below h's degree at p; these
-    masks are the only way to pin a vertex.  Pattern vertices are placed in the
-    pattern's `order`, and host candidates are tried in increasing id.
+    masks are the only way to pin a vertex.  `graph.placements` places pattern
+    vertices in the pattern's `order`, a neighbour of a placed host vertex w in
+    w's row and a non-neighbour outside it (induced) or anywhere but at w.
     """
     pat = _compiled(h)
-    n, order, steps, adj = pat.n, pat.order, pat.steps, g.adj
-    if n > g.n:
+    order, adj = pat.order, g.adj
+    if pat.n > g.n:
         return None
-    if n == 0:
-        return ()
     at_least = [0] * (g.n + 1)  # at_least[d]: the host vertices of degree >= d
     for w, row in enumerate(adj):
         at_least[row.bit_count()] |= 1 << w
@@ -131,38 +132,8 @@ def _embed(g: Graph, h: Graph, induced: bool,
     cands = [at_least[d] for d in pat.floors]
     if initial is not None:
         cands = [c & initial[p] for c, p in zip(cands, order)]
-    # An explicit stack, not a recursive closure: a closure that calls itself
-    # is a reference cycle, which keeps each call's lists alive until the
-    # cyclic collector runs and so raises peak memory.
-    assignment = [0] * n
-    level = [cands] * n  # level[i]: the masks once positions < i are placed
-    left = [0] * n       # left[i]: the untried host candidates at position i
-    left[0] = cands[0]
-    i = 0
-    while i >= 0:
-        m = left[i]
-        if not m:
-            i -= 1
-            continue
-        low = m & -m
-        left[i] = m ^ low
-        w = low.bit_length() - 1
-        row = adj[w]
-        off = ~(row | low) if induced else ~low
-        nxt = level[i][:]
-        for j, edge in steps[i]:
-            c = nxt[j] & (row if edge else off)
-            if not c:
-                break
-            nxt[j] = c
-        else:
-            assignment[order[i]] = w
-            if i + 1 == n:
-                return tuple(assignment)
-            i += 1
-            level[i] = nxt
-            left[i] = nxt[i]
-    return None
+    no = [~(row | 1 << w) if induced else ~(1 << w) for w, row in enumerate(adj)]
+    return next(placements(order, pat.steps, cands, adj, no), None)
 
 
 def contains_induced(g: Graph, h: Graph) -> Optional[VertexMap]:

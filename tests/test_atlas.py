@@ -27,10 +27,14 @@ PATTERNS = {
     "K13": (4, ((0, 1), (0, 2), (0, 3))),
     "P5": (5, ((0, 1), (1, 2), (2, 3), (3, 4))),
     "K23": (5, ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4))),
+    "K14": (5, ((0, 1), (0, 2), (0, 3), (0, 4))),
+    "chair": (5, ((0, 4), (1, 3), (2, 3), (3, 4))),
+    "banner": (5, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4))),
 }
 CASES = [(name, s) for name in PATTERNS for s in (2, 3)]
 STAR_N = 7
 BIP_N = 6
+MEMBER_N = 6
 
 
 # --- the references: networkx and brute force only -------------------------------
@@ -96,8 +100,11 @@ def has_copy(g: nx.Graph, c: Copies, induced: bool) -> bool:
     return any(em in c.sides if induced else em in c.within for _, em in subsets(g, c.k))
 
 
+@lru_cache(maxsize=None)
 def star_ok(g: nx.Graph, name: str, s: int) -> bool:
-    """No K_{s,s} subgraph and no induced copy of the pattern."""
+    """No K_{s,s} subgraph and no induced copy of the pattern.  Cached by
+    the identity of g, one of the atlas graphs, which several tests ask
+    about."""
     return not has_copy(g, kss_copies(s), False) and not has_copy(g, copies(name), True)
 
 
@@ -132,6 +139,11 @@ def bip_value(g: nx.Graph, name: str, s: int):
             cross = sum((u in x) != (v in x) for u, v in g.edges)
             best = cross if best is None else max(best, cross)
     return best
+
+
+def degree_sequence(g: nx.Graph) -> list[int]:
+    """The sorted degrees, which isomorphic graphs share."""
+    return sorted(d for _, d in g.degree)
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -200,6 +212,24 @@ class TestStarAndClassical:
         ok = extend_ok_of(monkeypatch, lambda: extremal_star(1, pattern(name), s))
         want = [sum(star_ok(g, name, s) for g in atlas()[n]) for n in range(STAR_N + 1)]
         assert class_counts(ok, STAR_N) == want
+
+    @pytest.mark.parametrize("name, s", CASES)
+    def test_star_generator_classes(self, monkeypatch, name, s):
+        # each class the generator keeps is one atlas graph that star_ok
+        # keeps, and each such atlas graph is one class
+        ok = extend_ok_of(monkeypatch, lambda: extremal_star(1, pattern(name), s))
+        gen = oracles._Generator(ok)
+        for n in range(MEMBER_N + 1):
+            kept = [g for g in atlas()[n] if star_ok(g, name, s)]
+            degrees = [degree_sequence(g) for g in kept]
+            matched = [0] * len(kept)
+            for node in gen.classes(n):
+                w = to_nx(node.graph)
+                dw = degree_sequence(w)
+                hits = [i for i, g in enumerate(kept) if degrees[i] == dw and nx.is_isomorphic(w, g)]
+                assert len(hits) == 1, (n, node.graph.edge_list(), len(hits))
+                matched[hits[0]] += 1
+            assert matched == [1] * len(kept), n
 
     @pytest.mark.parametrize("name", PATTERNS)
     def test_classical_generator_counts(self, monkeypatch, name):

@@ -18,7 +18,7 @@ from indturan import embeddings
 from indturan.embeddings import (
     Thresholds,
     _grow_order,
-    _tree_copies,
+    _rechecked,
     admissible_tree_copies,
     asymmetric_embed,
     bad_set,
@@ -476,19 +476,17 @@ except DisprovesLemma:
 """
 
 
-# l holds 0-1 and 0-2, the host only HOST_EDGE, and _tree_copies is called
-# past greedy_tree_embed's check that l lies in the host: the leaf batch of
-# the prefix 0 is 1, then 2, and the copy off the host is its first or its
-# second copy, re-checked in full or by its row.
+# l holds 0-1 and 0-2 and the host only HOST_EDGE, past greedy_tree_embed's
+# check that l lies in the host; the re-check is fed the batch that the search
+# lists for the prefix 0 (the leaf at 1, then at 2), and the copy off the host
+# is its first or its second copy, re-checked in full or by its row.
 LEAF_RECHECK = """
-from indturan.embeddings import _grow_order, _tree_copies
+from indturan.embeddings import _rechecked
 from indturan.errors import DisprovesLemma
 from indturan.graph import Graph
 
-k2 = Graph(2, [(0, 1)])
-order, parent = _grow_order(k2)
-copies = _tree_copies(Graph(3, [HOST_EDGE]), Graph(3, [(0, 1), (0, 2)]), k2, order, parent,
-                      {v: 0 for v in range(3)})
+copies = _rechecked(Graph(3, [HOST_EDGE]), Graph(3, [(0, 1), (0, 2)]), Graph(2, [(0, 1)]), 1,
+                    [(0, 1), (0, 2)])
 emitted = []
 try:
     for vm in copies:
@@ -537,7 +535,7 @@ class TestGreedyTreeEmbed:
         host, l, t, d = case
         copies = list(greedy_tree_embed(host, l, t, d))
         assert set(copies) == naive_good_copies(host.graph, l, t, d)
-        order, _ = _grow_order(t)
+        order = _grow_order(t)
         keys = [tuple(vm[v] for v in order) for vm in copies]
         assert keys == sorted(set(keys))
 
@@ -594,8 +592,7 @@ class TestGreedyTreeEmbed:
 
     def test_one_vertex_leaf_row_in_range(self):
         # a one-vertex tree is one batch: l's vertex 2 is past the host's end
-        copies = _tree_copies(Graph(2, []), Graph(3, []), Graph(1, []), [0], {0: -1},
-                              {v: 0 for v in range(3)})
+        copies = _rechecked(Graph(2, []), Graph(3, []), Graph(1, []), 0, [(0,), (1,), (2,)])
         assert list(islice(copies, 2)) == [(0,), (1,)]
         with pytest.raises(DisprovesLemma):
             next(copies)
@@ -607,6 +604,28 @@ class TestGreedyTreeEmbed:
         p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
         for vm in greedy_tree_embed(host, l, p4, 30):
             assert verify_induced_map_reference(g, p4, vm)
+
+    def test_one_full_recheck_per_head(self, monkeypatch):
+        # the copies that share their images but the leaf's (their head) get
+        # one full re-check, the first of them; the rest get the leaf's row
+        g = theta(3, 3)
+        p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        leaf = _grow_order(p4)[-1]
+        checked = []
+
+        def spy(g, h, vm):
+            checked.append(vm)
+            return verify_induced_map(g, h, vm)
+
+        monkeypatch.setattr(embeddings, "verify_induced_map", spy)
+        copies = list(greedy_tree_embed(Host(g, 2), g, p4, 30))
+        heads = [vm[:leaf] + vm[leaf + 1:] for vm in copies]
+        assert len(copies) > len(set(heads)) > 1
+        assert len(checked) == len(set(heads))
+        # so every copy shares its head with the fully checked first copy of
+        # its batch
+        firsts = [vm for i, vm in enumerate(copies) if i == 0 or heads[i] != heads[i - 1]]
+        assert checked == firsts
 
     def test_admissible_filter(self):
         g = theta(2, 3)  # K_{2,3}: vertices 0,1 on one side

@@ -20,7 +20,7 @@ from indturan.errors import (
 )
 from indturan.canonical import canonical
 from indturan.families import as_template, theta
-from indturan.graph import Graph, Host
+from indturan.graph import Graph, Host, placements
 from indturan.oracles import (
     contains_bip_induced,
     contains_induced,
@@ -142,6 +142,22 @@ class TestMatcherDefinition:
         used = {w for vm in naive_maps(g, h, induced) for w in vm}
         for v in range(g.n):
             assert oracles._contains_using(g, h, v, induced) == (v in used)
+
+    @settings(max_examples=300, deadline=None)
+    @given(matcher_cases())
+    def test_placements_list_every_map_in_order(self, case):
+        # the oracles' rows: a pattern neighbour goes into the host row, a
+        # non-neighbour outside it (induced) or anywhere else (not induced);
+        # the maps come out by their images listed in placement order
+        g, h, induced, initial = case
+        full = g.vertex_mask()
+        no = [~(row | 1 << w) if induced else ~(1 << w) for w, row in enumerate(g.adj)]
+        for pat, pins in ((oracles.Pattern(h), initial), (oracles.Pattern(Graph(0, [])), None)):
+            cands = [full if pins is None else pins[p] for p in pat.order]
+            got = list(placements(pat.order, pat.steps, cands, g.adj, no))
+            want = sorted(naive_maps(g, pat, induced, pins),
+                          key=lambda vm: [vm[p] for p in pat.order])
+            assert got == want
 
 
 def brute_orbits(h):
