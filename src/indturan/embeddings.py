@@ -8,8 +8,11 @@ guarantees.  The tree copies come from `oracles._embed`'s matcher,
 `graph.placements`.  A map is re-checked in full, except a tree copy that
 shares all images but its last leaf's with the copy before it: the leaf's row
 is checked against the shared rest, which the full check of the first such
-copy covers.  A violation of a bound that is guaranteed once its hypotheses
-are verified raises DisprovesLemma, which is never expected.
+copy covers.  The blowup procedures read a template's B vertex's A-side
+neighbourhood as its adjacency row, and the extraction writes its map in
+`families.rooted_power`'s vertex numbering, which the map's re-check guards.
+A violation of a bound that is guaranteed once its hypotheses are verified
+raises DisprovesLemma, which is never expected.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import (
     NoPartition,
     NotSemiInduced,
 )
-from .families import BipartiteTemplate, RootedGraph, neighborhood_hypergraph, rooted_power
+from .families import BipartiteTemplate, RootedGraph, rooted_power
 from .graph import (
     Graph,
     Host,
@@ -399,15 +402,15 @@ def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
             raise BadBlowup("parts must be pairwise disjoint")
         seen_vertices |= set(ws)
     _check_no_isolated_b(template)
-    fa = neighborhood_hypergraph(template)
+    a_order = list(template.a_side)
+    b_order = list(template.b_side)
+    edges = [template.graph.adj[b] for b in b_order]  # each B vertex's A side, as a mask
     if not checked:
-        for e in fa.hyperedges:
-            for combo in product(*(parts_map[v] for v in sorted(e))):
+        for e in edges:
+            for combo in product(*(parts_map[v] for v in bits(e))):
                 if not rich(frozenset(combo)):
                     raise BadBlowup(f"blowup edge {sorted(combo)} is outside the rich family")
 
-    a_order = list(template.a_side)
-    b_order = list(template.b_side)
     rng = random.Random(seed)
     trace: list = []
     total = th.m_blow ** len(a_order)  # the placements of A
@@ -435,21 +438,21 @@ def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
             continue
         commons = []
         ok = True
-        for e in fa.hyperedges:
-            w_mask = common_neighborhood_mask(l.adj, [img[v] for v in e])
+        for e in edges:
+            w_mask = common_neighborhood_mask(l.adj, [img[v] for v in bits(e)])
             if w_mask == 0:
                 entry["stage"] = "empty-common"
                 ok = False
                 break
             w_set = set(bits(w_mask))
             b_w = bad_set(g, w_set, Fraction(1, 2 * h))
-            if any(img[u] in b_w for u in a_order if u not in e):
+            if any(img[u] in b_w for u in a_order if not e >> u & 1):
                 entry["stage"] = "bad-set"
                 ok = False
                 break
             gamma = w_mask
             for u in a_order:
-                if u not in e:
+                if not e >> u & 1:
                     gamma &= ~g.adj[img[u]]
             commons.append(gamma)
         if not ok:
@@ -486,19 +489,21 @@ def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
 # --- asymmetric host form ------------------------------------------------------------
 
 
-def _find_blowup(t_vertices: Sequence[int], fa, m: int,
+def _find_blowup(t_vertices: Sequence[int], template: BipartiteTemplate, m: int,
                  rich: Callable[[frozenset], bool]) -> Optional[dict[int, tuple[int, ...]]]:
-    """Disjoint m-sets per ground vertex such that every combination drawn from
-    an assigned hyperedge is rich; deterministic backtracking."""
-    ground = list(fa.ground)
+    """Disjoint m-sets per A-side vertex such that every combination drawn
+    from a B vertex's A-side neighbourhood (its row) is rich, once all of its
+    sets are assigned; deterministic backtracking."""
+    ground = list(template.a_side)
+    edges = [template.graph.adj[b] for b in template.b_side]
     pool = sorted(t_vertices)
     chosen: dict[int, tuple[int, ...]] = {}
 
-    def edge_ok(e) -> bool:
-        if not all(v in chosen for v in e):
+    def edge_ok(e: int) -> bool:
+        if not all(v in chosen for v in bits(e)):
             return True
         return all(rich(frozenset(combo))
-                   for combo in product(*(chosen[v] for v in sorted(e))))
+                   for combo in product(*(chosen[v] for v in bits(e))))
 
     def rec(i: int, remaining: tuple[int, ...]) -> bool:
         if i == len(ground):
@@ -506,7 +511,7 @@ def _find_blowup(t_vertices: Sequence[int], fa, m: int,
         v = ground[i]
         for pick in combinations(remaining, m):
             chosen[v] = pick
-            if all(edge_ok(e) for e in fa.hyperedges if v in e):
+            if all(edge_ok(e) for e in edges if e >> v & 1):
                 rest = tuple(w for w in remaining if w not in pick)
                 if rec(i + 1, rest):
                     return True
@@ -523,22 +528,22 @@ def asymmetric_embed(host: Host, m_sub: Graph, template: BipartiteTemplate,
                      seed: int = 0) -> EmbeddingOutcome:
     """Derandomized asymmetric search: for each y in Y, test whether the rich
     p-sets inside N_M(y) are gamma-dense, then look for a blowup of the
-    template's neighborhood hypergraph among them and delegate to
-    key_lemma_embed with M as the cross subgraph."""
+    template's A side among them, every B vertex's neighbourhood rich, and
+    delegate to key_lemma_embed with M as the cross subgraph."""
     from fractions import Fraction
     if host.partition is None:
         raise NoPartition("asymmetric_embed needs an (X, Y) partition")
     x_side, y_side = host.partition
-    xset, yset = set(x_side), set(y_side)
+    xm = mask_of(x_side)
     for u, v in m_sub.edges:
-        if (u in xset) == (v in xset):
+        if (xm >> u & 1) == (xm >> v & 1):
             raise InvalidPartition(f"M edge {(u, v)} does not cross the partition")
     _check_spanning(host.graph, m_sub, "M")
     if not template.b_side:
         raise ValueError("template must have a nonempty B side")
     _check_no_isolated_b(template)
     p = max(template.graph.degree(b) for b in template.b_side)
-    degrees = {y: (m_sub.adj[y] & mask_of(xset)).bit_count() for y in y_side}
+    degrees = {y: (m_sub.adj[y] & xm).bit_count() for y in y_side}
     dmin = min(degrees.values()) if degrees else 0
     if delta_y is not None and dmin < delta_y:
         raise HypothesisUnmet(f"some y has M-degree {dmin} < delta_y = {delta_y}")
@@ -546,14 +551,13 @@ def asymmetric_embed(host: Host, m_sub: Graph, template: BipartiteTemplate,
     e_m = m_sub.m
     guarantee = Fraction(e_m) * Fraction(delta) ** max(p - 1, 0) >= \
         th.c3 * Fraction(len(x_side)) ** p if x_side else False
-    fa = neighborhood_hypergraph(template)
     trace: list = [{"e_m": e_m, "delta": delta, "p": p, "c3_guarantee": guarantee}]
 
     def rich(sset: frozenset) -> bool:
         return common_neighborhood_mask(m_sub.adj, sset).bit_count() >= th.c_hs
 
     for y in sorted(y_side):
-        t_vertices = sorted(w for w in bits(m_sub.adj[y]) if w in xset)
+        t_vertices = list(bits(m_sub.adj[y] & xm))
         entry: dict = {"y": y, "t_size": len(t_vertices)}
         trace.append(entry)
         if len(t_vertices) < p:
@@ -567,7 +571,7 @@ def asymmetric_embed(host: Host, m_sub: Graph, template: BipartiteTemplate,
         if rich_count * th.gamma.denominator <= th.gamma.numerator * total:
             entry["stage"] = "density"
             continue
-        parts = _find_blowup(t_vertices, fa, th.m_blow, rich)
+        parts = _find_blowup(t_vertices, template, th.m_blow, rich)
         if parts is None:
             entry["stage"] = "blowup"
             continue
@@ -652,13 +656,11 @@ def extract_induced_power(g: Graph, copies: Sequence[VertexMap], f: RootedGraph,
         missing[j] &= ~(1 << i)
     sel = first_clique(missing, l)
     if sel is not None:
-        power = rooted_power(f, l)
-        combined = [0] * power.graph.n
-        for c, cm in enumerate(power.copy_maps):
-            for v in range(f.graph.n):
-                combined[cm[v]] = copies[sel[c]][v]
-        vm = tuple(combined)
-        if not verify_induced_map(g, power.graph, vm):
+        # `rooted_power`'s numbering: the shared roots' images, then each
+        # selected copy's non-roots' images; the re-check guards the numbering
+        vm = tuple([copies[sel[0]][v] for v in sorted(f.roots)]
+                   + [copies[c][v] for c in sel for v in non])
+        if not verify_induced_map(g, rooted_power(f, l).graph, vm):
             raise DisprovesLemma("extracted selection failed the induced re-check")
         trace.append({"selected": sel, "stage": "success"})
         return EmbeddingOutcome(True, vm, trace)

@@ -12,17 +12,19 @@ roots.  The families built here are the bases of the realizability chains:
   bipartite graphs).
 
 rooted_power glues l copies along the shared roots (copy 0's rows come from
-`graph.relabel`, the others shift them); attach_ktt adds a crossed K_{t,t} to a
-bipartite graph.  With the new vertices as roots this is t "reductions" at
-once: it raises the density by exactly t, and equals t crossed K_{1,1}s
-attached one after another up to relabelling.  `_edge_inside` finds the edge
-that a template's part or a power's root set must not hold.  Descriptors like
-"Trt:r=3,t=1" name all of these for the CLI.
+`graph.relabel`, the others shift them); its documented vertex numbering is
+the only record of where each copy lands.  A template's B vertex b keeps its
+A-side neighbourhood as the row `graph.adj[b]`.  attach_ktt adds a crossed
+K_{t,t} to a bipartite graph.  With the new vertices as roots this is t
+"reductions" at once: it raises the density by exactly t, and equals t crossed
+K_{1,1}s attached one after another up to relabelling.  `_edge_inside` finds
+the edge that a template's part or a power's root set must not hold.
+Descriptors like "Trt:r=3,t=1" name all of these for the CLI.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DegenerateRoot, Multigraph, NotBipartite, RootEdgeCollision
 from .graph import Graph, bipartition, check_partition, mask_of, relabel
@@ -41,17 +43,11 @@ def _edge_inside(adj: Sequence[int], vertices: Sequence[int]) -> Optional[tuple[
 
 
 class RootedGraph:
-    """A graph together with a proper subset of root vertices.
+    """A graph together with a proper subset of root vertices."""
 
-    copy_maps is populated by rooted_power: copy_maps[c][v] is the vertex of
-    the power that copy c's vertex v (in the base numbering) maps to.  It is
-    carried for downstream extraction and ignored by equality.
-    """
+    __slots__ = ("graph", "roots")
 
-    __slots__ = ("graph", "roots", "copy_maps")
-
-    def __init__(self, graph: Graph, roots: Iterable[int],
-                 copy_maps: Optional[tuple[tuple[int, ...], ...]] = None):
+    def __init__(self, graph: Graph, roots: Iterable[int]):
         roots = frozenset(roots)
         if graph.n == 0:
             raise DegenerateRoot("rooted graph needs at least one vertex")
@@ -61,7 +57,6 @@ class RootedGraph:
             raise DegenerateRoot("roots must form a proper subset of the vertices")
         self.graph = graph
         self.roots = roots
-        self.copy_maps = copy_maps
 
     def __eq__(self, other):
         return (isinstance(other, RootedGraph)
@@ -96,13 +91,6 @@ class BipartiteTemplate:
     @property
     def b_side(self) -> tuple[int, ...]:
         return self.parts[1]
-
-
-class NeighborhoodHypergraph(NamedTuple):
-    """Ground set A with one hyperedge N_H(b) per B-vertex, multiplicity kept."""
-
-    ground: tuple[int, ...]
-    hyperedges: tuple[frozenset[int], ...]
 
 
 # --- constructors ------------------------------------------------------------
@@ -152,8 +140,9 @@ def leaf_rooted_star(r: int) -> RootedGraph:
 def rooted_power(f: RootedGraph, l: int) -> RootedGraph:
     """l copies of f glued along the roots, disjoint elsewhere.
 
-    Vertex numbering: sorted roots become 0..|R|-1; copy c's sorted non-roots
-    follow consecutively.  copy_maps records the per-copy embeddings.
+    Vertex numbering, the contract that `embeddings.extract_induced_power`
+    reads its map from: f's sorted roots become 0..r-1, and copy c's sorted
+    non-roots become r + c*q .. r + c*q + q - 1 in order (q non-roots).
 
     An edge inside the root set would be contributed by every copy; for
     l >= 2 that collision is always a RootEdgeCollision, never silently
@@ -169,10 +158,6 @@ def rooted_power(f: RootedGraph, l: int) -> RootedGraph:
             raise RootEdgeCollision(f"edge {edge} lies inside the root set")
     order = roots + list(f.non_roots())  # copy 0's numbering
     r, q = len(roots), f.graph.n - len(roots)
-    pos = [0] * f.graph.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    maps = tuple(tuple(p if p < r else p + c * q for p in pos) for c in range(l))
     # A row in copy 0's numbering splits into its root bits, which every copy
     # shares, and its non-root bits, which copy c shifts up by c * q; a root's
     # row holds every copy's shift at once, one product with `spread`.
@@ -186,7 +171,7 @@ def rooted_power(f: RootedGraph, l: int) -> RootedGraph:
         else:
             for c in range(l):
                 rows[i + c * q] = inner | outer << c * q
-    return RootedGraph(Graph.from_rows(rows), frozenset(range(r)), copy_maps=maps)
+    return RootedGraph(Graph.from_rows(rows), frozenset(range(r)))
 
 
 def theta(length: int, t: int) -> Graph:
@@ -231,12 +216,6 @@ def attach_ktt_rooted(f: RootedGraph, t: int) -> RootedGraph:
     reduced = attach_ktt(template, t)
     new = set(range(f.graph.n, f.graph.n + 2 * t))
     return RootedGraph(reduced.graph, frozenset(f.roots) | new)
-
-
-def neighborhood_hypergraph(h: BipartiteTemplate) -> NeighborhoodHypergraph:
-    """Hyperedges are the A-side neighborhoods of B-vertices, with multiplicity."""
-    edges = tuple(frozenset(h.graph.neighbors(b)) for b in h.b_side)
-    return NeighborhoodHypergraph(h.a_side, edges)
 
 
 def complete_bipartite_template(s: int, t: int) -> BipartiteTemplate:

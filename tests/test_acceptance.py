@@ -10,6 +10,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -466,17 +467,45 @@ def test_traced_names_resolve(capsys):
         assert traced and not missing, missing
 
 
+def test_readme_names_resolve(capsys):
+    # Every backticked `module.name` in README.md, `module` a module of the
+    # package with or without the `indturan.` prefix (also at the head of a
+    # call such as `graph.relabel(adj, order)`), is an attribute of it.  A
+    # file path such as `src/indturan/graph.py` cites nothing.
+    with scoreboard("every module.name the README cites exists in indturan", capsys):
+        modules = sorted(p.stem for p in (ROOT / "src" / "indturan").glob("*.py")
+                         if p.stem != "__init__")
+        cite = re.compile(rf"(?<![\w./])(?:indturan\.)?({'|'.join(modules)})\.(\w+)")
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        cited = {m.groups() for span in re.findall(r"`([^`\n]+)`", text)
+                 for m in cite.finditer(span)}
+        missing = sorted(f"{module}.{name}" for module, name in cited
+                         if not hasattr(import_module(f"indturan.{module}"), name))
+        assert cited and not missing, missing
+
+
 def test_checks_run_under_python_O(capsys, tmp_path):
     # The re-checks are real raises, so `python -O` runs them and prints the
-    # same bytes as a plain run.
-    spec = {"host": {"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)], "s": 2},
-            "tree": {"n": 3, "edges": [[0, 1], [1, 2]]}, "d": 24}
-    tree_input = tmp_path / "tree.json"
-    tree_input.write_text(json.dumps(spec))
+    # same bytes as a plain run.  The extract and asym instances end in
+    # success, so their maps reach the re-check.
+    path3 = {"n": 3, "edges": [[0, 1], [1, 2]]}
+    specs = {
+        "tree": {"host": {"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)], "s": 2},
+                 "tree": path3, "d": 24},
+        "extract": {"host": {"n": 7, "edges": [[u, w] for u in (0, 1) for w in range(2, 7)]},
+                    "pattern": dict(path3, roots=[0, 2]),
+                    "copies": [[0, w, 1] for w in range(2, 7)], "l": 2, "s": 2},
+        "asym": {"host": {"n": 9, "edges": [[i, j] for i in range(4) for j in range(4, 9)],
+                          "partition": {"X": [0, 1, 2, 3], "Y": [4, 5, 6, 7, 8]}, "s": 2},
+                 "template": path3, "thresholds": {"c_hs": 3, "m_blow": 2}},
+    }
     jobs = [["sweep", "4", "24"], ["realize", "5", "26", "--l", "3"],
             ["extremal", "--mode", "bip", "--n", "5", "--s", "2",
-             "--pattern", "theta:len=2,t=2"],
-            ["embed", "tree", "--input", str(tree_input)]]
+             "--pattern", "theta:len=2,t=2"]]
+    for proc, spec in specs.items():
+        path = tmp_path / f"{proc}.json"
+        path.write_text(json.dumps(spec))
+        jobs.append(["embed", proc, "--input", str(path)])
     with scoreboard("CLI output identical under python -O", capsys):
         for job in jobs:
             plain, optimized = (
@@ -485,3 +514,5 @@ def test_checks_run_under_python_O(capsys, tmp_path):
                 for flags in ([], ["-O"]))
             assert plain.returncode == optimized.returncode == 0, job
             assert plain.stdout == optimized.stdout and plain.stdout, job
+            if job[1] in ("extract", "asym"):
+                assert json.loads(plain.stdout)["found"] is True, job

@@ -181,6 +181,24 @@ def class_counts(extend_ok, top: int) -> list[int]:
     return [len(gen.classes(n)) for n in range(top + 1)]
 
 
+def assert_classes_match(extend_ok, keeps) -> None:
+    """Up to MEMBER_N vertices, each class the generator keeps is one atlas
+    graph that keeps admits, and each such atlas graph is one class (degree
+    sequences filter the isomorphism tests)."""
+    gen = oracles._Generator(extend_ok)
+    for n in range(MEMBER_N + 1):
+        kept = [g for g in atlas()[n] if keeps(g)]
+        degrees = [degree_sequence(g) for g in kept]
+        matched = [0] * len(kept)
+        for node in gen.classes(n):
+            w = to_nx(node.graph)
+            dw = degree_sequence(w)
+            hits = [i for i, g in enumerate(kept) if degrees[i] == dw and nx.is_isomorphic(w, g)]
+            assert len(hits) == 1, (n, node.graph.edge_list(), len(hits))
+            matched[hits[0]] += 1
+        assert matched == [1] * len(kept), n
+
+
 def assert_witness_reaches(witness: Graph, reaching: list[nx.Graph]) -> None:
     w = to_nx(witness)
     assert any(nx.is_isomorphic(w, g) for g in reaching)
@@ -215,27 +233,19 @@ class TestStarAndClassical:
 
     @pytest.mark.parametrize("name, s", CASES)
     def test_star_generator_classes(self, monkeypatch, name, s):
-        # each class the generator keeps is one atlas graph that star_ok
-        # keeps, and each such atlas graph is one class
         ok = extend_ok_of(monkeypatch, lambda: extremal_star(1, pattern(name), s))
-        gen = oracles._Generator(ok)
-        for n in range(MEMBER_N + 1):
-            kept = [g for g in atlas()[n] if star_ok(g, name, s)]
-            degrees = [degree_sequence(g) for g in kept]
-            matched = [0] * len(kept)
-            for node in gen.classes(n):
-                w = to_nx(node.graph)
-                dw = degree_sequence(w)
-                hits = [i for i, g in enumerate(kept) if degrees[i] == dw and nx.is_isomorphic(w, g)]
-                assert len(hits) == 1, (n, node.graph.edge_list(), len(hits))
-                matched[hits[0]] += 1
-            assert matched == [1] * len(kept), n
+        assert_classes_match(ok, lambda g: star_ok(g, name, s))
 
     @pytest.mark.parametrize("name", PATTERNS)
     def test_classical_generator_counts(self, monkeypatch, name):
         ok = extend_ok_of(monkeypatch, lambda: extremal_classical(1, pattern(name)))
         want = [sum(classical_ok(g, name) for g in atlas()[n]) for n in range(STAR_N + 1)]
         assert class_counts(ok, STAR_N) == want
+
+    @pytest.mark.parametrize("name", PATTERNS)
+    def test_classical_generator_classes(self, monkeypatch, name):
+        ok = extend_ok_of(monkeypatch, lambda: extremal_classical(1, pattern(name)))
+        assert_classes_match(ok, lambda g: classical_ok(g, name))
 
 
 class TestBip:
@@ -259,3 +269,8 @@ class TestBip:
         want = [sum(not has_copy(g, kss_copies(s), False) for g in atlas()[n])
                 for n in range(STAR_N + 1)]
         assert class_counts(ok, STAR_N) == want
+
+    @pytest.mark.parametrize("s", (2, 3))
+    def test_generator_classes(self, monkeypatch, s):
+        ok = extend_ok_of(monkeypatch, lambda: extremal_bip_star(1, as_template(pattern("P4")), s))
+        assert_classes_match(ok, lambda g: not has_copy(g, kss_copies(s), False))

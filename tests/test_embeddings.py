@@ -475,6 +475,34 @@ except DisprovesLemma:
     print("raised")
 """
 
+# The extracted map follows `rooted_power`'s numbering; a power numbered
+# otherwise (here vertices 0 and 2 swapped: a root and copy 0's first
+# non-root) must fail the re-check, which therefore guards the numbering.
+RELABELLED_POWER = """
+import indturan.embeddings as emb
+from indturan.errors import DisprovesLemma
+from indturan.families import RootedGraph, rooted_path, theta
+from indturan.graph import Graph
+
+power = emb.rooted_power
+
+
+def swapped(f, l):
+    p = power(f, l)
+    name = list(range(p.graph.n))
+    name[0], name[2] = 2, 0
+    return RootedGraph(Graph(p.graph.n, [(name[u], name[v]) for u, v in p.graph.edges]),
+                       {name[v] for v in p.roots})
+
+
+emb.rooted_power = swapped
+copies = [(0, 2 + 2 * i, 3 + 2 * i, 1) for i in range(5)]
+try:
+    emb.extract_induced_power(theta(3, 5), copies, rooted_path(3), 3, 2)
+except DisprovesLemma:
+    print("raised")
+"""
+
 
 # l holds 0-1 and 0-2 and the host only HOST_EDGE, past greedy_tree_embed's
 # check that l lies in the host; the re-check is fed the batch that the search
@@ -1035,6 +1063,14 @@ class TestExtraction:
 
     def test_failed_recheck_raises_under_optimize(self):
         raises_under_optimize(OPTIMIZED_POWER_RECHECK)
+
+    def test_relabelled_power_raises(self, capsys, monkeypatch):
+        # the script rebinds embeddings.rooted_power; setting it to itself
+        # first makes monkeypatch restore it afterwards
+        monkeypatch.setattr(embeddings, "rooted_power", embeddings.rooted_power)
+        exec(RELABELLED_POWER, {})
+        assert capsys.readouterr().out.strip() == "raised"
+        raises_under_optimize(RELABELLED_POWER)
 
     def test_semi_induced_validation(self):
         g, copies, f = self._theta_fixture()

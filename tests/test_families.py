@@ -16,14 +16,13 @@ from indturan.families import (
     complete_bipartite_template,
     height_two_tree,
     leaf_rooted_star,
-    neighborhood_hypergraph,
     parse_descriptor,
     rooted_path,
     rooted_power,
     theta,
     tree_r11,
 )
-from indturan.graph import Graph, bipartition
+from indturan.graph import Graph
 from indturan.oracles import is_isomorphic
 
 
@@ -41,12 +40,13 @@ class TestRootedGraph:
         f = RootedGraph(Graph(4, [(0, 1), (2, 3)]), frozenset({1, 3}))
         assert f.non_roots() == (0, 2)
 
-    def test_equality_ignores_copy_maps(self):
+    def test_equality_on_graph_and_roots(self):
         p = rooted_power(rooted_path(3), 2)
-        bare = RootedGraph(p.graph, p.roots)
-        assert p.copy_maps is not None and bare.copy_maps is None
-        assert p == bare and hash(p) == hash(bare)
+        same = RootedGraph(Graph(p.graph.n, p.graph.edge_list()), set(p.roots))
+        assert p == same and hash(p) == hash(same)
         assert p != RootedGraph(p.graph, p.roots - {0})
+        assert p != RootedGraph(Graph(p.graph.n, list(p.graph.edge_list())[1:]), p.roots)
+        assert p != p.graph
 
 
 class TestHeightTwoTree:
@@ -125,12 +125,29 @@ class TestRootedPower:
         assert p.graph.n == len(f.roots) + 3 * q
         assert p.graph.m == 3 * f.graph.m
 
-    def test_copy_maps_are_embeddings(self):
-        f = tree_r11(2)
-        p = rooted_power(f, 2)
-        for cm in p.copy_maps:
+    @pytest.mark.parametrize("f, l", [(tree_r11(2), 2), (height_two_tree(2, 1), 3),
+                                      (RootedGraph(Graph(5, [(0, 3), (3, 1), (1, 4), (4, 2)]),
+                                                   {4, 0}), 3)],
+                             ids=["Tr11-l2", "Trt-l3", "path-l3"])
+    def test_numbering(self, f, l):
+        # the contract extraction reads its map from: sorted roots first, then
+        # copy c's sorted non-roots at r + c*q + i; each copy's map embeds f
+        # and every edge of the power comes from one copy
+        p = rooted_power(f, l)
+        roots, non = sorted(f.roots), f.non_roots()
+        r, q = len(roots), len(non)
+        assert p.roots == frozenset(range(r)) and p.graph.n == r + l * q
+        power_edges = set(p.graph.edges)
+        seen = set()
+        for c in range(l):
+            cm = dict(zip(roots, range(r))) | dict(zip(non, range(r + c * q, r + c * q + q)))
+            images = set()
             for u, v in f.graph.edges:
                 assert p.graph.has_edge(cm[u], cm[v])
+                images.add((min(cm[u], cm[v]), max(cm[u], cm[v])))
+            seen |= images
+            assert len(images) == f.graph.m
+        assert seen == power_edges
 
     def test_root_edge_collision(self):
         f = RootedGraph(Graph(3, [(0, 1), (1, 2)]), frozenset({0, 1}))
@@ -201,30 +218,6 @@ class TestAttachKttRooted:
         f = RootedGraph(Graph(3, [(0, 1), (1, 2), (0, 2)]), frozenset({0}))
         with pytest.raises(NotBipartite):
             attach_ktt_rooted(f, 1)
-
-
-class TestNeighborhoodHypergraph:
-    def test_c4_multiplicity(self):
-        c4 = BipartiteTemplate(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), ((0, 2), (1, 3)))
-        fh = neighborhood_hypergraph(c4)
-        assert fh.ground == (0, 2)
-        assert list(fh.hyperedges) == [frozenset({0, 2}), frozenset({0, 2})]
-
-    def test_star_center_in_b(self):
-        star = BipartiteTemplate(Graph(4, [(0, 3), (1, 3), (2, 3)]), ((0, 1, 2), (3,)))
-        fh = neighborhood_hypergraph(star)
-        assert list(fh.hyperedges) == [frozenset({0, 1, 2})]
-
-    def test_height_two_edge_sizes(self):
-        # A = the side holding the center: hyperedges are middle-vertex
-        # neighborhoods, so their size is at most t + 1
-        for r, t in ((2, 1), (3, 2)):
-            f = height_two_tree(r, t)
-            a, b = bipartition(f.graph)
-            if 0 in b:
-                a, b = b, a
-            fh = neighborhood_hypergraph(BipartiteTemplate(f.graph, (a, b)))
-            assert max(len(e) for e in fh.hyperedges) == t + 1
 
 
 class TestDescriptors:
