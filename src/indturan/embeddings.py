@@ -5,12 +5,12 @@ extraction, Hall-style placement, copy extraction) with all thresholds exposed
 as parameters, every emitted map re-checked, and `found=False` a legitimate
 outcome when the small parameters used in tests do not reach the asymptotic
 guarantees.  The tree copies come from `oracles._embed`'s matcher,
-`graph.placements`.  A map is re-checked in full, except a tree copy that
-shares all images but its last leaf's with the copy before it: the leaf's row
-is checked against the shared rest, which the full check of the first such
-copy covers.  The blowup procedures read a template's B vertex's A-side
-neighbourhood as its adjacency row, and the extraction writes its map in
-`families.rooted_power`'s vertex numbering, which the map's re-check guards.
+`graph.placements`, each re-checked by one row rule (`_rechecked`); a copy
+that shares all images but its last leaf's with the copy before it is
+checked at the leaf alone.  Every other map is re-checked in full.  The
+blowup procedures read a template's B vertex's A-side neighbourhood as its
+adjacency row, and the extraction writes its map in `families.rooted_power`'s
+vertex numbering, which the map's re-check guards.
 A violation of a bound that is guaranteed once its hypotheses are verified
 raises DisprovesLemma, which is never expected.
 """
@@ -211,15 +211,15 @@ def greedy_tree_embed(host: Host, l: Graph, t: Graph, d: int) -> Iterator[Vertex
     count threshold d/(4|V(t)|)).  Enumeration is exhaustive.  Copies come out
     in increasing lexicographic order of their images listed in grow order, so
     the copies that share all images but the last vertex's, a leaf, come out
-    together as one batch, and each is re-checked (`_rechecked`) before being
-    yielded.  The tree is checked, l checked to be a spanning subgraph of the
-    host graph (ValueError otherwise), and the bad sets built, when the
-    function is called, before the first copy is asked for.
+    together as one batch, and each is re-checked by `_rechecked`'s row rule
+    before being yielded.  The tree is checked, l checked to be a spanning
+    subgraph of the host graph (ValueError otherwise), and the bad sets built,
+    when the function is called, before the first copy is asked for.
     """
     order = _grow_order(t)
     g = host.graph
     _check_spanning(g, l, "l")
-    return _rechecked(g, l, t, order[-1], _tree_copies(g, l, t, order, tree_bad_sets(g, l, t.n, d)))
+    return _rechecked(g, l, t, order, _tree_copies(g, l, t, order, tree_bad_sets(g, l, t.n, d)))
 
 
 def _tree_copies(g: Graph, l: Graph, t: Graph, order: list[int],
@@ -234,34 +234,41 @@ def _tree_copies(g: Graph, l: Graph, t: Graph, order: list[int],
     return placements(order, placement_steps(t.adj, order), [l.vertex_mask()] * t.n, yes, no)
 
 
-def _rechecked(g: Graph, l: Graph, t: Graph, leaf: int,
+def _rechecked(g: Graph, l: Graph, t: Graph, order: Sequence[int],
                copies: Iterable[VertexMap]) -> Iterator[VertexMap]:
-    """The copies of t, each re-checked (DisprovesLemma on a failure) before
-    it is yielded.  A copy whose images but the leaf's (its head, with image
-    P) differ from the copy before it gets `graph.verify_induced_map` against
-    g and its tree edges against l; any other copy its leaf x's row: x a host
-    vertex outside P, x's host row meeting P in the image u of leaf's one
-    neighbour alone, and u's l row holding x (for a one-vertex tree, P is
-    empty and x a vertex of l)."""
-    gn, gadj, ladj = g.n, g.adj, l.adj
-    up = t.adj[leaf].bit_length() - 1  # leaf's neighbour, -1 in a one-vertex tree
-    tree_edges = list(t.edges)
+    """The copies of t, each re-checked by one row rule (DisprovesLemma on a
+    failure) before it is yielded.  For each position i of the grow order,
+    the image x must be a host vertex outside the earlier positions' images
+    P, x's host row must meet P in exactly the image u of i's one earlier
+    tree neighbour, and u's l row must hold x; at position 0, x only has to
+    be a vertex of l.  The rule runs from position 0 for a copy whose images
+    but the leaf's (its head) differ from the copy before it, and at the last
+    position alone for any other copy.  A copy of the wrong length raises."""
+    gn, gadj, ln, ladj = g.n, g.adj, l.n, l.adj
+    k, leaf = len(order), order[-1]
+    # plan[i]: order[i] and its one earlier tree neighbour (-1 at position 0)
+    plan = [(v, (t.adj[v] & mask_of(order[:i])).bit_length() - 1) for i, v in enumerate(order)]
+    prefix = [0] * (k + 1)  # prefix[i]: the images of positions < i, as a mask
     head = None
     for vm in copies:
+        if len(vm) != k:
+            raise DisprovesLemma(f"tree copy has {len(vm)} images, the tree {k} vertices")
         rest = vm[:leaf] + vm[leaf + 1:]
-        if rest != head:
-            if not verify_induced_map(g, t, vm):
-                raise DisprovesLemma("tree copy failed the induced re-check")
-            for a, b in tree_edges:
-                if not ladj[vm[a]] >> vm[b] & 1:
-                    raise DisprovesLemma("tree copy uses an edge outside l")
-            head, prefix = rest, mask_of(rest)
-            pbit, lrow = (1 << vm[up], ladj[vm[up]]) if up >= 0 else (0, l.vertex_mask())
-        else:
-            x = vm[leaf]
-            if not (0 <= x < gn and not prefix >> x & 1 and gadj[x] & prefix == pbit
-                    and lrow >> x & 1):
-                raise DisprovesLemma("tree copy failed the leaf row re-check")
+        i = k - 1 if rest == head else 0
+        while i < k:  # not a range loop, which costs a sixth more per copy
+            v, up = plan[i]
+            x, p = vm[v], prefix[i]
+            if up < 0:
+                ok = 0 <= x < gn and x < ln
+            else:
+                u = vm[up]
+                ok = (0 <= x < gn and not p >> x & 1 and gadj[x] & p == 1 << u
+                      and ladj[u] >> x & 1)
+            if not ok:
+                raise DisprovesLemma("tree copy failed the row re-check")
+            i += 1
+            prefix[i] = p | 1 << x
+        head = rest
         yield vm
 
 
@@ -535,9 +542,10 @@ def asymmetric_embed(host: Host, m_sub: Graph, template: BipartiteTemplate,
         raise NoPartition("asymmetric_embed needs an (X, Y) partition")
     x_side, y_side = host.partition
     xm = mask_of(x_side)
-    for u, v in m_sub.edges:
-        if (xm >> u & 1) == (xm >> v & 1):
-            raise InvalidPartition(f"M edge {(u, v)} does not cross the partition")
+    if m_sub.n == host.graph.n:  # else _check_spanning names the vertex counts
+        for u, v in m_sub.edge_list():  # in increasing order, so the least is named
+            if (xm >> u & 1) == (xm >> v & 1):
+                raise InvalidPartition(f"M edge {(u, v)} does not cross the partition")
     _check_spanning(host.graph, m_sub, "M")
     if not template.b_side:
         raise ValueError("template must have a nonempty B side")

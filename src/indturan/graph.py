@@ -39,12 +39,13 @@ def bits(mask: int):
 class Graph:
     """Immutable simple graph with per-vertex bitset adjacency.
 
-    The adjacency rows are the graph; `edges` is derived from them on first
-    use.  `Graph(n, edges)` validates outside input; `Graph.from_rows` wraps
-    rows that the caller already knows to be symmetric and loop-free.
+    The adjacency rows are the graph, and nothing else is stored: `edges`
+    and `edge_list()` are read off the rows on each call.  `Graph(n, edges)`
+    validates outside input; `Graph.from_rows` wraps rows that the caller
+    already knows to be symmetric and loop-free.
     """
 
-    __slots__ = ("n", "adj", "_edges")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         if n < 0:
@@ -59,7 +60,6 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self.adj = tuple(adj)
-        self._edges = None
 
     @classmethod
     def from_rows(cls, rows: Iterable[int]) -> Graph:
@@ -67,16 +67,12 @@ class Graph:
         g = cls.__new__(cls)
         g.adj = tuple(rows)
         g.n = len(g.adj)
-        g._edges = None
         return g
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """Edges as (u, v) pairs with u < v."""
-        if self._edges is None:
-            self._edges = frozenset((u, w) for u, row in enumerate(self.adj)
-                                    for w in bits(row >> (u + 1) << (u + 1)))
-        return self._edges
+        return frozenset(self.edge_list())
 
     # Graphs compare by labeled structure, not isomorphism.
     def __eq__(self, other):
@@ -102,7 +98,8 @@ class Graph:
         return tuple(bits(self.adj[v]))
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        """Edges as (u, v) pairs with u < v, in increasing order."""
+        return [(u, w) for u, row in enumerate(self.adj) for w in bits(row >> (u + 1) << (u + 1))]
 
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
@@ -263,28 +260,21 @@ def edge_subgraph(g: Graph, edges: Iterable[Sequence[int]]) -> Graph:
     """The spanning subgraph of g on the given edges, each of which must be an
     edge of g (in either orientation)."""
     es = [(u, v) if u < v else (v, u) for u, v in edges]
-    for e in es:
-        if e not in g.edges:
-            raise ValueError(f"edge {e} is not an edge of the ambient graph")
+    for u, v in es:
+        if not (0 <= u and v < g.n and g.adj[u] >> v & 1):
+            raise ValueError(f"edge {(u, v)} is not an edge of the ambient graph")
     return Graph(g.n, es)
 
 
 def verify_induced_map(g: Graph, h: Graph, vm: VertexMap) -> bool:
     """Row check that vm is an induced embedding of h into g: vm is injective
     and in range, and for every pattern vertex p the host row of vm[p], cut to
-    the image, is the image of h's row p (the pairwise definition, row-wise)."""
-    if len(vm) != h.n:
+    the image, is the image of h's row p, built from h.adj (the pairwise
+    definition, row-wise)."""
+    if not (len(vm) == h.n == len(set(vm)) and all(0 <= w < g.n for w in vm)):
         return False
-    image = 0
-    for w in vm:
-        if not 0 <= w < g.n or image >> w & 1:
-            return False
-        image |= 1 << w
-    want = [0] * h.n  # want[p]: the image of h's row p, built from h's edges
-    for p, q in h.edges:
-        want[p] |= 1 << vm[q]
-        want[q] |= 1 << vm[p]
-    return [g.adj[w] & image for w in vm] == want
+    image = mask_of(vm)
+    return all(g.adj[w] & image == mask_of(vm[q] for q in bits(row)) for w, row in zip(vm, h.adj))
 
 
 def verify_bip_induced_map(g: Graph, x: Sequence[int], y: Sequence[int],

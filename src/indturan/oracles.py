@@ -90,7 +90,7 @@ class Pattern(Graph):
     """
 
     def __init__(self, h: Graph):
-        self.n, self.adj, self._edges = h.n, h.adj, None
+        self.n, self.adj = h.n, h.adj
         deg = [row.bit_count() for row in h.adj]
         self.order = sorted(range(h.n), key=lambda v: (-deg[v], v))
         self.floors = [deg[p] for p in self.order]

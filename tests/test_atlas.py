@@ -21,7 +21,9 @@ from indturan.families import as_template
 from indturan.graph import Graph
 from indturan.oracles import extremal_bip_star, extremal_classical, extremal_star
 
-PATTERNS = {
+# The connected bipartite patterns on 4 or 5 vertices, which the bip oracle
+# also takes as templates (side A the colour class of vertex 0)
+BIPARTITE = {
     "P4": (4, ((0, 1), (1, 2), (2, 3))),
     "C4": (4, ((0, 1), (1, 2), (2, 3), (0, 3))),
     "K13": (4, ((0, 1), (0, 2), (0, 3))),
@@ -31,7 +33,18 @@ PATTERNS = {
     "chair": (5, ((0, 4), (1, 3), (2, 3), (3, 4))),
     "banner": (5, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4))),
 }
+# and, for star and classical only, patterns that are not connected and
+# bipartite: an odd cycle, a triangle with a pendant, and two disconnected ones
+PATTERNS = {
+    **BIPARTITE,
+    "K3": (3, ((0, 1), (1, 2), (0, 2))),
+    "paw": (4, ((0, 1), (1, 2), (0, 2), (2, 3))),
+    "2K2": (4, ((0, 1), (2, 3))),
+    "P3+K1": (4, ((0, 1), (1, 2))),
+    "C5": (5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))),
+}
 CASES = [(name, s) for name in PATTERNS for s in (2, 3)]
+BIP_CASES = [(name, s) for name in BIPARTITE for s in (2, 3)]
 STAR_N = 7
 BIP_N = 6
 MEMBER_N = 6
@@ -74,9 +87,14 @@ class Copies:
 
 @lru_cache(maxsize=None)
 def copies(name: str) -> Copies:
-    """The pattern's copies, with side A the colour class of vertex 0."""
+    """The pattern's copies; a bipartite pattern's with side A the colour
+    class of vertex 0."""
     k, edges = PATTERNS[name]
-    colour = nx.bipartite.color(nx.Graph(edges))
+    g = nx.Graph(edges)
+    g.add_nodes_from(range(k))
+    if not nx.is_bipartite(g):
+        return Copies(k, edges)
+    colour = nx.bipartite.color(g)
     return Copies(k, edges, a_side=[v for v in range(k) if colour[v] == colour[0]])
 
 
@@ -249,7 +267,7 @@ class TestStarAndClassical:
 
 
 class TestBip:
-    @pytest.mark.parametrize("name, s", CASES)
+    @pytest.mark.parametrize("name, s", BIP_CASES)
     def test_values_and_witnesses(self, name, s):
         template = as_template(pattern(name))
         for n in range(BIP_N + 1):

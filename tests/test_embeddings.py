@@ -11,7 +11,7 @@ from itertools import combinations, islice, permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from indturan import embeddings
@@ -45,6 +45,7 @@ from indturan.families import BipartiteTemplate, as_template, rooted_path, theta
 from indturan.graph import (
     Graph,
     Host,
+    bits,
     common_neighborhood_mask,
     cross_subgraph,
     edge_subgraph,
@@ -445,13 +446,16 @@ def naive_good_copies(g, l, t, d):
     return out
 
 
+# the search's first copy has its second image repeated, so it is not
+# injective; the re-check of the stream must catch it
 OPTIMIZED_RECHECK = """
 import indturan.embeddings as emb
 from indturan.errors import DisprovesLemma
 from indturan.families import theta
 from indturan.graph import Graph, Host
 
-emb.verify_induced_map = lambda *args: False
+search = emb._tree_copies
+emb._tree_copies = lambda *args: ((vm[0], vm[1], vm[1]) for vm in search(*args))
 g = theta(3, 2)
 try:
     next(emb.greedy_tree_embed(Host(g, 2), g, Graph(3, [(0, 1), (1, 2)]), 24))
@@ -507,13 +511,13 @@ except DisprovesLemma:
 # l holds 0-1 and 0-2 and the host only HOST_EDGE, past greedy_tree_embed's
 # check that l lies in the host; the re-check is fed the batch that the search
 # lists for the prefix 0 (the leaf at 1, then at 2), and the copy off the host
-# is its first or its second copy, re-checked in full or by its row.
+# is its first or its second copy, re-checked from position 0 or at the leaf.
 LEAF_RECHECK = """
 from indturan.embeddings import _rechecked
 from indturan.errors import DisprovesLemma
 from indturan.graph import Graph
 
-copies = _rechecked(Graph(3, [HOST_EDGE]), Graph(3, [(0, 1), (0, 2)]), Graph(2, [(0, 1)]), 1,
+copies = _rechecked(Graph(3, [HOST_EDGE]), Graph(3, [(0, 1), (0, 2)]), Graph(2, [(0, 1)]), [0, 1],
                     [(0, 1), (0, 2)])
 emitted = []
 try:
@@ -620,7 +624,7 @@ class TestGreedyTreeEmbed:
 
     def test_one_vertex_leaf_row_in_range(self):
         # a one-vertex tree is one batch: l's vertex 2 is past the host's end
-        copies = _rechecked(Graph(2, []), Graph(3, []), Graph(1, []), 0, [(0,), (1,), (2,)])
+        copies = _rechecked(Graph(2, []), Graph(3, []), Graph(1, []), [0], [(0,), (1,), (2,)])
         assert list(islice(copies, 2)) == [(0,), (1,)]
         with pytest.raises(DisprovesLemma):
             next(copies)
@@ -633,27 +637,37 @@ class TestGreedyTreeEmbed:
         for vm in greedy_tree_embed(host, l, p4, 30):
             assert verify_induced_map_reference(g, p4, vm)
 
-    def test_one_full_recheck_per_head(self, monkeypatch):
-        # the copies that share their images but the leaf's (their head) get
-        # one full re-check, the first of them; the rest get the leaf's row
-        g = theta(3, 3)
-        p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        leaf = _grow_order(p4)[-1]
-        checked = []
-
-        def spy(g, h, vm):
-            checked.append(vm)
-            return verify_induced_map(g, h, vm)
-
-        monkeypatch.setattr(embeddings, "verify_induced_map", spy)
-        copies = list(greedy_tree_embed(Host(g, 2), g, p4, 30))
-        heads = [vm[:leaf] + vm[leaf + 1:] for vm in copies]
-        assert len(copies) > len(set(heads)) > 1
-        assert len(checked) == len(set(heads))
-        # so every copy shares its head with the fully checked first copy of
-        # its batch
-        firsts = [vm for i, vm in enumerate(copies) if i == 0 or heads[i] != heads[i - 1]]
-        assert checked == firsts
+    @settings(max_examples=300, deadline=None)
+    @given(tree_embed_cases(), st.data())
+    def test_recheck_matches_pairwise_reference(self, case, data):
+        # one image of one copy changed, the copy first or later in its batch:
+        # the copies before it come out, and it raises exactly when the
+        # pairwise definition (induced in the host, tree edges in l) fails
+        host, l, t, d = case
+        g, order = host.graph, _grow_order(t)
+        copies = list(greedy_tree_embed(host, l, t, d))
+        assume(copies)
+        j = data.draw(st.integers(0, len(copies) - 1))
+        v = data.draw(st.integers(0, t.n - 1))
+        copy = copies[j]
+        # mostly a near miss: an image, or a host neighbour of the image of
+        # one of v's tree neighbours
+        near = sorted({w for p in bits(t.adj[v]) for w in bits(g.adj[copy[p]])} | set(copy))
+        x = data.draw(st.one_of(st.sampled_from(near), st.integers(-1, g.n)))
+        assume(x != copy[v])
+        bad = copy[:v] + (x,) + copy[v + 1:]
+        good = verify_induced_map_reference(g, t, bad) and all(
+            l.has_edge(bad[a], bad[b]) for a, b in t.edge_list())
+        emitted = []
+        try:
+            for vm in _rechecked(g, l, t, order, copies[:j] + [bad]):
+                emitted.append(vm)
+        except DisprovesLemma:
+            assert not good
+            assert emitted == copies[:j]
+        else:
+            assert good
+            assert emitted == copies[:j] + [bad]
 
     def test_admissible_filter(self):
         g = theta(2, 3)  # K_{2,3}: vertices 0,1 on one side
@@ -733,6 +747,18 @@ class TestSpanningSubgraph:
     @pytest.mark.parametrize("m", NOT_SPANNING_K45)
     def test_asym(self, m):
         with pytest.raises(ValueError, match="host graph"):
+            asymmetric_embed(K45_LESS_04, m, p3_template(), Thresholds())
+
+    def test_asym_counts_vertices_before_crossing(self):
+        # 9-10 joins two vertices the host lacks: the vertex count is named,
+        # as for 0-10, not the partition
+        for m in (Graph(12, [(9, 10)]), Graph(12, [(0, 10)])):
+            with pytest.raises(ValueError, match="M has 12 vertices, the host graph 9"):
+                asymmetric_embed(K45_LESS_04, m, p3_template(), Thresholds())
+
+    def test_asym_names_least_edge_inside_a_side(self):
+        m = Graph(9, [(5, 6), (2, 3), (1, 3), (0, 5)])
+        with pytest.raises(InvalidPartition, match=r"M edge \(1, 3\) does not cross"):
             asymmetric_embed(K45_LESS_04, m, p3_template(), Thresholds())
 
     def test_spanning_subgraphs_pass(self):

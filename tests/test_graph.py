@@ -29,6 +29,7 @@ from indturan.graph import (
     relabel,
     to_dot,
 )
+from indturan.oracles import Pattern
 
 from helpers import induced_subgraph_reference, is_k_almost_regular
 
@@ -354,6 +355,26 @@ class TestAdjacencyCore:
         assume((min(u, v), max(u, v)) not in g.edges)
         with pytest.raises(ValueError):
             edge_subgraph(g, edges + [(u, v)])
+
+    @pytest.mark.parametrize("edge", [(-1, 0), (0, -1), (0, 4), (4, 1), (0, 2)])
+    def test_edge_subgraph_rejects_out_of_range(self, edge):
+        # on C4, adj[-1] is vertex 3's row, which holds 0: a bare row lookup
+        # would take (-1, 0) for an edge
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        with pytest.raises(ValueError, match="is not an edge of the ambient graph"):
+            edge_subgraph(g, [(0, 1), edge])
+
+    def test_rows_are_the_only_state(self):
+        assert Graph.__slots__ == ("n", "adj")
+
+    @given(graphs())
+    def test_edge_list_read_off_rows(self, g):
+        # built from edges, from rows and as a compiled pattern, the edges
+        # are the pairwise has_edge scan, in increasing order
+        for h in (g, Graph.from_rows(g.adj), Pattern(g)):
+            pairs = [(u, v) for u, v in combinations(range(h.n), 2) if h.has_edge(u, v)]
+            assert h.edge_list() == sorted(h.edge_list()) == pairs
+            assert h.edges == frozenset(h.edge_list())
 
     @given(partitioned_hosts())
     def test_cross_subgraph_matches_edge_set_build(self, host):
