@@ -27,6 +27,12 @@ from .graph import bits, mask_of
 BALANCE_BUDGET = 400
 
 
+def check_balance_budget(q: int) -> None:
+    """TooLarge when q non-roots exceed BALANCE_BUDGET."""
+    if q > BALANCE_BUDGET:
+        raise TooLarge(f"{q} non-roots exceed the balance budget of {BALANCE_BUDGET}")
+
+
 def edges_incident(f, s: Iterable[int]) -> int:
     """Number of edges with at least one endpoint in s: the degrees over s
     minus the edges inside s, which that sum counts twice."""
@@ -201,8 +207,7 @@ def is_balanced(f: RootedGraph) -> DensityReport:
     """
     non = f.non_roots()
     q = len(non)
-    if q > BALANCE_BUDGET:
-        raise TooLarge(f"{q} non-roots exceed the balance budget of {BALANCE_BUDGET}")
+    check_balance_budget(q)
     adj, rootm = f.graph.adj, mask_of(f.roots)
     index = {v: i for i, v in enumerate(non)}
     forced = [(adj[v] & rootm).bit_count() for v in non]

@@ -4,15 +4,15 @@ Each procedure runs real constructive steps (bad-set avoidance, rich-set
 extraction, Hall-style placement, copy extraction) with all thresholds exposed
 as parameters, every emitted map re-checked, and `found=False` a legitimate
 outcome when the small parameters used in tests do not reach the asymptotic
-guarantees.  The tree copies come from `oracles._embed`'s matcher,
-`graph.placements`, each re-checked by one row rule (`_rechecked`); a copy
-that shares all images but its last leaf's with the copy before it is
-checked at the leaf alone.  Every other map is re-checked in full.  The
-blowup procedures read a template's B vertex's A-side neighbourhood as its
-adjacency row, and the extraction writes its map in `families.rooted_power`'s
-vertex numbering, which the map's re-check guards.
-A violation of a bound that is guaranteed once its hypotheses are verified
-raises DisprovesLemma, which is never expected.
+guarantees.  The tree copies and the key lemma's copy come from
+`oracles._embed`'s matcher, `graph.placements`.  Each tree copy is re-checked
+by one row rule (`_rechecked`); a copy that shares all images but its last
+leaf's with the copy before it is checked at the leaf alone.  Every other map
+is re-checked in full.  The blowup procedures read a template's B vertex's
+A-side neighbourhood as its adjacency row, and the extraction writes its map
+in `families.rooted_power`'s vertex numbering, which the map's re-check
+guards.  A violation of a bound that is guaranteed once its hypotheses are
+verified raises DisprovesLemma, which is never expected.
 """
 
 from __future__ import annotations
@@ -119,9 +119,10 @@ def bad_set(g: Graph, w: Iterable[int], c: Fraction, s: Optional[int] = None) ->
     if s is not None:
         if s < 1:
             raise ValueError("s must be positive")
-        # |W| >= s (2/c)^s and |B(W)| >= 2s/c, cleared of denominators: only
-        # then can the K_{s,s} search decide anything
-        if size * num ** s >= s * (2 * den) ** s and len(out) * num >= 2 * s * den:
+        # |B(W)| >= 2s/c and |W| >= s (2/c)^s, cleared of denominators: only
+        # then can the K_{s,s} search decide anything.  The first bounds s by
+        # n, so the powers of the second are built only for such an s.
+        if len(out) * num >= 2 * s * den and size * num ** s >= s * (2 * den) ** s:
             if contains_kss(g, s) is None:
                 raise DisprovesLemma(
                     f"|B(W)| = {len(out)} >= 2s/c on a K_{{{s},{s}}}-free instance")
@@ -374,8 +375,9 @@ def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
     Steps per candidate placement phi of A: (1) phi(A) independent in the host
     graph; (2) no phi(u) lies in the bad set of another edge's common
     L-neighborhood (threshold 1/(2h)); then candidate sets Gamma(e) are carved,
-    Hall's theorem yields disjoint t-sets, and the B side takes the first
-    pairwise non-adjacent choice of one vertex per set (`graph.first_clique`).
+    Hall's theorem yields disjoint t-sets, and the copy is the first induced
+    placement (`graph.placements`) of A on phi and each B vertex in its set:
+    the first pairwise non-adjacent B images, in product order over the sets.
     KEY_LEMMA_RETRIES random placements are followed by exhaustive enumeration
     when there are at most KEY_LEMMA_EXHAUSTIVE_CAP placements; drawing stops
     once every placement has been tried.  Only untried placements reach the
@@ -410,8 +412,9 @@ def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
         seen_vertices |= set(ws)
     _check_no_isolated_b(template)
     a_order = list(template.a_side)
-    b_order = list(template.b_side)
-    edges = [template.graph.adj[b] for b in b_order]  # each B vertex's A side, as a mask
+    order = a_order + list(template.b_side)
+    steps = placement_steps(template.graph.adj, order)
+    edges = [template.graph.adj[b] for b in template.b_side]  # each B vertex's A side, as a mask
     if not checked:
         for e in edges:
             for combo in product(*(parts_map[v] for v in bits(e))):
@@ -443,47 +446,34 @@ def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
         if any(g.has_edge(p, q) for p, q in combinations(phi, 2)):
             entry["stage"] = "independence"
             continue
-        commons = []
-        ok = True
+        commons = []  # Gamma(e): W less the host rows of the A images off e
         for e in edges:
             w_mask = common_neighborhood_mask(l.adj, [img[v] for v in bits(e)])
             if w_mask == 0:
                 entry["stage"] = "empty-common"
-                ok = False
                 break
-            w_set = set(bits(w_mask))
-            b_w = bad_set(g, w_set, Fraction(1, 2 * h))
-            if any(img[u] in b_w for u in a_order if not e >> u & 1):
+            b_w = bad_set(g, bits(w_mask), Fraction(1, 2 * h))
+            off = [img[u] for u in a_order if not e >> u & 1]
+            if any(x in b_w for x in off):
                 entry["stage"] = "bad-set"
-                ok = False
                 break
-            gamma = w_mask
-            for u in a_order:
-                if not e >> u & 1:
-                    gamma &= ~g.adj[img[u]]
-            commons.append(gamma)
-        if not ok:
+            commons.append(w_mask & ~mask_of(w for x in off for w in bits(g.adj[x])))
+        if "stage" in entry:
             continue
         u_sets = hall_disjoint_sets([list(bits(m)) for m in commons], t_size)
         if u_sets is None:
             entry["stage"] = "hall"
             continue
 
-        # A clique of these rows (compatible: other set, no edge in g) takes one
-        # vertex per set, so the least one is the first B choice in product order.
-        flat = [(k, w) for k, u in enumerate(u_sets) for w in u]
-        rows = [sum(1 << j for j, (k2, x) in enumerate(flat) if k2 != k and not g.adj[w] >> x & 1)
-                for k, w in flat]
-        pick = first_clique(rows, len(u_sets))
-        if pick is None:
+        # phi(A) is independent and each Gamma(e) keeps to the A images' rows,
+        # so the matcher only keeps the B images apart: its first map takes
+        # them in product order over the Hall sets
+        cands = [1 << w for w in phi] + [mask_of(u) for u in u_sets]
+        no = {w: ~(g.adj[w] | 1 << w) for m in cands for w in bits(m)}
+        vm = next(placements(order, steps, cands, g.adj, no), None)
+        if vm is None:
             entry["stage"] = "placement"
             continue
-        vm = [0] * template.graph.n
-        for v, w in img.items():
-            vm[v] = w
-        for b, j in zip(b_order, pick):
-            vm[b] = flat[j][1]
-        vm = tuple(vm)
         if not verify_bip_induced_map(g, x_side, y_side, template, vm):
             raise DisprovesLemma("key-lemma embedding failed the induced re-check")
         if not all(l.has_edge(vm[a], vm[b]) for a, b in template.graph.edges):

@@ -147,7 +147,8 @@ def first_clique(rows: Sequence[int], k: int) -> Optional[list[int]]:
     rows (no self bits), or None.  Branches on the lowest candidate, keeps the
     higher candidates adjacent to it, and prunes a branch with fewer
     candidates than places left; candidates are tried in increasing order, so
-    the first clique found is the one a `combinations` scan meets first."""
+    the first clique found is the one a `combinations` scan meets first.
+    The extraction's two searches run here."""
     if k < 0:
         raise ValueError("a clique has k >= 0 vertices")
     chosen: list[int] = []
@@ -184,9 +185,10 @@ def placements(order: Sequence[int], steps: Sequence[Sequence[tuple[int, int]]],
     w, into yes[w] if steps[k] marks i as a neighbour and into no[w] if not;
     indexed by pattern id, in increasing lexicographic order of the images
     listed in placement order.  Neither row of w may hold w, so every map is
-    injective.  The one backtracking matcher: `oracles._embed` and the greedy
-    tree embedding both search here.  The last position restricts nothing,
-    so each of its candidates is yielded at once."""
+    injective; each is read only at a placed w.  The one backtracking
+    matcher: `oracles._embed`, the greedy tree embedding and the key lemma's
+    copy all search here.  The last position restricts nothing, so each of
+    its candidates is yielded at once."""
     n = len(order)
     if n == 0:
         yield ()

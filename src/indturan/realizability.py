@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .density import is_balanced, rho
+from .density import check_balance_budget, is_balanced, rho
 from .errors import CertificateInvalid, IndturanError, NotBipartite, NotQualified, TooLarge
 from .families import (
     RootedGraph,
@@ -114,7 +114,9 @@ def build_witness(cert: RealizabilityCertificate, base: RootedGraph) -> RootedGr
     vertices are roots, shared by every copy), but gluing an attached graph
     would put an edge inside the root set, which the power constructor
     rejects; this order keeps every operand legal and yields H directly.
+    H's non-roots, l per base non-root, are held to the balance budget first.
     """
+    check_balance_budget(cert.l * len(base.non_roots()))
     f = rooted_power(base, cert.l)
     return attach_ktt_rooted(f, cert.reductions)
 

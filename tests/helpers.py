@@ -10,7 +10,8 @@ check `graph.verify_induced_map`, and `product_pow_le_reference` the
 `Fraction` thresholds and pairwise scans: the package's integer and bitset
 versions must give the same answers; `key_lemma_candidates_reference` is
 the key lemma's placement order by its definition, every random draw then
-the whole product.  `generate_classes` generates every class of one order
+the whole product, and `key_lemma_b_choice_reference` its B side as a
+clique of compatibility rows over the Hall sets.  `generate_classes` generates every class of one order
 with no edge-count bound, on the package's generator.  The
 `extremal_*_reference` oracles use it and hand every bip partition of every
 class, in its canonical labelling, to the matcher: the package's edge-count
@@ -31,7 +32,7 @@ from indturan.canonical import canonical
 from indturan.embeddings import KEY_LEMMA_EXHAUSTIVE_CAP, KEY_LEMMA_RETRIES
 from indturan.errors import DisprovesLemma, HypothesisUnmet, InvalidPartition
 from indturan.families import BipartiteTemplate, RootedGraph
-from indturan.graph import Graph, Host, VertexMap, bits, mask_of
+from indturan.graph import Graph, Host, VertexMap, bits, first_clique, mask_of
 from indturan.oracles import (
     ExtremalResult,
     Pattern,
@@ -203,6 +204,18 @@ def key_lemma_candidates_reference(parts: dict, a_order, m_blow: int, seed: int)
     if m_blow ** len(a_order) <= KEY_LEMMA_EXHAUSTIVE_CAP:
         order += product(*(parts[v] for v in a_order))
     return list(dict.fromkeys(order))
+
+
+def key_lemma_b_choice_reference(g: Graph, u_sets) -> list[int] | None:
+    """The key lemma's B images as first written: one vertex per Hall set,
+    pairwise non-adjacent in g, as the least clique of the compatibility rows
+    (another set, no edge in g) over the sets' vertices listed set by set;
+    None when there is none."""
+    flat = [(k, w) for k, u in enumerate(u_sets) for w in u]
+    rows = [sum(1 << j for j, (k2, x) in enumerate(flat) if k2 != k and not g.adj[w] >> x & 1)
+            for k, w in flat]
+    pick = first_clique(rows, len(u_sets))
+    return None if pick is None else [flat[j][1] for j in pick]
 
 
 def extraction_aux_reference(g: Graph, copies, f: RootedGraph) -> dict:

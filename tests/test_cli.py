@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -35,6 +36,17 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+def run_capped(*argv):
+    """(exit code, parsed stdout) of a CLI run in a child process whose
+    address space is capped at 512 MB, which must end within 10 s."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    r = subprocess.run([sys.executable, "-m", "indturan.cli", *argv], capture_output=True,
+                       cwd=ROOT, env=ENV, preexec_fn=cap, timeout=10)
+    return r.returncode, json.loads(r.stdout)
 
 
 class TestFamilyCommands:
@@ -68,6 +80,11 @@ class TestFamilyCommands:
 
 
 class TestRealizeSweep:
+    def test_balance_budget_before_the_witness(self):
+        # 100,000 copies would take gigabytes of rows; the budget is named first
+        assert run_capped("realize", "2", "5", "--l", "100000") == (1, {
+            "error": "TooLarge", "message": "200000 non-roots exceed the balance budget of 400"})
+
     def test_realize_success(self, capsys):
         code, d = run_json(capsys, "realize", "3", "7")
         assert code == 0
@@ -339,6 +356,14 @@ class TestCheckCommands:
             outs.append(run_cli(capsys, "check", "badset", "--input", str(p)))
         assert outs[0] == outs[1] == (0, json.dumps({"bad": [0], "size": 1},
                                                     sort_keys=True, indent=2) + "\n")
+
+    def test_huge_s_builds_no_power(self, tmp_path):
+        # |B(W)| = 1 is below 2s/c, which settles the lemma check before
+        # (2/c)^s would be built for s = 10^12
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"graph": {"n": 3, "edges": [[0, 1], [1, 2]]},
+                                 "w": [0, 2], "c": "1/2", "s": 10 ** 12}))
+        assert run_capped("check", "badset", "--input", str(p)) == (0, {"bad": [1], "size": 1})
 
     def test_zero_denominator_is_domain_error(self, capsys, tmp_path):
         spec = {"graph": {"n": 6, "edges": [[0, i] for i in range(1, 6)]},

@@ -9,9 +9,10 @@ import sys
 from fractions import Fraction
 from itertools import combinations, islice, permutations
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indturan import embeddings
@@ -68,6 +69,7 @@ from helpers import (
     first_mono_clique_reference,
     graphs,
     is_k_almost_regular,
+    key_lemma_b_choice_reference,
     key_lemma_candidates_reference,
     product_pow_le_reference,
     random_kss_free,
@@ -555,6 +557,30 @@ def tree_embed_cases(draw):
     return Host(g, s), l, t, draw(st.integers(0, 40))
 
 
+@st.composite
+def planted_tree_cases(draw):
+    """A host on 1 to 8 vertices with a good copy of a tree on 1 to 5 vertices
+    planted in it: among the copy's images the host has the tree's edges and
+    no other pair, L holds those edges and a random part of the rest, and d
+    exceeds 4|V(t)| times every count that could put one image in another's
+    bad set."""
+    k = draw(st.integers(1, 5))
+    label = draw(st.permutations(range(k)))
+    t = Graph(k, [(label[v], label[draw(st.integers(0, v - 1))]) for v in range(1, k)])
+    n = draw(st.integers(k, 8))
+    img = draw(st.permutations(range(n)))[:k]
+    planted = {tuple(sorted((img[u], img[v]))) for u, v in t.edge_list()}
+    pairs = [(u, v) for u, v in combinations(range(n), 2) if u not in img or v not in img]
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, [e for e, keep in zip(pairs, kept) if keep] + sorted(planted))
+    edges = g.edge_list()
+    in_l = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    l = edge_subgraph(g, [e for e, keep in zip(edges, in_l) if keep or e in planted])
+    most = max(((g.adj[y] & l.adj[x]).bit_count() for x in img for y in img if x != y),
+               default=0)
+    return Host(g, 2), l, t, 4 * k * most + 1 + draw(st.integers(0, 40))
+
+
 class TestGreedyTreeEmbed:
     def test_failed_recheck_raises_under_optimize(self):
         raises_under_optimize(OPTIMIZED_RECHECK)
@@ -638,7 +664,7 @@ class TestGreedyTreeEmbed:
             assert verify_induced_map_reference(g, p4, vm)
 
     @settings(max_examples=300, deadline=None)
-    @given(tree_embed_cases(), st.data())
+    @given(planted_tree_cases(), st.data())
     def test_recheck_matches_pairwise_reference(self, case, data):
         # one image of one copy changed, the copy first or later in its batch:
         # the copies before it come out, and it raises exactly when the
@@ -646,15 +672,15 @@ class TestGreedyTreeEmbed:
         host, l, t, d = case
         g, order = host.graph, _grow_order(t)
         copies = list(greedy_tree_embed(host, l, t, d))
-        assume(copies)
         j = data.draw(st.integers(0, len(copies) - 1))
         v = data.draw(st.integers(0, t.n - 1))
         copy = copies[j]
-        # mostly a near miss: an image, or a host neighbour of the image of
-        # one of v's tree neighbours
-        near = sorted({w for p in bits(t.adj[v]) for w in bits(g.adj[copy[p]])} | set(copy))
-        x = data.draw(st.one_of(st.sampled_from(near), st.integers(-1, g.n)))
-        assume(x != copy[v])
+        # mostly a near miss: another image, or a host neighbour of the image
+        # of one of v's tree neighbours; else any id from -1 to g.n
+        near = sorted(({w for p in bits(t.adj[v]) for w in bits(g.adj[copy[p]])}
+                       | set(copy)) - {copy[v]})
+        other = st.sampled_from([w for w in range(-1, g.n + 1) if w != copy[v]])
+        x = data.draw(st.one_of(st.sampled_from(near), other) if near else other)
         bad = copy[:v] + (x,) + copy[v + 1:]
         good = verify_induced_map_reference(g, t, bad) and all(
             l.has_edge(bad[a], bad[b]) for a, b in t.edge_list())
@@ -903,6 +929,65 @@ class TestKeyLemma:
                               {0: (0,), 1: (1,)}, lambda ss: True,
                               Thresholds(c_hs=16, m_blow=1), seed=0)
         assert out.found and out.mapping == (0, 1, 4, 3)
+
+    def test_placement_stage(self):
+        # C4 on K_{2,2} with X = (0, 1), Y = (2, 3): the Hall sets are (3,)
+        # for B vertex 1 and (2,) for 3, so the Y edge 2-3 leaves no copy
+        c4 = BipartiteTemplate(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), ((0, 2), (1, 3)))
+        cross = [(x, y) for x in (0, 1) for y in (2, 3)]
+        for inner, stage, mapping in (([(2, 3)], "placement", None),
+                                      ([], "success", (0, 3, 1, 2))):
+            host = Host(Graph(4, cross + inner), 2, ((0, 1), (2, 3)))
+            out = key_lemma_embed(host, cross_subgraph(host), c4, {0: (0,), 2: (1,)},
+                                  lambda ss: True, Thresholds(c_hs=1))
+            assert out.trace == [{"phi": [0, 1], "stage": stage}]
+            assert out.mapping == mapping
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_b_side_matches_the_clique_reference(self, data):
+        # Each placement that gets Hall sets of t = 1 to 3 vertices ends at
+        # "placement" exactly when the compatibility-clique reference finds
+        # no B choice, and a found copy takes the reference's B images.
+        k, m, t = (data.draw(st.integers(1, 3)) for _ in range(3))
+        a_side, b_side = tuple(range(k)), tuple(range(k, k + data.draw(st.integers(1, 3))))
+        template = BipartiteTemplate(Graph(k + len(b_side), [
+            (a, b) for b in b_side for a in data.draw(st.one_of(
+                st.just(a_side), st.sets(st.sampled_from(a_side), min_size=1)))]),
+            (a_side, b_side))
+        nx, ny = k * m + data.draw(st.integers(0, 2)), data.draw(st.integers(2, 10))
+        xs, ys = range(nx), range(nx, nx + ny)
+
+        def some(pairs, weights):  # each pair kept with the share of True in weights
+            keep = data.draw(st.lists(st.sampled_from(weights), min_size=len(pairs),
+                                      max_size=len(pairs)))
+            return [e for e, kept in zip(pairs, keep) if kept]
+
+        host = Host(Graph(nx + ny, some(list(combinations(xs, 2)), [True] + [False] * 4)
+                          + some([(x, y) for x in xs for y in ys], [True, True, False])
+                          + some(list(combinations(ys, 2)), [True, False])),
+                    2, (tuple(xs), tuple(ys)))
+        xs = data.draw(st.permutations(xs))
+        parts = {a: tuple(xs[a * m:(a + 1) * m]) for a in a_side}
+        hall, found = embeddings.hall_disjoint_sets, []
+
+        def spy(sets, size):
+            found.append(hall(sets, size))
+            return found[-1]
+
+        with mock.patch.object(embeddings, "hall_disjoint_sets", spy):
+            out = key_lemma_embed(host, cross_subgraph(host), template, parts, lambda ss: True,
+                                  Thresholds(c_hs=2 * template.graph.n * t, m_blow=m),
+                                  seed=data.draw(st.integers(0, 9)))
+        reached = [e for e in out.trace if e["stage"] in ("placement", "success")]
+        u_sets = [u for u in found if u is not None]
+        assert len(reached) == len(u_sets)
+        for entry, u in zip(reached, u_sets):
+            want = key_lemma_b_choice_reference(host.graph, u)
+            if entry["stage"] == "placement":
+                assert want is None
+            else:
+                assert out.mapping == tuple(entry["phi"]) + tuple(want)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

@@ -97,6 +97,16 @@ class TestDerive:
         cert = derive(2, 5)
         assert cert.exponent == 2 - Fraction(2, 5)
 
+    def test_balance_budget_before_the_witness(self, monkeypatch):
+        # 1000 copies of the theta's two non-roots exceed the budget, which
+        # is named before the power is built
+        def unbuilt(base, l):
+            raise AssertionError("the power was built")
+
+        monkeypatch.setattr(realizability, "rooted_power", unbuilt)
+        with pytest.raises(TooLarge, match="2000 non-roots exceed the balance budget of 400"):
+            derive(2, 5, l=1000)
+
 
 def stepwise_witness(cert: RealizabilityCertificate, l: int) -> RootedGraph:
     """The witness built one crossed K_{1,1} at a time: reduction i adds
@@ -180,6 +190,9 @@ class TestVerify:
         ({"reductions": 1}, "RhoMismatch"),
         ({"base": BaseFamily("theta", length=4)}, "RhoMismatch"),
         ({"exponent": Fraction(8, 5)}, "ExponentMismatch"),
+        # the witness has rho 3, but its non-root 3 alone has ratio 2
+        ({"target": Fraction(1, 3), "base": BaseFamily("height_two", r=1, t=3),
+          "reductions": 1, "exponent": Fraction(5, 3), "s0": 9}, "Unbalanced"),
     ])
     def test_each_reason(self, change, reason):
         # derive(5, 16): a theta of length 6, two reductions, l = 2, s0 = 16
