@@ -27,9 +27,9 @@ _NAMES = {
                    "extract_induced_power", "greedy_tree_embed", "hall_disjoint_sets",
                    "key_lemma_embed", "rich_s_set"),
     "errors": ("IndturanError",),
-    "families": ("BipartiteTemplate", "RootedGraph", "attach_ktt", "attach_ktt_rooted",
-                 "height_two_tree", "leaf_rooted_star", "parse_descriptor", "rooted_path",
-                 "rooted_power", "theta", "tree_r11"),
+    "families": ("BipartiteTemplate", "RootedGraph", "attach_ktt_rooted", "height_two_tree",
+                 "leaf_rooted_star", "parse_descriptor", "rooted_path", "rooted_power", "theta",
+                 "tree_r11"),
     "graph": ("Graph", "Host", "bipartition", "contains_kss", "cross_subgraph",
               "edge_subgraph", "induced_subgraph"),
     "oracles": ("ExtremalResult", "contains_induced", "contains_subgraph", "extremal_bip_star",

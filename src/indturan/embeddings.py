@@ -176,6 +176,15 @@ def _check_spanning(g: Graph, sub: Graph, name: str) -> None:
                              "is not an edge of the host graph")
 
 
+def _check_crossing(g: Graph, xm: int, sub: Graph, name: str) -> None:
+    """InvalidPartition for sub's least edge inside a side (xm is X), then `_check_spanning`."""
+    if sub.n == g.n:  # else _check_spanning names the vertex counts
+        for u, v in sub.edge_list():  # in increasing order, so the least is named
+            if (xm >> u & 1) == (xm >> v & 1):
+                raise InvalidPartition(f"{name} edge {(u, v)} does not cross the partition")
+    _check_spanning(g, sub, name)
+
+
 def tree_bad_sets(g: Graph, l: Graph, t_count: int, d: int) -> dict[int, int]:
     """B(x) per L-vertex x as bitmasks: y with |N_G(y) ∩ N_L(x)| >= d/(4t),
     tested as 4t |N_G(y) ∩ N_L(x)| >= d."""
@@ -385,9 +394,9 @@ def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
     parts' keys and members are integer fields (`graph.int_field`).
 
     checked=True says that the caller has already verified that l spans the
-    host graph and that every blowup edge is rich, so neither is tested
-    again; `asymmetric_embed` passes it for the M and the blowup it has
-    checked.
+    host graph with crossing edges (`_check_crossing`) and that every blowup
+    edge is rich, so neither is tested again; `asymmetric_embed` passes it
+    for the M and the blowup it has checked.
     """
     from fractions import Fraction
     if host.partition is None:
@@ -395,7 +404,7 @@ def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
     x_side, y_side = host.partition
     g = host.graph
     if not checked:
-        _check_spanning(g, l, "l")
+        _check_crossing(g, mask_of(x_side), l, "l")
     h = template.graph.n
     parts_map = {int_field(v): tuple(map(int_field, ws)) for v, ws in parts.items()}
     if set(parts_map) != set(template.a_side):
@@ -532,11 +541,7 @@ def asymmetric_embed(host: Host, m_sub: Graph, template: BipartiteTemplate,
         raise NoPartition("asymmetric_embed needs an (X, Y) partition")
     x_side, y_side = host.partition
     xm = mask_of(x_side)
-    if m_sub.n == host.graph.n:  # else _check_spanning names the vertex counts
-        for u, v in m_sub.edge_list():  # in increasing order, so the least is named
-            if (xm >> u & 1) == (xm >> v & 1):
-                raise InvalidPartition(f"M edge {(u, v)} does not cross the partition")
-    _check_spanning(host.graph, m_sub, "M")
+    _check_crossing(host.graph, xm, m_sub, "M")
     if not template.b_side:
         raise ValueError("template must have a nonempty B side")
     _check_no_isolated_b(template)

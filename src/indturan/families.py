@@ -14,11 +14,11 @@ roots.  The families built here are the bases of the realizability chains:
 rooted_power glues l copies along the shared roots (copy 0's rows come from
 `graph.relabel`, the others shift them); its documented vertex numbering is
 the only record of where each copy lands.  A template's B vertex b keeps its
-A-side neighbourhood as the row `graph.adj[b]`.  attach_ktt adds a crossed
-K_{t,t} to a bipartite graph.  With the new vertices as roots this is t
-"reductions" at once: it raises the density by exactly t, and equals t crossed
-K_{1,1}s attached one after another up to relabelling.  `_edge_inside` finds
-the edge that a template's part or a power's root set must not hold.
+A-side neighbourhood as the row `graph.adj[b]`.  attach_ktt_rooted adds a
+crossed K_{t,t} with the new vertices as roots, written from f's rows and one
+`_sides` colouring (the orientation `as_template` shares): t "reductions" at
+once, raising the density by exactly t.  `_edge_inside` finds the edge that a
+template's part or a power's root set must not hold.
 Descriptors like "Trt:r=3,t=1" name all of these for the CLI.
 """
 
@@ -187,35 +187,22 @@ def theta(length: int, t: int) -> Graph:
     return rooted_power(rooted_path(length), t).graph
 
 
-def attach_ktt(h: BipartiteTemplate, t: int) -> BipartiteTemplate:
-    """Add parts C (glued completely to B) and D (glued completely to A) with a
-    complete C-D crossing; C joins the A side, D the B side.  t = 0 is identity.
-
-    C is n..n+t-1 and D is n+t..n+2t-1 for n = h.graph.n."""
+def attach_ktt_rooted(f: RootedGraph, t: int) -> RootedGraph:
+    """Add root parts C = n..n+t-1 (joined to B) and D = n+t..n+2t-1 (joined
+    to A), crossed completely, for n = f.graph.n and (A, B) = `_sides(f.graph)`:
+    t reductions at once, raising the density by exactly t.  Raises
+    NotBipartite for an odd cycle, then ValueError if t < 0; t = 0 gives f."""
+    a_mask, b_mask = map(mask_of, _sides(f.graph))
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0:
-        return h
-    n = h.graph.n
-    c_new = tuple(range(n, n + t))
-    d_new = tuple(range(n + t, n + 2 * t))
-    a_mask, b_mask = mask_of(h.a_side), mask_of(h.b_side)
-    c_mask, d_mask = mask_of(c_new), mask_of(d_new)
-    rows = [row | (d_mask if a_mask >> v & 1 else c_mask) for v, row in enumerate(h.graph.adj)]
-    rows += [b_mask | d_mask] * t + [a_mask | c_mask] * t
-    return BipartiteTemplate(Graph.from_rows(rows), (h.a_side + c_new, h.b_side + d_new))
-
-
-def attach_ktt_rooted(f: RootedGraph, t: int) -> RootedGraph:
-    """attach_ktt on the underlying graph, oriented by `as_template`; the 2t
-    new vertices become roots, so the density rises by exactly t.  Raises
-    NotBipartite if the graph has an odd cycle."""
-    template = as_template(f)
-    if t == 0:
         return f
-    reduced = attach_ktt(template, t)
-    new = set(range(f.graph.n, f.graph.n + 2 * t))
-    return RootedGraph(reduced.graph, frozenset(f.roots) | new)
+    n = f.graph.n
+    c_mask = ((1 << t) - 1) << n
+    d_mask = c_mask << t
+    rows = [row | (d_mask if a_mask >> v & 1 else c_mask) for v, row in enumerate(f.graph.adj)]
+    rows += [b_mask | d_mask] * t + [a_mask | c_mask] * t
+    return RootedGraph(Graph.from_rows(rows), f.roots | set(range(n, n + 2 * t)))
 
 
 def complete_bipartite_template(s: int, t: int) -> BipartiteTemplate:
@@ -235,15 +222,20 @@ def as_graph(obj) -> Graph:
     raise TypeError(f"no graph view for {type(obj).__name__}")
 
 
-def as_template(obj) -> BipartiteTemplate:
-    """View as a bipartite template; A is `bipartition`'s first side, which holds vertex 0."""
-    if isinstance(obj, BipartiteTemplate):
-        return obj
-    g = as_graph(obj)
+def _sides(g: Graph) -> Parts:
+    """`bipartition`'s sides of g (vertex 0's first), or NotBipartite."""
     parts = bipartition(g)
     if parts is None:
         raise NotBipartite("graph has an odd cycle")
-    return BipartiteTemplate(g, parts)
+    return parts
+
+
+def as_template(obj) -> BipartiteTemplate:
+    """View as a bipartite template; A is `_sides`' first side, which holds vertex 0."""
+    if isinstance(obj, BipartiteTemplate):
+        return obj
+    g = as_graph(obj)
+    return BipartiteTemplate(g, _sides(g))
 
 
 # --- descriptor mini-language -------------------------------------------------
@@ -310,7 +302,10 @@ def parse_descriptor(desc: str):
         value = args["base"]
         if value.startswith("(") and value.endswith(")"):
             value = value[1:-1]
-        base = parse_descriptor(value)
+        try:
+            base = parse_descriptor(value)
+        except RecursionError:  # raised at the innermost level, named here
+            raise ValueError("descriptor nested too deeply") from None
         if not isinstance(base, RootedGraph):
             raise ValueError(f"{kind} base must be a rooted descriptor")
         return base

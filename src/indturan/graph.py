@@ -293,24 +293,24 @@ def verify_bip_induced_map(g: Graph, x: Sequence[int], y: Sequence[int],
 
 def bipartition(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """A 2-coloring (side containing the least vertex of each component first),
-    or None if some component is odd-cyclic."""
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w in bits(g.adj[u]):
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
-    side0 = tuple(v for v in range(g.n) if color[v] == 0)
-    side1 = tuple(v for v in range(g.n) if color[v] == 1)
-    return side0, side1
+    or None if some component is odd-cyclic, in breadth-first layers of vertex
+    masks: an edge inside a layer closes an odd cycle, else layers alternate."""
+    sides, left = [0, 0], g.vertex_mask()
+    while left:
+        layer = reach = left & -left  # the least uncoloured vertex starts a component
+        side = 0
+        while layer:
+            sides[side] |= layer
+            near = 0
+            for v in bits(layer):
+                near |= g.adj[v]
+            if near & layer:
+                return None
+            layer = near & ~reach
+            reach |= layer
+            side ^= 1
+        left &= ~reach
+    return tuple(bits(sides[0])), tuple(bits(sides[1]))
 
 
 def check_partition(n: int, sides, error: type[Exception] = InvalidPartition

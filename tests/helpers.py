@@ -4,7 +4,8 @@ The seeded K_{s,s}-free host generators and the `graphs` strategy feed the
 fuzz and property tests; the map and regularity checkers are definitional
 references that tests compare the package's answers against,
 `verify_induced_map_reference` is the pairwise twin of the package's row
-check `graph.verify_induced_map`, and `product_pow_le_reference` the
+check `graph.verify_induced_map`, `bipartition_reference` the
+neighbour-by-neighbour twin of the layered colouring `graph.bipartition`, and `product_pow_le_reference` the
 `Fraction`-product twin of `regularity.product_pow_le`.  The
 `*_reference` functions are the embedding helpers as first written, with
 `Fraction` thresholds and pairwise scans: the package's integer and bitset
@@ -96,6 +97,29 @@ def verify_induced_map_reference(g: Graph, h: Graph, vm: VertexMap) -> bool:
         return False
     return all(g.has_edge(vm[p], vm[q]) == h.has_edge(p, q)
                for p, q in combinations(range(h.n), 2))
+
+
+def bipartition_reference(g: Graph):
+    """A 2-colouring (side containing the least vertex of each component
+    first), or None if some component is odd-cyclic, found one neighbour at a
+    time: the oracle of the package's layered colouring `graph.bipartition`."""
+    color = [-1] * g.n
+    for start in range(g.n):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        queue = [start]
+        while queue:
+            u = queue.pop()
+            for w in bits(g.adj[u]):
+                if color[w] == -1:
+                    color[w] = 1 - color[u]
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    return None
+    side0 = tuple(v for v in range(g.n) if color[v] == 0)
+    side1 = tuple(v for v in range(g.n) if color[v] == 1)
+    return side0, side1
 
 
 def induced_subgraph_reference(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:

@@ -33,9 +33,7 @@ from indturan.embeddings import (
     rich_s_set,
 )
 from indturan.families import (
-    BipartiteTemplate,
     as_template,
-    attach_ktt,
     attach_ktt_rooted,
     height_two_tree,
     leaf_rooted_star,
@@ -44,7 +42,7 @@ from indturan.families import (
     theta,
     tree_r11,
 )
-from indturan.graph import Graph, Host, bipartition, cross_subgraph, edge_subgraph
+from indturan.graph import Graph, Host, cross_subgraph, edge_subgraph
 from indturan.oracles import (
     contains_kss,
     extremal_bip_star,
@@ -74,15 +72,6 @@ def scoreboard(name, capsys):
         raise
     with capsys.disabled():
         print(f"\n[acceptance] {name}: PASS")
-
-
-def stated_parts(g: Graph):
-    parts = bipartition(g)
-    assert parts is not None
-    a, b = parts
-    if 0 in b:
-        a, b = b, a
-    return a, b
 
 
 C4 = theta(2, 2)
@@ -153,10 +142,7 @@ def test_power_and_attachment_commute(capsys):
             for l in (1, 2):
                 attached = attach_ktt_rooted(f, 1)
                 lhs = glue_along_roots(attached, l)
-                power = rooted_power(f, l)
-                template = BipartiteTemplate(power.graph,
-                                             stated_parts(power.graph))
-                rhs = attach_ktt(template, 1).graph
+                rhs = attach_ktt_rooted(rooted_power(f, l), 1).graph
                 assert is_isomorphic(lhs, rhs)
 
 

@@ -73,6 +73,20 @@ class TestFamilyCommands:
         code, d = run_json(capsys, "family", "zigzag:n=3")
         assert code == 1 and d["error"] == "ValueError"
 
+    def test_deep_nesting_is_domain_error(self):
+        # a child process, so that the nesting depth that runs out of stack
+        # is the CLI's own: 450 levels parse, 500 exhaust it
+        def nested(depth):
+            desc = "path:len=2"
+            for _ in range(depth):
+                desc = f"power:base=({desc}),l=1"
+            return desc
+
+        code, d = run_capped("rho", nested(450))
+        assert code == 0 and d["rho"] == "2"
+        assert run_capped("rho", nested(500)) == (
+            1, {"error": "ValueError", "message": "descriptor nested too deeply"})
+
     def test_template_descriptor(self, capsys):
         code, d = run_json(capsys, "family", "Kst:s=2,t=3")
         assert code == 0 and d["graph"]["n"] == 5
@@ -330,6 +344,25 @@ class TestEmbedCommands:
         code, d = run_json(capsys, "embed", "keylemma", "--input", str(p))
         assert code == 1
         assert d == {"error": "TypeError", "message": "parts must be a JSON object"}
+
+    def test_keylemma_l_edge_inside_x(self, capsys, tmp_path):
+        # L's edge 0-1 lies inside X: named as M's would be, not reached as a
+        # copy that fails its bipartite re-check (exit 3)
+        spec = {
+            "host": {"n": 4, "edges": [[0, 1], [0, 3]],
+                     "partition": {"X": [0, 1, 2], "Y": [3]}, "s": 2},
+            "l_edges": [[0, 1], [0, 3]],
+            "template": {"n": 2, "edges": [[0, 1]], "A": [0], "B": [1]},
+            "parts": {"0": [0]},
+            "rich_threshold": 1,
+            "thresholds": {"c_hs": 1, "m_blow": 1},
+        }
+        p = tmp_path / "kl.json"
+        p.write_text(json.dumps(spec))
+        code, d = run_json(capsys, "embed", "keylemma", "--input", str(p))
+        assert code == 1
+        assert d == {"error": "InvalidPartition",
+                     "message": "l edge (0, 1) does not cross the partition"}
 
     def test_missing_file_is_domain_error(self, capsys):
         code, d = run_json(capsys, "embed", "tree", "--input", "/nonexistent.json")

@@ -787,6 +787,15 @@ class TestSpanningSubgraph:
         with pytest.raises(InvalidPartition, match=r"M edge \(1, 3\) does not cross"):
             asymmetric_embed(K45_LESS_04, m, p3_template(), Thresholds())
 
+    def test_key_lemma_names_least_l_edge_inside_a_side(self):
+        # an L edge inside X would let Gamma(e) reach into X; it is named as
+        # an M edge is, before any copy is placed
+        host = Host(Graph(4, [(0, 1), (0, 3)]), 2, ((0, 1, 2), (3,)))
+        k2 = BipartiteTemplate(Graph(2, [(0, 1)]), ((0,), (1,)))
+        with pytest.raises(InvalidPartition, match=r"l edge \(0, 1\) does not cross"):
+            key_lemma_embed(host, host.graph, k2, {0: (0,)}, lambda ss: True,
+                            Thresholds(c_hs=1, m_blow=1))
+
     def test_spanning_subgraphs_pass(self):
         # the same hosts with a spanning L or M run as before
         host = K45_LESS_04

@@ -7,11 +7,9 @@ from indturan.errors import (
     RootEdgeCollision,
 )
 from indturan.families import (
-    BipartiteTemplate,
     RootedGraph,
     as_graph,
     as_template,
-    attach_ktt,
     attach_ktt_rooted,
     complete_bipartite_template,
     height_two_tree,
@@ -22,7 +20,7 @@ from indturan.families import (
     theta,
     tree_r11,
 )
-from indturan.graph import Graph
+from indturan.graph import Graph, bipartition
 from indturan.oracles import is_isomorphic
 
 
@@ -174,27 +172,30 @@ class TestTheta:
 
 
 class TestAttachKtt:
-    def _p3_template(self):
-        return BipartiteTemplate(Graph(3, [(0, 1), (1, 2)]), ((0, 2), (1,)))
+    # The crossed K_{t,t} is attached to rooted graphs only; its C part joins
+    # f's A side (the one holding vertex 0) and its D part f's B side.
+    P3 = RootedGraph(Graph(3, [(0, 1), (1, 2)]), frozenset({0}))
 
     def test_p3_counts(self):
-        out = attach_ktt(self._p3_template(), 1)
+        out = attach_ktt_rooted(self.P3, 1)
         assert out.graph.n == 5 and out.graph.m == 6
 
     def test_edge_becomes_c4(self):
-        e = BipartiteTemplate(Graph(2, [(0, 1)]), ((0,), (1,)))
-        out = attach_ktt(e, 1)
+        e = RootedGraph(Graph(2, [(0, 1)]), frozenset({0}))
+        out = attach_ktt_rooted(e, 1)
         assert is_isomorphic(out.graph, theta(2, 2))
 
     def test_growth_formula(self):
-        h = self._p3_template()
-        for t in (1, 2, 3):
-            out = attach_ktt(h, t)
-            assert out.graph.m == h.graph.m + t * t + t * len(h.a_side) + t * len(h.b_side)
+        for f in (self.P3, rooted_path(4)):
+            a, b = bipartition(f.graph)
+            for t in (1, 2, 3):
+                out = attach_ktt_rooted(f, t)
+                assert out.graph.m == f.graph.m + t * t + t * len(a) + t * len(b)
 
     def test_result_bipartite_with_stated_parts(self):
-        out = attach_ktt(self._p3_template(), 2)
-        a, b = out.a_side, out.b_side
+        out = attach_ktt_rooted(self.P3, 2)
+        a, b = (0, 2, 3, 4), (1, 5, 6)  # A + C and B + D
+        assert bipartition(out.graph) == (a, b)
         for u in a:
             for v in a:
                 assert not out.graph.has_edge(u, v)
@@ -218,6 +219,13 @@ class TestAttachKttRooted:
         f = RootedGraph(Graph(3, [(0, 1), (1, 2), (0, 2)]), frozenset({0}))
         with pytest.raises(NotBipartite):
             attach_ktt_rooted(f, 1)
+
+    def test_odd_cycle_checked_before_t(self):
+        triangle = RootedGraph(Graph(3, [(0, 1), (1, 2), (0, 2)]), frozenset({0}))
+        with pytest.raises(NotBipartite, match="odd cycle"):
+            attach_ktt_rooted(triangle, -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            attach_ktt_rooted(rooted_path(2), -1)
 
 
 class TestDescriptors:

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from indturan.errors import (
@@ -31,7 +31,7 @@ from indturan.graph import (
 )
 from indturan.oracles import Pattern
 
-from helpers import induced_subgraph_reference, is_k_almost_regular
+from helpers import bipartition_reference, induced_subgraph_reference, is_k_almost_regular
 
 
 def path(n):
@@ -54,6 +54,18 @@ def bipartite_graphs(draw, max_n=9):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v]]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def disjoint_unions(draw):
+    """A disjoint union of up to four bipartite or random graphs, its
+    vertices shuffled so that the components interleave."""
+    edges, n = [], 0
+    for h in draw(st.lists(bipartite_graphs(5) | graphs(5), max_size=4)):
+        edges += [(u + n, v + n) for u, v in h.edge_list()]
+        n += h.n
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 @st.composite
@@ -211,9 +223,20 @@ class TestBipartition:
         parts = bipartition(Graph(4, [(0, 1), (2, 3)]))
         assert parts is not None
 
+    @settings(max_examples=300, deadline=None)
+    @given(disjoint_unions())
+    @example(Graph(0, []))
+    @example(Graph(3, []))
+    @example(Graph(6, [(0, 1), (2, 3), (3, 4), (2, 4)]))  # an odd cycle in a later component
+    @example(Graph(7, [(0, 5), (5, 2), (3, 6), (6, 1), (4, 1)]))
+    def test_matches_reference(self, g):
+        # the layered colouring gives the neighbour-by-neighbour answer,
+        # sides and odd cycles alike
+        assert bipartition(g) == bipartition_reference(g)
+
     @given(bipartite_graphs() | graphs())
     def test_least_vertex_of_each_component_first(self, g):
-        # `as_template` relies on this to put vertex 0 on side A
+        # `families._sides` relies on this to put vertex 0 on side A
         parts = bipartition(g)
         assume(parts is not None)
         seen = 0

@@ -13,6 +13,7 @@ from indturan.oracles import is_isomorphic
 from indturan.realizability import (
     BaseFamily,
     RealizabilityCertificate,
+    VerificationResult,
     build_witness,
     derive,
     enumerate_realizable,
@@ -210,6 +211,17 @@ class TestVerify:
         monkeypatch.setitem(realizability._BASE_KINDS, "theta", (broken, (("length", "len"),)))
         with pytest.raises(IndexError):
             verify_certificate(cert)
+
+    def test_odd_cycle_base_is_not_bipartite(self, monkeypatch):
+        # every base kind is a tree; a 5-cycle with a pendant root has the
+        # theta's rho 6/5, so the replay reaches the witness and its colouring
+        cert = derive(5, 16)
+
+        def odd(length):
+            return RootedGraph(Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(0, 5)]), {5})
+
+        monkeypatch.setitem(realizability._BASE_KINDS, "theta", (odd, (("length", "len"),)))
+        assert verify_certificate(cert) == VerificationResult(False, "NotBipartite")
 
 
 class TestSweep:
