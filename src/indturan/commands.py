@@ -143,11 +143,19 @@ def _dump(obj, out=None) -> None:
     write("".join(batch))
 
 
+class _Fields(dict):
+    """A JSON object of an --input document: reading a field it lacks raises
+    a ValueError that names the field."""
+
+    def __missing__(self, key):
+        raise ValueError(f"missing field {key!r}")
+
+
 def _load_input(path: str) -> dict:
     if path == "-":
-        return json.load(sys.stdin)
+        return json.load(sys.stdin, object_hook=_Fields)
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_hook=_Fields)
 
 
 def _edges(rows: list) -> list[tuple[int, int]]:
@@ -166,10 +174,7 @@ def _graph_from(d: dict) -> Graph:
 
 def _host_from(d: dict) -> Host:
     g, _, part = graph_from_json_dict(d)
-    s = d.get("s")
-    if s is None:
-        raise ValueError("host object needs an 's' field")
-    return Host(g, int_field(s), part)
+    return Host(g, int_field(d["s"]), part)
 
 
 def _template_from(d: dict) -> BipartiteTemplate:
@@ -180,10 +185,10 @@ def _template_from(d: dict) -> BipartiteTemplate:
 
 
 def _rooted_from(d: dict) -> RootedGraph:
+    """A pattern object; its roots are None when it has no "roots" field,
+    which d["roots"] then names as missing."""
     g, roots, _ = graph_from_json_dict(d)
-    if roots is None:
-        raise ValueError("pattern object needs a 'roots' field")
-    return RootedGraph(g, frozenset(roots))
+    return RootedGraph(g, frozenset(d["roots"] if roots is None else roots))
 
 
 def _subgraph_from(host: Host, edge_rows: Optional[list]) -> Graph:

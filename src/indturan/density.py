@@ -5,14 +5,13 @@ edges with at least one endpoint in S and rho_F(S) = e_S / |S|.  The density
 rho(F) is rho_F(V \\ R), and F is balanced when no nonempty subset of the
 non-roots beats it from below.  Everything is computed with Fraction, never
 floats.  Balancedness is decided exactly in polynomial time: the minimum of
-e_S - lam*|S| is a minimum cut (a maximum-closure problem: Picard 1976,
-Picard-Queyranne 1982), Dinkelbach iteration (1967) finds the minimum ratio,
-and the lexicographically least minimizing subset is read off the residual
-network of the last cut.  The network has a node per non-root and per edge
-between two non-roots; the edges from a non-root to the roots, which meet S
-exactly when it lies in S, fold into one arc from it to the sink.  e_S
-itself is counted from the bitset rows.  All capacities are ints, and a
-hard budget on the number of non-roots still bounds the work.
+e_S - lam*|S| is a minimum cut with one node per non-root (Goldberg's density
+cut, 1984), Dinkelbach iteration (1967) finds the minimum ratio, and the
+lexicographically least minimizing subset is read off the residual network
+of the last cut.  The cut's weights come from the bitset rows: a non-root's
+edges to the roots are counted, the edges between two non-roots are listed;
+every e_S is counted from the rows by `edges_incident`.  All capacities are
+ints, and a hard budget on the number of non-roots still bounds the work.
 """
 
 from __future__ import annotations
@@ -73,48 +72,48 @@ class DensityReport(NamedTuple):
         }
 
 
-class _ClosureNetwork:
-    """The min-cut network of min_S (e_S - lam*|S|) over S ⊆ non-roots, solved.
+class _CutNetwork:
+    """The min-cut network of min_S (r*e_S - p*|S|) over S ⊆ non-roots, for
+    lam = p/r, solved: Goldberg's density cut (1984), one node per non-root.
 
-    Node v < q is non-root v and node q + j the j-th inner edge, `inner[j]`,
-    whose two ends are non-roots; then come the source and the sink.  For
-    lam = p/r the arcs are source -> vertex (capacity p), vertex -> sink
-    (r*forced[v], for the forced[v] edges from v to the roots), vertex ->
-    incident inner edge (uncuttable) and inner edge -> sink (r), so a cut
-    whose source side holds S and the inner edges meeting S costs
-    p*(q - |S|) + r*e_S.  A node for an edge with one non-root end v would be
-    entered only from v and left only to the sink, so it is contracted into
-    v's sink arc: every cut keeps its value, and so do the max-flow and the
-    residual reachability between non-roots.  The uncuttable capacity is a
-    finite int above the sum of all the others, so no minimum cut takes
-    another form, and every capacity is an int.
+    Node v < q is non-root v; then come the source and the sink.  An inner
+    edge meets S when one of its ends is in S, so twice e_S is the sum over v
+    in S of 2*forced[v] + deg[v] (deg[v] counting v's inner edges) plus the
+    inner edges with exactly one end in S.  With w[v] = r*(2*forced[v] +
+    deg[v]) - 2p, a positive w[v] is an arc v -> sink, a negative one an arc
+    source -> v of capacity -w[v], and each inner edge is an arc of capacity
+    r each way.  A cut whose source side holds S then costs
+    2*(r*e_S - p*|S|) plus the sum of the negative weights' magnitudes, so
+    `value`, the max-flow less that sum, halved, is min_S (r*e_S - p*|S|).
 
-    After the max-flow, `value` is min_S (r*e_S - p*|S|).  The minimizing S
-    are closed under union and intersection: the least is what the source
-    reaches in the residual network, the greatest is every non-root that
-    cannot reach the sink.
+    The minimizing S are closed under union and intersection: the least is
+    what the source reaches in the residual network, the greatest is every
+    non-root that cannot reach the sink.
     """
 
     def __init__(self, forced: list, inner: list, lam: Fraction):
         p, r = lam.numerator, lam.denominator
         q = self.q = len(forced)
-        uncut = p * q + r * (sum(forced) + len(inner)) + 1
-        self.source, self.sink = q + len(inner), q + len(inner) + 1
-        self.adj: list[list[int]] = [[] for _ in range(self.sink + 1)]
+        self.source, self.sink = q, q + 1
+        self.adj: list[list[int]] = [[] for _ in range(q + 2)]
         self.head: list[int] = []  # arc a runs to head[a]; a ^ 1 is its reverse
         self.cap: list[int] = []   # residual capacities once solved
-        for v, k in enumerate(forced):
-            self._arc(self.source, v, p)
-            if k:
-                self._arc(v, self.sink, r * k)
-        for j, (u, w) in enumerate(inner, q):
-            self._arc(u, j, uncut)
-            self._arc(w, j, uncut)
-            self._arc(j, self.sink, r)
-        self.value = self._max_flow() - p * q
+        weight = [2 * (r * k - p) for k in forced]
+        for u, w in inner:
+            weight[u] += r
+            weight[w] += r
+            self._arc(u, w, r, r)
+        shift = 0
+        for v, c in enumerate(weight):
+            if c > 0:
+                self._arc(v, self.sink, c)
+            elif c < 0:
+                self._arc(self.source, v, -c)
+                shift -= c
+        self.value = (self._max_flow() - shift) // 2
 
-    def _arc(self, u: int, v: int, c: int) -> None:
-        for x, y, cy in ((u, v, c), (v, u, 0)):
+    def _arc(self, u: int, v: int, c: int, back: int = 0) -> None:
+        for x, y, cy in ((u, v, c), (v, u, back)):
             self.adj[x].append(len(self.head))
             self.head.append(y)
             self.cap.append(cy)
@@ -199,11 +198,6 @@ def is_balanced(f: RootedGraph) -> DensityReport:
     the flow maximum, so the least minimizer containing a chosen set is its
     closure in the residual network.  The lexicographically least minimizer
     is then the shortest nonempty prefix of sorted(U) that is closed.
-
-    The network is read off the adjacency rows with one root mask: a
-    non-root's edges to the roots are only counted (`forced`), and the edges
-    between two non-roots are listed (`inner`), so e_S is the forced count
-    over S plus the inner edges that meet S.
     """
     non = f.non_roots()
     q = len(non)
@@ -213,14 +207,13 @@ def is_balanced(f: RootedGraph) -> DensityReport:
     forced = [(adj[v] & rootm).bit_count() for v in non]
     inner = [(i, index[w]) for i, v in enumerate(non)
              for w in bits(adj[v] >> (v + 1) << (v + 1) & ~rootm)]
-    lam = target = Fraction(sum(forced) + len(inner), q)  # rho(F): e_S for S = every non-root
-    cut = _ClosureNetwork(forced, inner, lam)
+    lam = target = rho(f)
+    cut = _CutNetwork(forced, inner, lam)
     while cut.value < 0:
         seen = [False] * len(cut.adj)
-        size = cut.spread(seen, cut.source)
-        lam = Fraction(sum(k for k, got in zip(forced, seen) if got)
-                       + sum(1 for u, w in inner if seen[u] or seen[w]), size)
-        cut = _ClosureNetwork(forced, inner, lam)
+        cut.spread(seen, cut.source)
+        lam = rho_subset(f, [v for v, got in zip(non, seen) if got])
+        cut = _CutNetwork(forced, inner, lam)
     exponent = 2 - 1 / target if target > 0 else None
     if lam == target:
         return DensityReport(target, True, None, exponent)

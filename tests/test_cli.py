@@ -885,6 +885,17 @@ _ID_LISTS = [(argv, path) for argv in sorted(VALID_INPUTS)
 _ID_LISTS += [(argv, path) for argv, (_, paths) in sorted(_VERTEX_LISTS.items()) for path in paths]
 
 
+# The path of every required field of every instance: the listed top-level
+# fields, each graph object's "n", the "s" of a host and the "roots" of a
+# pattern, and both partition sides where the instance gives them.
+_REQUIRED = sorted(
+    {(argv, (key,)) for argv, (_, required, _) in VALID_INPUTS.items() for key in required}
+    | {(argv, p + (key,)) for argv, (doc, _, _) in VALID_INPUTS.items()
+       for p in _graph_paths(doc) for key in ("n", "s", "roots") if key in _get(doc, p)}
+    | {(argv, p) for argv, (doc, _, _) in VALID_INPUTS.items()
+       for p in _label_paths(doc) if "partition" in p})
+
+
 class TestMalformedInputFuzz:
     @pytest.mark.parametrize("argv", sorted(VALID_INPUTS), ids="-".join)
     def test_valid_inputs_pass(self, argv):
@@ -935,6 +946,15 @@ class TestMalformedInputFuzz:
         code, out = run_stdin(argv, _set(doc, graph + ("edges",), [edge, *g["edges"]]))
         assert code == 1
         assert set(json.loads(out)) == {"error", "message"}
+
+    @pytest.mark.parametrize("argv, path", _REQUIRED, ids=lambda v: "-".join(v))
+    def test_missing_field_is_named(self, argv, path):
+        # dropping a field the command reads is a ValueError that names it
+        doc = json.loads(json.dumps(VALID_INPUTS[argv][0]))
+        del _get(doc, path[:-1])[path[-1]]
+        code, out = run_stdin(argv, doc)
+        assert (code, json.loads(out)) == (1, {"error": "ValueError",
+                                               "message": f"missing field {path[-1]!r}"})
 
     @pytest.mark.parametrize("sides, code", [(([0, 2], [1]), 0), (([0, 2.0], [1]), 0),
                                              (([0, 2], [True]), 1), (([0, 2.5], [1]), 1)])

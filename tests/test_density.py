@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from indturan.density import (
     BALANCE_BUDGET,
     DensityReport,
+    _CutNetwork,
     edges_incident,
     is_balanced,
     rho,
@@ -129,6 +130,58 @@ def rooted_graphs(draw, max_q=16):
         roots = draw(st.sets(st.integers(0, n - 1), min_size=max(0, n - max_q),
                              max_size=n - 1))
     return RootedGraph(Graph(n, edges), frozenset(roots))
+
+
+@st.composite
+def rooted_graphs_with_cycles(draw, max_q=10):
+    """Rooted graphs with 1..max_q non-roots: random edges plus one planted
+    cycle through 3..n shuffled vertices, so the inner graph need not be a
+    forest."""
+    n = draw(st.integers(3, max_q + 3))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = set(draw(st.lists(st.sampled_from(pairs), unique=True)))
+    cycle = draw(st.permutations(range(n)))[:draw(st.integers(3, n))]
+    edges |= {tuple(sorted(e)) for e in zip(cycle, cycle[1:] + cycle[:1])}
+    roots = draw(st.sets(st.integers(0, n - 1), min_size=max(0, n - max_q), max_size=n - 1))
+    return RootedGraph(Graph(n, sorted(edges)), frozenset(roots))
+
+
+class TestCutNetwork:
+    @settings(max_examples=150, deadline=None)
+    @given(rooted_graphs_with_cycles(), st.fractions(0, 8, max_denominator=7))
+    def test_value_and_minimizers_match_enumeration(self, f, lam):
+        # at lam = p/r: `value` is min_S (r*e_S - p*|S|) over every S, the
+        # empty one included, the source reaches the least minimizer, and
+        # `greatest()` is the greatest; the edges are read from the edge
+        # list here, not from the rows
+        non = f.non_roots()
+        index = {v: i for i, v in enumerate(non)}
+        forced = [0] * len(non)
+        inner = []
+        for u, v in sorted(f.graph.edges):
+            if u in index and v in index:
+                inner.append((index[u], index[v]))
+            elif u in index or v in index:
+                forced[index[u] if u in index else index[v]] += 1
+        cut = _CutNetwork(forced, inner, lam)
+        p, r = lam.numerator, lam.denominator
+        values = {}
+        for mask in range(1 << len(non)):
+            e = sum(1 for u, v in inner if mask >> u & 1 or mask >> v & 1)
+            e += sum(k for i, k in enumerate(forced) if mask >> i & 1)
+            values[mask] = r * e - p * mask.bit_count()
+        best = min(values.values())
+        least, greatest = (1 << len(non)) - 1, 0
+        for mask, value in values.items():
+            if value == best:
+                least &= mask
+                greatest |= mask
+        seen = [False] * len(cut.adj)
+        cut.spread(seen, cut.source)
+        assert cut.value == best
+        assert [i for i in range(len(non)) if seen[i]] == [i for i in range(len(non))
+                                                          if least >> i & 1]
+        assert cut.greatest() == [i for i in range(len(non)) if greatest >> i & 1]
 
 
 class TestEdgesIncident:
