@@ -254,73 +254,56 @@ _KIND_KEYS = {kind: names for kind, (_, names) in _PLAIN_KINDS.items()} | {
     "power": ("base", "l"), "f1": ("base",)}
 
 
-def parse_descriptor(desc: str):
-    """Build the object a descriptor names (RootedGraph, Graph, or template).
-
-    One left-to-right pass pairs the brackets.  Each nesting level then reads
-    only its own characters and steps over a bracketed group in one move, so
-    parsing takes time linear in the length of desc."""
-    close: dict[int, int] = {}  # the index of each '(' -> that of its ')'; -1 -> a stray ')'
-    opens: list[int] = []
-    for i, ch in enumerate(desc):
+def _split_args(text: str) -> list[str]:
+    out, depth, cur = [], 0, []
+    for ch in text:
         if ch == "(":
-            opens.append(i)
+            depth += 1
         elif ch == ")":
-            close[opens.pop() if opens else -1] = i
-    # A valid kind holds no bracket, so the outermost level's arguments hold
-    # them all: they are unbalanced exactly when the whole text is.
-    return _parse(desc, close, 0, len(desc), ")" if -1 in close else "(" if opens else None)
+            depth -= 1
+            if depth < 0:
+                raise ValueError(f"unbalanced ')' in {text!r}")
+        if ch == "," and depth == 0:
+            out.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    if depth != 0:
+        raise ValueError(f"unbalanced '(' in {text!r}")
+    if cur:
+        out.append("".join(cur))
+    return out
 
 
-def _strip(desc: str, start: int, end: int) -> tuple[int, int]:
-    """The span desc[start:end] less the whitespace that str.strip drops."""
-    while start < end and desc[start].isspace():
-        start += 1
-    while end > start and desc[end - 1].isspace():
-        end -= 1
-    return start, end
-
-
-def _parse(desc: str, close: dict, start: int, end: int, stray: Optional[str]):
-    """The object named by desc[start:end], whose arguments hold the stray
-    bracket `stray`, or none."""
-    start, end = _strip(desc, start, end)
-    colon = desc.find(":", start, end)
-    colon = end if colon < 0 else colon
-    kind = desc[start:colon].strip()
+def parse_descriptor(desc: str):
+    """Build the object a descriptor names (RootedGraph, Graph, or template)."""
+    desc = desc.strip()
+    kind, _, argtext = desc.partition(":")
+    kind = kind.strip()
     if kind not in _KIND_KEYS:
         raise ValueError(f"unknown descriptor kind {kind!r}")
-    if stray and colon + 1 < end:
-        raise ValueError(f"unbalanced {stray!r} in {desc[colon + 1:end]!r}")
-    args: dict[str, tuple[int, int]] = {}  # the span of each argument's value
-    first = colon + 1
-    while first < end:  # one comma-separated argument per round
-        last = first
-        while last < end and desc[last] != ",":
-            last = close[last] + 1 if desc[last] == "(" else last + 1
-        eq = desc.find("=", first, last)
-        if eq < 0:
-            raise ValueError(f"malformed descriptor argument {desc[first:last]!r}")
-        key = desc[first:eq].strip()
-        if key in args:
-            raise ValueError(f"descriptor {kind!r} has a repeated {key}=")
-        if key not in _KIND_KEYS[kind]:
-            raise ValueError(f"descriptor {kind!r} takes no {key}=")
-        args[key] = _strip(desc, eq + 1, last)
-        first = last + 1
+    args: dict[str, str] = {}
+    if argtext:
+        for item in _split_args(argtext):
+            key, eq, value = item.partition("=")
+            key = key.strip()
+            if not eq:
+                raise ValueError(f"malformed descriptor argument {item!r}")
+            if key in args:
+                raise ValueError(f"descriptor {kind!r} has a repeated {key}=")
+            if key not in _KIND_KEYS[kind]:
+                raise ValueError(f"descriptor {kind!r} takes no {key}=")
+            args[key] = value.strip()
     for name in _KIND_KEYS[kind]:
         if name not in args:
             raise ValueError(f"descriptor {kind!r} needs {name}=")
 
     def rooted_base() -> RootedGraph:
-        first, last = args["base"]
-        inner = None
-        if desc.startswith("(", first, last) and desc.endswith(")", first, last):
-            # two brackets that do not pair up, as in "(a)(b)", leave a stray ')'
-            inner = None if close[first] == last - 1 else ")"
-            first, last = first + 1, last - 1
+        value = args["base"]
+        if value.startswith("(") and value.endswith(")"):
+            value = value[1:-1]
         try:
-            base = _parse(desc, close, first, last, inner)
+            base = parse_descriptor(value)
         except RecursionError:  # raised at the innermost level, named here
             raise ValueError("descriptor nested too deeply") from None
         if not isinstance(base, RootedGraph):
@@ -329,7 +312,7 @@ def _parse(desc: str, close: dict, start: int, end: int, stray: Optional[str]):
 
     if kind in _PLAIN_KINDS:
         make, names = _PLAIN_KINDS[kind]
-        return make(*(int(desc[slice(*args[name])]) for name in names))
+        return make(*(int(args[name]) for name in names))
     if kind == "power":
-        return rooted_power(rooted_base(), int(desc[slice(*args["l"])]))
+        return rooted_power(rooted_base(), int(args["l"]))
     return attach_ktt_rooted(rooted_base(), 1)  # f1

@@ -5,9 +5,7 @@ fuzz and property tests; the map and regularity checkers are definitional
 references that tests compare the package's answers against,
 `verify_induced_map_reference` is the pairwise twin of the package's row
 check `graph.verify_induced_map`, `bipartition_reference` the
-neighbour-by-neighbour twin of the layered colouring `graph.bipartition`,
-`parse_descriptor_reference` the level-by-level twin of the one-pass
-`families.parse_descriptor`, and `product_pow_le_reference` the
+neighbour-by-neighbour twin of the layered colouring `graph.bipartition`, and `product_pow_le_reference` the
 `Fraction`-product twin of `regularity.product_pow_le`.  The
 `*_reference` functions are the embedding helpers as first written, with
 `Fraction` thresholds and pairwise scans: the package's integer and bitset
@@ -34,14 +32,7 @@ from hypothesis import strategies as st
 from indturan.canonical import canonical
 from indturan.embeddings import KEY_LEMMA_EXHAUSTIVE_CAP, KEY_LEMMA_RETRIES
 from indturan.errors import DisprovesLemma, HypothesisUnmet, InvalidPartition
-from indturan.families import (
-    _KIND_KEYS,
-    _PLAIN_KINDS,
-    BipartiteTemplate,
-    RootedGraph,
-    attach_ktt_rooted,
-    rooted_power,
-)
+from indturan.families import BipartiteTemplate, RootedGraph
 from indturan.graph import Graph, Host, VertexMap, bits, first_clique, mask_of
 from indturan.oracles import (
     ExtremalResult,
@@ -129,70 +120,6 @@ def bipartition_reference(g: Graph):
     side0 = tuple(v for v in range(g.n) if color[v] == 0)
     side1 = tuple(v for v in range(g.n) if color[v] == 1)
     return side0, side1
-
-
-def _split_args(text: str) -> list[str]:
-    """text split at its commas outside brackets, one character at a time."""
-    out, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced ')' in {text!r}")
-        if ch == "," and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise ValueError(f"unbalanced '(' in {text!r}")
-    if cur:
-        out.append("".join(cur))
-    return out
-
-
-def parse_descriptor_reference(desc: str):
-    """The descriptor parser that rescans and copies each level's text: the
-    oracle of the package's one-pass `families.parse_descriptor`, which must
-    build the same object or raise the same error."""
-    desc = desc.strip()
-    kind, _, argtext = desc.partition(":")
-    kind = kind.strip()
-    if kind not in _KIND_KEYS:
-        raise ValueError(f"unknown descriptor kind {kind!r}")
-    args: dict[str, str] = {}
-    if argtext:
-        for item in _split_args(argtext):
-            key, eq, value = item.partition("=")
-            key = key.strip()
-            if not eq:
-                raise ValueError(f"malformed descriptor argument {item!r}")
-            if key in args:
-                raise ValueError(f"descriptor {kind!r} has a repeated {key}=")
-            if key not in _KIND_KEYS[kind]:
-                raise ValueError(f"descriptor {kind!r} takes no {key}=")
-            args[key] = value.strip()
-    for name in _KIND_KEYS[kind]:
-        if name not in args:
-            raise ValueError(f"descriptor {kind!r} needs {name}=")
-
-    def rooted_base() -> RootedGraph:
-        value = args["base"]
-        if value.startswith("(") and value.endswith(")"):
-            value = value[1:-1]
-        base = parse_descriptor_reference(value)
-        if not isinstance(base, RootedGraph):
-            raise ValueError(f"{kind} base must be a rooted descriptor")
-        return base
-
-    if kind in _PLAIN_KINDS:
-        make, names = _PLAIN_KINDS[kind]
-        return make(*(int(args[name]) for name in names))
-    if kind == "power":
-        return rooted_power(rooted_base(), int(args["l"]))
-    return attach_ktt_rooted(rooted_base(), 1)  # f1
 
 
 def induced_subgraph_reference(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:

@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from indturan.errors import (
     DegenerateRoot,
@@ -9,7 +7,6 @@ from indturan.errors import (
     RootEdgeCollision,
 )
 from indturan.families import (
-    _KIND_KEYS,
     RootedGraph,
     as_graph,
     as_template,
@@ -25,8 +22,6 @@ from indturan.families import (
 )
 from indturan.graph import Graph, bipartition
 from indturan.oracles import is_isomorphic
-
-from helpers import parse_descriptor_reference
 
 
 class TestRootedGraph:
@@ -233,42 +228,6 @@ class TestAttachKttRooted:
             attach_ktt_rooted(rooted_path(2), -1)
 
 
-_EDITS = ["", "(", ")", ",", "=", ":", " ", "()", ")(", "x", "1", "base=", "l=2"]
-
-
-@st.composite
-def descriptors(draw, depth=3):
-    """Descriptor text from the grammar, with small integers, optional
-    brackets and spaces around a base, and now and then a dropped, bad,
-    repeated or unknown argument or an unknown kind."""
-    kind = draw(st.sampled_from([k for k in [*_KIND_KEYS, "zigzag"]
-                                 if depth or "base" not in _KIND_KEYS.get(k, ())]))
-    args = []
-    for key in _KIND_KEYS.get(kind, ("n",)):
-        if key == "base":
-            base = draw(descriptors(depth - 1))
-            value = draw(st.sampled_from(["({})", "{}", " ( {} ) ", "({})(path:len=2)"]))
-            args.append(f"{key}={value.format(base)}")
-        elif draw(st.integers(0, 9)):
-            values = ["1", "2", "3"] if draw(st.integers(0, 5)) else [" 2 ", "x", "", "(2)"]
-            args.append(f"{key}={draw(st.sampled_from(values))}")
-    args = draw(st.permutations(args))
-    if not draw(st.integers(0, 5)):
-        args = args + [draw(st.sampled_from(args + ["q=1"]))]
-    return kind + (":" + ",".join(args) if args or draw(st.booleans()) else "")
-
-
-def _outcome(parse, desc):
-    """What parse makes of desc: the object's type, rows, roots and parts,
-    or its error's type and message."""
-    try:
-        obj = parse(desc)
-    except Exception as exc:  # every error the two parsers raise is compared
-        return type(exc).__name__, str(exc)
-    return (type(obj).__name__, as_graph(obj).adj, getattr(obj, "roots", None),
-            getattr(obj, "parts", None))
-
-
 class TestDescriptors:
     def test_named_families(self):
         assert is_isomorphic(as_graph(parse_descriptor("Trt:r=3,t=1")),
@@ -312,18 +271,6 @@ class TestDescriptors:
     def test_key_the_kind_does_not_read(self, desc, key):
         with pytest.raises(ValueError, match=f"takes no {key}="):
             parse_descriptor(desc)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_matches_reference(self, data):
-        # the same object, or the same error, as the level-by-level parser
-        # on descriptors drawn from the grammar, then edited at random
-        desc = data.draw(descriptors())
-        for _ in range(data.draw(st.integers(0, 3))):
-            at = data.draw(st.integers(0, len(desc)))
-            cut = data.draw(st.integers(0, 2))
-            desc = desc[:at] + data.draw(st.sampled_from(_EDITS)) + desc[at + cut:]
-        assert _outcome(parse_descriptor, desc) == _outcome(parse_descriptor_reference, desc)
 
     def test_as_template_odd_cycle(self):
         with pytest.raises(NotBipartite):
