@@ -11,16 +11,19 @@ form is the graph itself relabelled, so equal forms mean isomorphic graphs.
 
 Two leaves with equal rows give an automorphism, which prunes the tree: the
 children of a node in one orbit of the automorphisms that fix the node's
-individualised vertices have equal sets of leaf rows.  Twins (vertices with
-equal open or equal closed neighbourhoods) give automorphisms for free: their
-swaps seed the pruning, so a cell of twins is searched through one child.
-The automorphisms found generate the whole group; `oracles` uses them to test
-only one neighbour mask per orbit.
+individualised vertices (its path) have equal sets of leaf rows, so a node
+visits one child per orbit of the automorphisms found so far that fix its
+path.  Twins (vertices with equal open or equal closed neighbourhoods) give
+automorphisms for free: their swaps seed the pruning, so a cell of twins is
+searched through one child.  The automorphisms found generate the whole
+group; `oracles` uses them to test only one neighbour mask per orbit.  There
+is no backjump to the depth that a new automorphism fixes: on the oracles'
+inputs it saved 0.7% of the search calls and no measurable time.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .graph import bits, relabel
 
@@ -96,47 +99,31 @@ def _orbit(mask: int, autos: Sequence[Sequence[int]], fixed: Sequence[int]) -> i
 
 
 def _search(adj: Sequence[int], cells: list[int], leaves: dict, autos: list,
-            path: list[int], done: list[int]) -> Optional[int]:
+            path: list[int]) -> None:
     """Visit the leaves below the equitable partition cells, reached by
-    individualising the vertices in path, one per depth; done[d] holds the
-    children already visited or pruned at depth d.  Each new leaf goes into
-    leaves (rows -> order), each automorphism found into autos.  Returns the
-    depth to jump back to, or None."""
+    individualising the vertices in path, one per depth.  Each new leaf goes
+    into leaves (rows -> order), each automorphism found into autos."""
     n = len(adj)
     if len(cells) == n:
         order = [c.bit_length() - 1 for c in cells]
         old = leaves.setdefault(relabel(adj, order), order)
-        if old is order:
-            return None
-        gamma = [0] * n  # this leaf's order onto the old one's: an automorphism
-        for v, w in zip(order, old):
-            gamma[v] = w
-        autos.append(gamma)
-        for d, u in enumerate(path):
-            if gamma[u] != u:
-                # gamma fixes path[:d] and maps this branch onto gamma[u]'s
-                return d if done[d] >> gamma[u] & 1 else None
-        return None
+        if old is not order:
+            gamma = [0] * n  # this leaf's order onto the old one's: an automorphism
+            for v, w in zip(order, old):
+                gamma[v] = w
+            autos.append(gamma)
+        return
     target = min((c for c in cells if c & (c - 1)), key=int.bit_count)
     t = cells.index(target)
-    depth = len(path)
-    done.append(0)
-    pruned = 0
+    done = 0  # the children visited, and their orbits under autos fixing path
     for w in bits(target):
-        if pruned >> w & 1:
-            done[depth] |= 1 << w
+        if done >> w & 1:
             continue
         path.append(w)
-        back = _search(adj, _equitable(adj, cells[:t] + [1 << w, target ^ 1 << w]
-                                       + cells[t + 1:], [1 << w]), leaves, autos, path, done)
+        _search(adj, _equitable(adj, cells[:t] + [1 << w, target ^ 1 << w] + cells[t + 1:],
+                                [1 << w]), leaves, autos, path)
         path.pop()
-        done[depth] |= 1 << w
-        if back is not None and back < depth:
-            done.pop()
-            return back
-        pruned = _orbit(done[depth], autos, path)
-    done.pop()
-    return None
+        done = _orbit(done | 1 << w, autos, path)
 
 
 def canonical(adj: Sequence[int]) -> tuple[tuple[int, ...], list[list[int]]]:
@@ -164,5 +151,5 @@ def canonical(adj: Sequence[int]) -> tuple[tuple[int, ...], list[list[int]]]:
             swap[u], swap[v] = v, u
             autos.append(swap)
     leaves: dict = {}
-    _search(adj, cells, leaves, autos, [], [])
+    _search(adj, cells, leaves, autos, [])
     return min(leaves), autos

@@ -198,11 +198,9 @@ def _extend(g: Graph, mask: int) -> Graph:
 
 
 @lru_cache(maxsize=None)
-def _masks(k: int, fewest: int, below: int) -> Sequence[int]:
+def _masks(k: int, fewest: int, below: int) -> tuple[int, ...]:
     """The subsets of vertices 0..k-1 with at least fewest and fewer than
     below members, as masks in increasing order."""
-    if fewest <= 0 and below > k:
-        return range(1 << k)
     return tuple(m for m in range(1 << k) if fewest <= m.bit_count() < below)
 
 

@@ -12,7 +12,9 @@ neighbour-by-neighbour twin of the layered colouring `graph.bipartition`, and `p
 versions must give the same answers; `key_lemma_candidates_reference` is
 the key lemma's placement order by its definition, every random draw then
 the whole product, and `key_lemma_b_choice_reference` its B side as a
-clique of compatibility rows over the Hall sets.  `generate_classes` generates every class of one order
+clique of compatibility rows over the Hall sets.  `canonical_form_reference`
+is the canonical form by its definition, the least leaf of the whole
+individualise-refine tree with no automorphism pruning.  `generate_classes` generates every class of one order
 with no edge-count bound, on the package's generator.  The
 `extremal_*_reference` oracles use it and hand every bip partition of every
 class, in its canonical labelling, to the matcher: the package's edge-count
@@ -29,11 +31,11 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from indturan.canonical import canonical
+from indturan.canonical import _equitable, canonical
 from indturan.embeddings import KEY_LEMMA_EXHAUSTIVE_CAP, KEY_LEMMA_RETRIES
 from indturan.errors import DisprovesLemma, HypothesisUnmet, InvalidPartition
 from indturan.families import BipartiteTemplate, RootedGraph
-from indturan.graph import Graph, Host, VertexMap, bits, first_clique, mask_of
+from indturan.graph import Graph, Host, VertexMap, bits, first_clique, mask_of, relabel
 from indturan.oracles import (
     ExtremalResult,
     Pattern,
@@ -283,6 +285,26 @@ def first_mono_clique_reference(aux: dict, s: int):
                    for i in range(len(clique)) for j in range(i + 1, len(clique))):
                 return color, clique
     return None
+
+
+def canonical_form_reference(adj) -> tuple[int, ...]:
+    """The least `relabel` rows over every leaf of the individualise-refine
+    tree of `canonical`: the same refinement and the same target cell (the
+    first smallest non-singleton one), every child visited."""
+    n = len(adj)
+    full = (1 << n) - 1
+    forms = []
+    todo = [_equitable(adj, [full], [full]) if n else []]
+    while todo:
+        cells = todo.pop()
+        if len(cells) == n:
+            forms.append(relabel(adj, [c.bit_length() - 1 for c in cells]))
+            continue
+        target = min((c for c in cells if c & (c - 1)), key=int.bit_count)
+        t = cells.index(target)
+        todo.extend(_equitable(adj, cells[:t] + [1 << w, target ^ 1 << w] + cells[t + 1:],
+                               [1 << w]) for w in bits(target))
+    return min(forms)
 
 
 # --- the extremal oracles as first written ---------------------------------------

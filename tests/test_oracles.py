@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from collections import Counter
@@ -22,6 +23,7 @@ from indturan.canonical import canonical
 from indturan.families import as_template, theta
 from indturan.graph import Graph, Host, placements
 from indturan.oracles import (
+    _least_in_orbit,
     contains_bip_induced,
     contains_induced,
     contains_kss,
@@ -35,6 +37,7 @@ from indturan.oracles import (
 )
 
 from helpers import (
+    canonical_form_reference,
     classical_classes_reference,
     extremal_bip_star_reference,
     extremal_classical_reference,
@@ -308,6 +311,88 @@ def cayley_z4z4(steps):
                       if 4 * i + j < 4 * ((i + a) % 4) + (j + b) % 4])
 
 
+def disjoint_union(*gs):
+    """The graphs side by side, each shifted past the ones before it."""
+    edges, offset = [], 0
+    for g in gs:
+        edges += [(u + offset, v + offset) for u, v in g.edges]
+        offset += g.n
+    return Graph(offset, edges)
+
+
+def cycle(k):
+    return Graph(k, [(i, (i + 1) % k) for i in range(k)])
+
+
+def matching(k):
+    return disjoint_union(*[Graph(2, [(0, 1)])] * k)
+
+
+def complete_bipartite(a, b):
+    return Graph(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+
+
+def hypercube(d):
+    return Graph(1 << d, [(v, v | 1 << i) for v in range(1 << d) for i in range(d)
+                          if not v >> i & 1])
+
+
+def k44_minus_matching():
+    return Graph(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j])
+
+
+# Vertex-transitive and other large-group graphs, where automorphism pruning
+# acts, with their automorphism group orders.
+SYMMETRIC = {
+    "petersen": (petersen, 120),
+    "pentagonal prism": (pentagonal_prism, 20),
+    "Q3": (lambda: hypercube(3), 48),
+    "Q4": (lambda: hypercube(4), 384),
+    "shrikhande": (lambda: cayley_z4z4([(0, 1), (1, 0), (1, 1)]), 192),
+    "K4 x K4": (lambda: cayley_z4z4([(0, 1), (0, 2), (1, 0), (2, 0)]), 1152),
+    "3 C5": (lambda: disjoint_union(*[cycle(5)] * 3), 6000),
+    "2 C6": (lambda: disjoint_union(*[cycle(6)] * 2), 288),
+    "K44 minus a matching": (k44_minus_matching, 48),
+}
+
+
+def symmetric_corpus():
+    """The SYMMETRIC graphs, cycles and their disjoint unions, matchings and
+    complete bipartite graphs, on at most 16 vertices."""
+    gs = [make() for make, _ in SYMMETRIC.values()]
+    gs += [disjoint_union(*[cycle(k)] * r) for k in range(3, 17) for r in range(1, 16 // k + 1)]
+    gs += [disjoint_union(cycle(a), cycle(b)) for a in range(3, 14) for b in range(a + 1, 17 - a)]
+    gs += [matching(k) for k in range(1, 9)]
+    gs += [complete_bipartite(a, b) for a in range(1, 9) for b in range(a, 17 - a)]
+    return gs
+
+
+def canonical_digest(seed, cases):
+    """sha256 over one JSON line per graph of a seeded corpus: the form, the
+    least vertex of each orbit of the returned group and, up to 9 vertices,
+    the number of orbits on vertex subsets.  The corpus is cases random
+    graphs on at most 12 vertices, then each symmetric_corpus graph in three
+    random labellings."""
+    rng = random.Random(seed)
+    gs = [random_graph(rng, rng.randrange(13), rng.random()) for _ in range(cases)]
+    for g in symmetric_corpus():
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            gs.append(relabelled(g, perm))
+    digest = hashlib.sha256()
+    for g in gs:
+        rows, autos = canonical(g.adj)
+        reps = [m.bit_length() - 1 for m in _least_in_orbit([1 << v for v in range(g.n)], autos)]
+        subsets = len(_least_in_orbit(range(1 << g.n), autos)) if g.n <= 9 else None
+        digest.update(json.dumps([list(rows), reps, subsets]).encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
+CANONICAL_DIGESTS = json.loads((Path(__file__).parent / "canonical_digests.json")
+                               .read_text(encoding="utf-8"))
+
+
 def brute_automorphism_count(g):
     return sum(1 for p in permutations(range(g.n))
                if all(g.adj[p[u]] >> p[v] & 1 for u, v in g.edges))
@@ -376,7 +461,34 @@ class TestCanonicalForm:
                 assert all(g.adj[a[u]] >> a[v] & 1 for u, v in g.edges)
             assert generated_group_order(autos, g.n) == brute_automorphism_count(g)
 
-    @pytest.mark.parametrize("n, count", enumerate([1, 2, 4, 11, 34, 156, 1044], start=1))
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC))
+    def test_automorphisms_generate_the_group_of_symmetric_graphs(self, name):
+        make, order = SYMMETRIC[name]
+        g = make()
+        _, autos = canonical(g.adj)
+        matcher = nx.algorithms.isomorphism.GraphMatcher(to_nx(g), to_nx(g))
+        assert generated_group_order(autos, g.n) == order
+        assert sum(1 for _ in matcher.isomorphisms_iter()) == order
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_form_is_least_leaf_of_unpruned_tree(self, data):
+        structured = [hypercube(3), complete_bipartite(3, 3), complete_bipartite(2, 5),
+                      k44_minus_matching(), matching(3), disjoint_union(cycle(3), cycle(3)),
+                      disjoint_union(cycle(3), cycle(4)), disjoint_union(matching(2), cycle(3)),
+                      cycle(7), Graph(7, [])]
+        g = data.draw(st.one_of(graphs(7), st.sampled_from(structured)))
+        g = relabelled(g, data.draw(st.permutations(range(g.n))))
+        assert canonical(g.adj)[0] == canonical_form_reference(g.adj)
+
+    @pytest.mark.parametrize("name", sorted(CANONICAL_DIGESTS))
+    def test_pinned_forms_and_orbits(self, name):
+        # recorded before the search dropped its backjump: a change of
+        # pruning must leave every form and orbit as it is
+        case = CANONICAL_DIGESTS[name]
+        assert canonical_digest(case["seed"], case["cases"]) == case["sha256"]
+
+    @pytest.mark.parametrize("n, count", enumerate([1, 2, 4, 11, 34, 156, 1044, 12346], start=1))
     def test_counts_all_graphs(self, n, count):
         # OEIS A000088: graphs on n unlabelled vertices
         reps, _ = generate_classes(n, lambda g, k: True)
