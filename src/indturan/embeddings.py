@@ -4,8 +4,10 @@ Each procedure runs real constructive steps (bad-set avoidance, rich-set
 extraction, Hall-style placement, copy extraction) with all thresholds exposed
 as parameters, every emitted map re-checked, and `found=False` a legitimate
 outcome when the small parameters used in tests do not reach the asymptotic
-guarantees.  The tree copies and the key lemma's copy come from
-`oracles._embed`'s matcher, `graph.placements`.  Each tree copy is re-checked
+guarantees.  Every search in the module runs on explicit frames or on the one
+matcher, `graph.placements`, so none recurses: the tree copies and the key
+lemma's copy come from the matcher, and the blowup search and Hall's
+augmenting paths keep their own stacks.  Each tree copy is re-checked
 by one row rule (`_rechecked`); a copy that shares all images but its last
 leaf's with the copy before it is checked at the leaf alone.  Every other map
 is re-checked in full.  The blowup procedures read a template's B vertex's
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -304,23 +306,18 @@ def admissible_tree_copies(l: Graph, t: Graph, stream: Iterable[VertexMap],
 
 
 def hall_disjoint_sets(sets: Sequence[Iterable[int]], t: int) -> Optional[list[tuple[int, ...]]]:
-    """Pairwise-disjoint t-subsets U_i of sets[i], or None when impossible.
-
-    Solved as bipartite matching with t unit slots per index (augmenting paths),
-    which succeeds exactly under the defect Hall condition."""
+    """Pairwise-disjoint t-subsets U_i of sets[i], each in increasing order,
+    or None when impossible.  Solved as bipartite matching with t unit slots
+    per index, slot k serving set k // t, by augmenting paths on an explicit
+    stack, which succeeds exactly under the defect Hall condition."""
     if t < 1:
         raise ValueError("t must be positive")
     adj = [sorted(set(s)) for s in sets]
     owner: dict[int, int] = {}  # element -> slot
-    slot_set = []  # slot -> set index
-    for i in range(len(adj)):
-        slot_set.extend([i] * t)
-
-    def augment(root: int) -> bool:
-        """Depth-first search for an augmenting path from slot root.  A stack
-        frame is (slot, its untried elements, the element it was entered by)."""
+    for root in range(len(adj) * t):
+        # a frame is (slot, its untried elements, the element it was entered by)
         seen: set[int] = set()
-        stack = [(root, iter(adj[slot_set[root]]), None)]
+        stack = [(root, iter(adj[root // t]), None)]
         while stack:
             w = next((w for w in stack[-1][1] if w not in seen), None)
             if w is None:
@@ -328,21 +325,18 @@ def hall_disjoint_sets(sets: Sequence[Iterable[int]], t: int) -> Optional[list[t
                 continue
             seen.add(w)
             if w in owner:
-                stack.append((owner[w], iter(adj[slot_set[owner[w]]]), w))
+                stack.append((owner[w], iter(adj[owner[w] // t]), w))
                 continue
-            for slot, _, via in reversed(stack):
+            for slot, _, via in reversed(stack):  # flip the path's edges
                 owner[w] = slot
                 w = via
-            return True
-        return False
-
-    for slot in range(len(slot_set)):
-        if not augment(slot):
+            break
+        else:
             return None
     result = [[] for _ in adj]
     for w, slot in sorted(owner.items()):
-        result[slot_set[slot]].append(w)
-    return [tuple(sorted(u)) for u in result]
+        result[slot // t].append(w)
+    return [tuple(u) for u in result]
 
 
 # --- the key embedding procedure --------------------------------------------------------
@@ -387,10 +381,10 @@ def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
     Hall's theorem yields disjoint t-sets, and the copy is the first induced
     placement (`graph.placements`) of A on phi and each B vertex in its set:
     the first pairwise non-adjacent B images, in product order over the sets.
-    KEY_LEMMA_RETRIES random placements are followed by exhaustive enumeration
-    when there are at most KEY_LEMMA_EXHAUSTIVE_CAP placements; drawing stops
-    once every placement has been tried.  Only untried placements reach the
-    trace.  found=False after that is a legitimate desk-scale outcome.  The
+    One stream gives the placements: KEY_LEMMA_RETRIES random draws, then the
+    whole product if it has at most KEY_LEMMA_EXHAUSTIVE_CAP placements, until
+    every placement has been tried; only untried ones reach the trace.
+    found=False after that is a legitimate desk-scale outcome.  The
     parts' keys and members are integer fields (`graph.int_field`).
 
     checked=True says that the caller has already verified that l spans the
@@ -434,18 +428,13 @@ def key_lemma_embed(host: Host, l: Graph, template: BipartiteTemplate,
     trace: list = []
     total = th.m_blow ** len(a_order)  # the placements of A
     tried: set[tuple[int, ...]] = set()
-
-    def candidates() -> Iterator[tuple[int, ...]]:
-        """Random draws, then every placement; none once all have been tried."""
-        for _ in range(KEY_LEMMA_RETRIES):
-            if len(tried) == total:
-                return
-            yield tuple(parts_map[v][rng.randrange(th.m_blow)] for v in a_order)
-        if len(tried) < total <= KEY_LEMMA_EXHAUSTIVE_CAP:
-            yield from product(*(parts_map[v] for v in a_order))
-
+    draws = (tuple(parts_map[v][rng.randrange(th.m_blow)] for v in a_order)
+             for _ in range(KEY_LEMMA_RETRIES))
+    every = product(*(parts_map[v] for v in a_order)) if total <= KEY_LEMMA_EXHAUSTIVE_CAP else ()
     t_size = max(1, th.c_hs // (2 * h))
-    for phi in candidates():
+    for phi in chain(draws, every):
+        if len(tried) == total:
+            break
         if phi in tried:
             continue
         tried.add(phi)
@@ -499,7 +488,9 @@ def _find_blowup(t_vertices: Sequence[int], template: BipartiteTemplate, m: int,
                  rich: Callable[[frozenset], bool]) -> Optional[dict[int, tuple[int, ...]]]:
     """Disjoint m-sets per A-side vertex such that every combination drawn
     from a B vertex's A-side neighbourhood (its row) is rich, once all of its
-    sets are assigned; deterministic backtracking."""
+    sets are assigned.  Deterministic backtracking on explicit frames: frame
+    i holds the untried m-subsets, in `combinations` order, of the sorted
+    vertices that the sets of A vertices 0..i-1 (in `a_side` order) leave."""
     ground = list(template.a_side)
     edges = [template.graph.adj[b] for b in template.b_side]
     pool = sorted(t_vertices)
@@ -511,22 +502,19 @@ def _find_blowup(t_vertices: Sequence[int], template: BipartiteTemplate, m: int,
         return all(rich(frozenset(combo))
                    for combo in product(*(chosen[v] for v in bits(e))))
 
-    def rec(i: int, remaining: tuple[int, ...]) -> bool:
-        if i == len(ground):
-            return True
-        v = ground[i]
-        for pick in combinations(remaining, m):
-            chosen[v] = pick
-            if all(edge_ok(e) for e in edges if e >> v & 1):
-                rest = tuple(w for w in remaining if w not in pick)
-                if rec(i + 1, rest):
-                    return True
-            del chosen[v]
-        return False
-
-    if rec(0, tuple(pool)):
-        return dict(chosen)
-    return None
+    frames = [combinations(pool, m)]
+    while 0 < len(frames) <= len(ground):
+        v = ground[len(frames) - 1]
+        chosen.pop(v, None)  # the frame's previous set
+        pick = next(frames[-1], None)
+        if pick is None:
+            frames.pop()
+            continue
+        chosen[v] = pick
+        if all(edge_ok(e) for e in edges if e >> v & 1):
+            taken = {w for ws in chosen.values() for w in ws}
+            frames.append(combinations([w for w in pool if w not in taken], m))
+    return chosen if frames else None
 
 
 def asymmetric_embed(host: Host, m_sub: Graph, template: BipartiteTemplate,

@@ -83,7 +83,8 @@ class Pattern(Graph):
 
     * `order`: pattern vertices by decreasing degree, ties by id;
     * `steps[i]`: for every later position j > i, the pair (j, is-edge
-      between order[i] and order[j]) (`graph.placement_steps`);
+      between order[i] and order[j]) (`graph.placement_steps`), computed on
+      first use;
     * `floors[i]`: the degree of order[i], below which no host vertex fits it;
     * `orbit_reps`: the least vertex of each automorphism orbit, computed on
       first use.
@@ -94,7 +95,10 @@ class Pattern(Graph):
         deg = [row.bit_count() for row in h.adj]
         self.order = sorted(range(h.n), key=lambda v: (-deg[v], v))
         self.floors = [deg[p] for p in self.order]
-        self.steps = placement_steps(h.adj, self.order)
+
+    @cached_property
+    def steps(self) -> list[list[tuple[int, int]]]:
+        return placement_steps(self.adj, self.order)
 
     @cached_property
     def orbit_reps(self) -> tuple[int, ...]:
@@ -150,6 +154,8 @@ def _contains_using(g: Graph, h: Graph, v: int, induced: bool) -> bool:
     """Is there a copy of h whose image contains host vertex v?  Only one
     vertex per orbit of h is pinned to v: if a copy φ has φ(p) = v and σ is an
     automorphism of h, then φ∘σ is a copy with v at σ⁻¹(p)."""
+    if h.n > g.n:  # no copy, and `canonical` would recurse once per twin of h
+        return False
     pat = _compiled(h)
     full = g.vertex_mask()
     return any(_embed(g, pat, induced, [1 << v if q == p else full for q in range(pat.n)])

@@ -11,8 +11,9 @@ neighbour-by-neighbour twin of the layered colouring `graph.bipartition`, and `p
 `Fraction` thresholds and pairwise scans: the package's integer and bitset
 versions must give the same answers; `key_lemma_candidates_reference` is
 the key lemma's placement order by its definition, every random draw then
-the whole product, and `key_lemma_b_choice_reference` its B side as a
-clique of compatibility rows over the Hall sets.  `canonical_form_reference`
+the whole product, `key_lemma_b_choice_reference` its B side as a
+clique of compatibility rows over the Hall sets, and
+`find_blowup_reference` the blowup search as a recursive backtrack.  `canonical_form_reference`
 is the canonical form by its definition, the least leaf of the whole
 individualise-refine tree with no automorphism pruning.  `generate_classes` generates every class of one order
 with no edge-count bound, on the package's generator.  The
@@ -242,6 +243,36 @@ def key_lemma_b_choice_reference(g: Graph, u_sets) -> list[int] | None:
             for k, w in flat]
     pick = first_clique(rows, len(u_sets))
     return None if pick is None else [flat[j][1] for j in pick]
+
+
+def find_blowup_reference(t_vertices, template: BipartiteTemplate, m: int, rich):
+    """`embeddings._find_blowup` as first written, a recursive backtrack: one
+    call per A vertex, in `a_side` order, over the m-subsets of the sorted
+    vertices that the earlier A vertices' sets leave."""
+    ground = list(template.a_side)
+    edges = [template.graph.adj[b] for b in template.b_side]
+    chosen: dict[int, tuple[int, ...]] = {}
+
+    def edge_ok(e: int) -> bool:
+        if not all(v in chosen for v in bits(e)):
+            return True
+        return all(rich(frozenset(combo))
+                   for combo in product(*(chosen[v] for v in bits(e))))
+
+    def rec(i: int, remaining: tuple[int, ...]) -> bool:
+        if i == len(ground):
+            return True
+        v = ground[i]
+        for pick in combinations(remaining, m):
+            chosen[v] = pick
+            if all(edge_ok(e) for e in edges if e >> v & 1):
+                rest = tuple(w for w in remaining if w not in pick)
+                if rec(i + 1, rest):
+                    return True
+            del chosen[v]
+        return False
+
+    return dict(chosen) if rec(0, tuple(sorted(t_vertices))) else None
 
 
 def extraction_aux_reference(g: Graph, copies, f: RootedGraph) -> dict:

@@ -383,6 +383,39 @@ def test_no_assert_in_source(capsys):
         assert not found, found
 
 
+def test_self_calls_in_source(capsys):
+    # Every function in src that calls itself by name, directly or from a
+    # function nested in it, is one of these, each with a bound on its depth;
+    # every other search runs on explicit frames or on `graph.placements`.
+    bounded = {
+        # depth at most the graph's vertex count, which the oracles' budgets
+        # bound; a pattern larger than its host never reaches it
+        "canonical._search",
+        # depth is the payload's nesting, which the handlers fix
+        "commands._dump.emit",
+        # a RecursionError becomes ValueError("descriptor nested too deeply")
+        "families.parse_descriptor",
+    }
+    with scoreboard("the only self-calling functions in src are the bounded ones", capsys):
+        found = set()
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, prefix)
+                    continue
+                name = f"{prefix}.{child.name}"
+                if isinstance(child, ast.FunctionDef) and any(
+                        isinstance(c, ast.Call) and getattr(c.func, "id", None) == child.name
+                        for c in ast.walk(child)):
+                    found.add(name)
+                visit(child, name)
+
+        for path in sorted((ROOT / "src" / "indturan").glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem)
+        assert found == bounded, found
+
+
 def test_no_dead_names_or_floats_in_source(capsys):
     # Every top-level function and class in src is referenced somewhere in
     # src outside its own definition (package re-exports do not count), and

@@ -181,6 +181,14 @@ class TestExtremal:
                            "--pattern", "theta:len=2,t=2", "--mode", "star")
         assert code == 1 and d["error"] == "TooLarge"
 
+    @pytest.mark.parametrize("mode", ["star", "classical"])
+    def test_pattern_larger_than_the_host(self, mode):
+        # a 1,502-vertex pattern has no copy in a 4-vertex host, so the answer
+        # is the 5-vertex pattern's; its automorphisms are never computed
+        small, huge = (run_capped("extremal", "--mode", mode, "--n", "4",
+                                  "--pattern", f"theta:len=2,t={t}") for t in (3, 1500))
+        assert small[0] == 0 and huge == small
+
 
 class TestUsageErrors:
     def test_missing_subcommand(self):
@@ -315,6 +323,20 @@ class TestEmbedCommands:
         code, d = run_json(capsys, "embed", "asym", "--input", str(p))
         assert code == 0 and d["found"] is True
         assert d["trace"][0]["c3_guarantee"] is True
+
+    def test_asym_blowup_deeper_than_the_recursion_limit(self, tmp_path):
+        # 1,100 A vertices, one B vertex joined to all of them, on the
+        # complete cross host: the blowup search holds one frame per A vertex
+        k = 1100
+        spec = {"host": {"n": k + 3, "edges": [[x, y] for x in range(k) for y in range(k, k + 3)],
+                         "partition": {"X": list(range(k)), "Y": list(range(k, k + 3))}, "s": 2},
+                "template": {"n": k + 1, "edges": [[a, k] for a in range(k)],
+                             "A": list(range(k)), "B": [k]},
+                "thresholds": {"c_hs": 1, "m_blow": 1}}
+        p = tmp_path / "asym.json"
+        p.write_text(json.dumps(spec))
+        code, d = run_capped("embed", "asym", "--input", str(p))
+        assert code == 0 and d["found"] is True
 
     @pytest.mark.parametrize("procedure", ["asym", "keylemma"])
     def test_thresholds_must_be_object(self, capsys, tmp_path, kl_path, procedure):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from indturan import embeddings
 from indturan.embeddings import (
     Thresholds,
+    _find_blowup,
     _grow_order,
     _rechecked,
     admissible_tree_copies,
@@ -65,6 +66,7 @@ from indturan.regularity import (
 from helpers import (
     bad_set_reference,
     extraction_aux_reference,
+    find_blowup_reference,
     first_independent_reference,
     first_mono_clique_reference,
     graphs,
@@ -847,7 +849,7 @@ class TestHall:
             if got is not None:
                 seen = set()
                 for i, u in enumerate(got):
-                    assert len(u) == t and set(u) <= set(sets[i])
+                    assert len(u) == t and set(u) <= set(sets[i]) and list(u) == sorted(u)
                     assert not set(u) & seen
                     seen |= set(u)
 
@@ -859,7 +861,7 @@ class TestHall:
         assert got is not None
         seen = set()
         for i, u in enumerate(got):
-            assert len(u) == 1 and set(u) <= set(sets[i])
+            assert len(u) == 1 and set(u) <= set(sets[i]) and list(u) == sorted(u)
             assert not set(u) & seen
             seen |= set(u)
 
@@ -1135,6 +1137,42 @@ class TestAsymmetric:
             host = Host(g, 2, (tuple(range(4)), tuple(range(4, 9))))
             with pytest.raises(ValueError, match="isolated B-side vertex"):
                 asymmetric_embed(host, g, tpl, Thresholds(c_hs=1, m_blow=1))
+
+
+class TestFindBlowup:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_recursive_reference(self, data):
+        # The same parts, in the same key order, or None from both, after the
+        # same sequence of rich queries; each B vertex has a neighbour, as
+        # asymmetric_embed requires
+        k, nb = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+        a_side, b_side = tuple(range(k)), tuple(range(k, k + nb))
+        template = BipartiteTemplate(Graph(k + nb, [
+            (a, b) for b in b_side
+            for a in data.draw(st.sets(st.sampled_from(a_side), min_size=1))]),
+            (data.draw(st.permutations(a_side)), b_side))
+        pool = data.draw(st.lists(st.integers(0, 11), max_size=8, unique=True))
+        m = data.draw(st.sampled_from([1, 2]))
+        family: dict = {}
+        queries: list = []
+
+        def rich(sset):
+            queries.append(sset)
+            if sset not in family:
+                family[sset] = data.draw(st.integers(0, 4)) > 0
+            return family[sset]
+
+        got = _find_blowup(pool, template, m, rich)
+        got_queries, queries[:] = list(queries), []
+        want = find_blowup_reference(pool, template, m, rich)
+        assert got_queries == queries
+        assert (got is None and want is None) or list(got.items()) == list(want.items())
+
+    def test_more_a_vertices_than_the_recursion_limit(self):
+        k = 1100
+        tpl = BipartiteTemplate(Graph(k + 1, [(a, k) for a in range(k)]), (tuple(range(k)), (k,)))
+        assert _find_blowup(range(k), tpl, 1, lambda ss: True) == {a: (a,) for a in range(k)}
 
 
 class TestExtraction:
